@@ -186,7 +186,9 @@ func BenchmarkEvalEWF(b *testing.B) {
 	}
 }
 
-// BenchmarkCloneEWF measures the per-move snapshot cost.
+// BenchmarkCloneEWF measures one deep copy: the per-move snapshot of
+// the CloneEval reference path, and the engine's per-improvement
+// record (the search itself copies into preallocated bindings).
 func BenchmarkCloneEWF(b *testing.B) {
 	bd := ewfBinding(b)
 	b.ResetTimer()
@@ -390,11 +392,30 @@ func BenchmarkScale_Synth200(b *testing.B) { benchScale(b, 200) }
 // speedup.
 func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers int, cloneEval bool) {
 	b.Helper()
+	a, hw, jobs := allocateParallelSetup(b, g, steps, cloneEval)
+	b.ResetTimer()
+	var merged float64
+	for i := 0; i < b.N; i++ {
+		res, _, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{Workers: workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		merged = float64(res.MergedMux)
+	}
+	b.ReportMetric(merged, "muxes")
+	b.ReportMetric(float64(workers), "workers")
+}
+
+// allocateParallelSetup builds benchAllocateParallel's problem: the
+// graph at the given schedule length on its minimum FU set with one
+// spare register, and an 8-restart portfolio of short SALSA searches.
+func allocateParallelSetup(tb testing.TB, g func() *cdfg.Graph, steps int, cloneEval bool) (*lifetime.Analysis, *datapath.Hardware, []engine.Job) {
+	tb.Helper()
 	graph := g()
 	d := cdfg.DefaultDelays(false)
 	a, lim, err := lifetime.MinFUAnalysis(graph, d, steps)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var inputs []string
 	for i := range graph.Nodes {
@@ -407,18 +428,7 @@ func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers in
 	o.MovesPerTrial = 600
 	o.MaxTrials = 8
 	o.CloneEval = cloneEval
-	jobs := engine.Restarts(o, 8)
-	b.ResetTimer()
-	var merged float64
-	for i := 0; i < b.N; i++ {
-		res, _, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		merged = float64(res.MergedMux)
-	}
-	b.ReportMetric(merged, "muxes")
-	b.ReportMetric(float64(workers), "workers")
+	return a, hw, engine.Restarts(o, 8)
 }
 
 func BenchmarkAllocateParallel_EWF_W1(b *testing.B) {

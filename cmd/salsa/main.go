@@ -201,8 +201,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "%-12s winner: job %d (%s)\n", "", stats.BestJob, stats.PerJob[stats.BestJob].Label)
 			}
 		}
-		if len(res.Binding.Pass) > 0 || res.Binding.NumCopies() > 0 {
-			fmt.Fprintf(stdout, "%-12s %d pass-throughs, %d value copies\n", "", len(res.Binding.Pass), res.Binding.NumCopies())
+		if res.Binding.NumPass() > 0 || res.Binding.NumCopies() > 0 {
+			fmt.Fprintf(stdout, "%-12s %d pass-throughs, %d value copies\n", "", res.Binding.NumPass(), res.Binding.NumCopies())
 		}
 		ba := res.IC.AllocateBuses()
 		fmt.Fprintf(stdout, "%-12s bus-style alternative: %d buses, %d sink muxes, %d drivers\n",

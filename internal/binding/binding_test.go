@@ -286,7 +286,7 @@ func TestPassThroughLegalityAndCost(t *testing.T) {
 	}
 
 	// Bind the transfer through the ALU (idle at step 2).
-	b.Pass[tk] = 0
+	b.SetPass(tk, 0)
 	if err := b.Check(); err != nil {
 		t.Fatalf("pass-through rejected: %v", err)
 	}
@@ -309,8 +309,8 @@ func TestPassThroughLegalityAndCost(t *testing.T) {
 	// at step 3 by moving the segment switch one step later is not
 	// possible here; instead occupy step 2 with a fake op by moving w.
 	b2 := b.Clone()
-	delete(b2.Pass, tk)
-	b2.Pass[TransferKey{V: vid, K: 2, ToReg: 1}] = 0
+	b2.UnbindPass(tk)
+	b2.SetPass(TransferKey{V: vid, K: 2, ToReg: 1}, 0)
 	// Move op w to step 2 so the ALU is busy at the transfer step.
 	b2.A.Sched.Start[2] = 2 // node index 2 is op v? ensure via name below
 	// (direct schedule surgery: find w's node id)
@@ -335,7 +335,7 @@ func TestPassThroughLegalityAndCost(t *testing.T) {
 func TestPrunePassRemovesStale(t *testing.T) {
 	_, b, vid := movingFixture(t)
 	tk := TransferKey{V: vid, K: 2, ToReg: 1}
-	b.Pass[tk] = 0
+	b.SetPass(tk, 0)
 	if err := b.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -432,15 +432,15 @@ func TestCloneIsDeep(t *testing.T) {
 	nb.OpFU[2] = -1
 	nb.SegReg[0][0] = 99
 	nb.AddCopy(0, 0, 1)
-	nb.Pass[TransferKey{V: 1, K: 1, ToReg: 0}] = 0
+	nb.SetPass(TransferKey{V: 1, K: 0, ToReg: 0}, 0)
 	if b.OpFU[2] == -1 || b.SegReg[0][0] == 99 {
 		t.Error("Clone shares slices with the original")
 	}
-	if len(b.Copies[SegKey{0, 0}]) != 1 {
-		t.Error("Clone shares the Copies map")
+	if len(b.CopiesAt(0, 0)) != 1 {
+		t.Error("Clone shares Copies with the original")
 	}
-	if len(b.Pass) != 0 {
-		t.Error("Clone shares the Pass map")
+	if b.NumPass() != 0 || len(b.PassesAt(1, 0)) != 0 {
+		t.Error("Clone shares Pass with the original")
 	}
 }
 

@@ -29,7 +29,7 @@ type Cost struct {
 // paper's rationale for value copies ("a connection … can be eliminated
 // at the expense of an added connection" wherever that wins globally).
 func (b *Binding) Eval() (*datapath.Interconnect, Cost, error) {
-	ic := datapath.NewInterconnectSized(len(b.HW.FUs), len(b.HW.Regs), len(b.outputIndex), b.A.StorageSteps)
+	ic := datapath.NewInterconnectSized(len(b.HW.FUs), len(b.HW.Regs), b.numOutputs, b.A.StorageSteps)
 	g := b.A.Sched.G
 	s := b.A.Sched
 
@@ -40,7 +40,7 @@ func (b *Binding) Eval() (*datapath.Interconnect, Cost, error) {
 		if ic.HasSource(sink, datapath.Source{Kind: datapath.SrcReg, Index: primary}) {
 			return primary
 		}
-		for _, c := range b.Copies[SegKey{v, k}] {
+		for _, c := range b.CopiesAt(v, k) {
 			if ic.HasSource(sink, datapath.Source{Kind: datapath.SrcReg, Index: c}) {
 				return c
 			}
@@ -112,7 +112,8 @@ func (b *Binding) Eval() (*datapath.Interconnect, Cost, error) {
 			birthSrc = datapath.Source{Kind: datapath.SrcFU, Index: pf}
 		}
 		wstep := b.A.WriteStep(v)
-		for _, r := range b.HoldersAt(v.ID, 0) {
+		for h := 0; h < b.numHolders(v.ID, 0); h++ {
+			r := b.holder(v.ID, 0, h)
 			if r < 0 {
 				return nil, Cost{}, fmt.Errorf("binding: value %s has unassigned segment 0", v.Name)
 			}
@@ -124,16 +125,16 @@ func (b *Binding) Eval() (*datapath.Interconnect, Cost, error) {
 		// Holds and transfers for the rest of the chain.
 		for k := 1; k < v.Len; k++ {
 			tstep := v.StepAt(k-1, b.A.StorageSteps)
-			for _, r := range b.HoldersAt(v.ID, k) {
+			for h := 0; h < b.numHolders(v.ID, k); h++ {
+				r := b.holder(v.ID, k, h)
 				if r < 0 {
 					return nil, Cost{}, fmt.Errorf("binding: value %s has unassigned segment %d", v.Name, k)
 				}
 				if b.HeldIn(v.ID, k-1, r) {
 					continue // register holds; no transfer
 				}
-				tk := TransferKey{v.ID, k, r}
 				regSink := datapath.Sink{Kind: datapath.SinkReg, Index: r}
-				if f, viaPass := b.Pass[tk]; viaPass {
+				if f, viaPass := b.PassOf(TransferKey{v.ID, k, r}); viaPass {
 					fuIn := datapath.Sink{Kind: datapath.SinkFUPort, Index: f, Port: 0}
 					from := pickHolder(v.ID, k-1, fuIn)
 					if err := ic.AddUse(datapath.Use{Src: datapath.Source{Kind: datapath.SrcReg, Index: from}, Sink: fuIn, Step: tstep}); err != nil {
@@ -192,8 +193,10 @@ func (b *Binding) costOf(ic *datapath.Interconnect) Cost {
 			fuUsed[f] = true
 		}
 	}
-	for _, f := range b.Pass {
-		fuUsed[f] = true
+	for _, ps := range b.Pass {
+		for _, p := range ps {
+			fuUsed[p.FU] = true
+		}
 	}
 	for f, used := range fuUsed {
 		if !used {

@@ -144,7 +144,7 @@ func TestPropertyPrunePassIdempotent(t *testing.T) {
 			ts := b.A.Values[tk.V].StepAt(tk.K-1, b.A.StorageSteps)
 			for f := range b.HW.FUs {
 				if b.FUPassFree(occ, f, ts, tk) {
-					b.Pass[tk] = f
+					b.SetPass(tk, f)
 					break
 				}
 			}

@@ -1,6 +1,7 @@
 package binding
 
 import (
+	"errors"
 	"fmt"
 
 	"salsa/internal/cdfg"
@@ -9,12 +10,19 @@ import (
 	"salsa/internal/sched"
 )
 
+// ErrOccupancyConflict is returned by a transaction's occupancy probes
+// while two claims share a register or FU cell, a segment has no
+// register within the budget, or an operator has no unit of its class.
+// Binding.RegOccupancy and Binding.FUOccupancy name the offending pair.
+var ErrOccupancyConflict = errors.New("binding: occupancy conflict")
+
 // Tx is a move transaction over one Binding: the move layer mutates the
 // binding in place through Tx's typed mutators, each of which appends an
-// undo record and marks the interconnect sinks it perturbs (the
-// affected-set). DeltaCost then recomputes only the dirty sinks —
-// replaying their use-events exactly as Eval would — and Rollback
-// restores both the binding and the cost tables of a rejected move.
+// undo record, keeps the register and FU occupancy tables current, and
+// marks the interconnect sinks it perturbs (the affected-set).
+// DeltaCost then recomputes only the dirty sinks — replaying their
+// use-events exactly as Eval would — and Rollback restores the binding,
+// the occupancy and the cost tables of a rejected move.
 //
 // The equivalence delta == full Eval holds because Eval's greedy source
 // resolution is sink-local: pickHolder only ever queries the net of the
@@ -24,9 +32,9 @@ import (
 // keep their event sequences and therefore their exact fanins.
 //
 // A Tx built with NewScratchTx skips all cost maintenance and only
-// provides the mutators plus reusable occupancy buffers — the
-// clone-based reference path drives the same move code through a
-// scratch Tx so both paths draw identical random sequences.
+// provides the mutators plus the occupancy tables — the clone-based
+// reference path drives the same move code through a scratch Tx so
+// both paths draw identical random sequences.
 type Tx struct {
 	b *Binding
 	// inc enables incremental cost maintenance; scratch transactions
@@ -52,12 +60,27 @@ type Tx struct {
 	costUndo []costRec
 	inMove   bool
 
-	occBuf  [][]lifetime.ValueID
-	occOK   bool
-	fuocc   FUOccupancy
-	fuoccOK bool
+	// occ (register × storage step) and fuocc (FU × step) are the
+	// occupancy tables, kept current by every mutator and by revert.
+	// Each cell has a claim count (occN, issueN, writeN, passN) and a
+	// holder: the holder starts at the empty marker and accumulates
+	// each claimant's ID+1, so it names the sole claimant whenever the
+	// count is at most one, including after a conflict clears.
+	occ                   [][]lifetime.ValueID
+	occN                  [][]int32
+	fuocc                 FUOccupancy
+	issueN, writeN, passN [][]int32
+	// regBad counts register claims outside the budget (unassigned
+	// segments included) and fuBad operators without a unit of their
+	// class; regClash, issueClash and passClash count the claims beyond
+	// the first on shared cells. All zero ⇔ the from-scratch
+	// occupancy builders succeed.
+	regBad, regClash             int
+	fuBad, issueClash, passClash int
 
-	// outNode inverts the binding's outputIndex.
+	// arith lists the arithmetic nodes in node order; outNode inverts
+	// the binding's output port index.
+	arith   []cdfg.NodeID
 	outNode []cdfg.NodeID
 
 	passTmp []passEv
@@ -132,20 +155,20 @@ func (t *Tx) Retarget(b *Binding) {
 	t.b = b
 	t.inc = false
 	t.ensureShape()
-	t.occOK, t.fuoccOK = false, false
+	t.seedOcc()
 	t.undo = t.undo[:0]
 	t.inMove = false
 }
 
 // Reset re-seeds an incremental transaction from b's current state: use
-// counts are recomputed and the per-sink cost table is filled from one
-// full evaluation. The search calls it once per trial restart, so its
-// cost amortizes over the trial's moves.
+// counts and occupancy are recomputed and every sink's cost is
+// replayed. The search calls it once per trial restart, so its cost
+// amortizes over the trial's moves.
 func (t *Tx) Reset(b *Binding) error {
 	t.b = b
 	t.inc = true
 	t.ensureShape()
-	t.occOK, t.fuoccOK = false, false
+	t.seedOcc()
 	t.undo = t.undo[:0]
 	t.costUndo = t.costUndo[:0]
 	for _, idx := range t.dirtyList {
@@ -161,17 +184,15 @@ func (t *Tx) Reset(b *Binding) error {
 		t.regCnt[r] = 0
 	}
 	t.fusUsed, t.fuArea, t.regsUsed = 0, 0, 0
-	g := b.A.Sched.G
-	for i := range g.Nodes {
-		if g.Nodes[i].Op.IsArith() {
-			if f := b.OpFU[i]; f >= 0 {
-				t.incArith(f)
-			}
+	for _, op := range t.arith {
+		if f := b.OpFU[op]; f >= 0 {
+			t.incArith(f)
 		}
 	}
-	//lint:maporder keyed count increments; the totals are order-free
-	for _, f := range b.Pass {
-		t.incPass(f)
+	for _, ps := range b.Pass {
+		for _, p := range ps {
+			t.incPass(p.FU)
+		}
 	}
 	for i := range b.SegReg {
 		for _, r := range b.SegReg[i] {
@@ -180,22 +201,33 @@ func (t *Tx) Reset(b *Binding) error {
 			}
 		}
 	}
-	//lint:maporder keyed count increments; the totals are order-free
 	for _, cs := range b.Copies {
 		for _, r := range cs {
 			t.incReg(r)
 		}
 	}
 
-	ic, _, err := b.Eval()
-	if err != nil {
-		return err
-	}
 	t.ct.Zero()
-	for idx := 0; idx < t.ct.Len(); idx++ {
-		if fan := ic.FaninOf(t.ct.SinkOf(idx)); fan > 1 {
-			t.ct.Set(idx, fan-1)
+	if t.regBad > 0 || t.fuBad > 0 {
+		// Sink replay never visits an unassigned segment or an unbound
+		// operator, so only the full evaluation reports those.
+		ic, _, err := b.Eval()
+		if err != nil {
+			return err
 		}
+		for idx := 0; idx < t.ct.Len(); idx++ {
+			if fan := ic.FaninOf(t.ct.SinkOf(idx)); fan > 1 {
+				t.ct.Set(idx, fan-1)
+			}
+		}
+		return nil
+	}
+	for idx := 0; idx < t.ct.Len(); idx++ {
+		c, err := t.replaySink(idx)
+		if err != nil {
+			return err
+		}
+		t.ct.Set(idx, c)
 	}
 	return nil
 }
@@ -204,7 +236,7 @@ func (t *Tx) Reset(b *Binding) error {
 // schedule dimensions, reallocating only when they changed.
 func (t *Tx) ensureShape() {
 	b := t.b
-	nF, nR, nO := len(b.HW.FUs), len(b.HW.Regs), len(b.outputIndex)
+	nF, nR, nO := len(b.HW.FUs), len(b.HW.Regs), b.numOutputs
 	if t.ct == nil || t.ct.NumFUs != nF || t.ct.NumRegs != nR || t.ct.NumOuts != nO {
 		t.ct = datapath.NewCostTable(nF, nR, nO)
 		t.dirty = make([]bool, t.ct.Len())
@@ -213,19 +245,122 @@ func (t *Tx) ensureShape() {
 		t.fuPass = make([]int, nF)
 		t.regCnt = make([]int, nR)
 	}
-	if len(t.occBuf) != nR || (nR > 0 && len(t.occBuf[0]) != b.A.StorageSteps) {
-		t.occBuf = make([][]lifetime.ValueID, nR)
-		for r := range t.occBuf {
-			t.occBuf[r] = make([]lifetime.ValueID, b.A.StorageSteps)
+	if ss := b.A.StorageSteps; len(t.occ) != nR || (nR > 0 && len(t.occ[0]) != ss) {
+		t.occ = grid[lifetime.ValueID](nR, ss)
+		t.occN = grid[int32](nR, ss)
+	}
+	if T := b.A.Sched.Steps; len(t.fuocc.Issue) != nF || (nF > 0 && len(t.fuocc.Issue[0]) != T) {
+		t.fuocc = newFUOccupancy(nF, T)
+		t.issueN = grid[int32](nF, T)
+		t.writeN = grid[int32](nF, T)
+		t.passN = grid[int32](nF, T)
+	}
+	g := b.A.Sched.G
+	t.arith = t.arith[:0]
+	for i := range g.Nodes {
+		if g.Nodes[i].Op.IsArith() {
+			t.arith = append(t.arith, cdfg.NodeID(i))
 		}
 	}
 	if len(t.outNode) != nO {
 		t.outNode = make([]cdfg.NodeID, nO)
 	}
-	//lint:maporder keyed writes into a dense inverse table; the final contents are order-free
 	for n, idx := range b.outputIndex {
-		t.outNode[idx] = n
+		if idx >= 0 {
+			t.outNode[idx] = cdfg.NodeID(n)
+		}
 	}
+}
+
+// seedOcc rebuilds the occupancy tables and conflict counters from the
+// binding, claim by claim.
+func (t *Tx) seedOcc() {
+	b := t.b
+	for r := range t.occ {
+		for s := range t.occ[r] {
+			t.occ[r][s], t.occN[r][s] = lifetime.NoValue, 0
+		}
+	}
+	for f := range t.fuocc.Issue {
+		for s := range t.fuocc.Issue[f] {
+			t.fuocc.Issue[f][s], t.issueN[f][s] = cdfg.NoNode, 0
+			t.fuocc.WriteEdge[f][s], t.writeN[f][s] = false, 0
+			t.fuocc.PassAt[f][s], t.passN[f][s] = NoTransfer, 0
+		}
+	}
+	t.regBad, t.regClash = 0, 0
+	t.fuBad, t.issueClash, t.passClash = 0, 0, 0
+	for v := range b.A.Values {
+		vid := lifetime.ValueID(v)
+		for k := 0; k < b.A.Values[v].Len; k++ {
+			t.claimSeg(vid, k, b.SegReg[v][k], 1)
+			for _, c := range b.CopiesAt(vid, k) {
+				t.claimSeg(vid, k, c, 1)
+			}
+			for _, p := range b.PassesAt(vid, k) {
+				t.claimPass(TransferKey{vid, k, p.Reg}, p.FU, 1)
+			}
+		}
+	}
+	for _, op := range t.arith {
+		t.claimOp(op, b.OpFU[op], 1)
+	}
+}
+
+// claimCell applies one claim (d = +1) or withdrawal (d = -1) to a
+// cell's count and returns the change in the cell's surplus claims.
+func claimCell(n *int32, d int32) int {
+	old := *n
+	*n = old + d
+	if (d > 0 && old > 0) || (d < 0 && old > 1) {
+		return int(d)
+	}
+	return 0
+}
+
+// claimSeg adds (d = +1) or withdraws (d = -1) the claim of value v's
+// chain position k on register r.
+func (t *Tx) claimSeg(v lifetime.ValueID, k, r int, d int32) {
+	if r < 0 || r >= len(t.occ) {
+		t.regBad += int(d)
+		return
+	}
+	s := t.b.A.Values[v].StepAt(k, t.b.A.StorageSteps)
+	t.regClash += claimCell(&t.occN[r][s], d)
+	t.occ[r][s] += lifetime.ValueID(d) * (v + 1)
+}
+
+// claimOp adds or withdraws arithmetic node op's claims on unit f: its
+// issue window and its result-write edge.
+func (t *Tx) claimOp(op cdfg.NodeID, f int, d int32) {
+	b := t.b
+	n := &b.A.Sched.G.Nodes[op]
+	if f < 0 || f >= len(b.HW.FUs) || b.HW.FUs[f].Class != sched.ClassOf(n.Op) {
+		t.fuBad += int(d)
+		return
+	}
+	s := b.A.Sched
+	st := s.Start[op]
+	for step := st; step < st+s.Delays.IIOf(n.Op); step++ {
+		t.issueClash += claimCell(&t.issueN[f][step], d)
+		t.fuocc.Issue[f][step] += cdfg.NodeID(d) * (op + 1)
+	}
+	w := st + s.Delays.Of(n.Op) - 1
+	t.writeN[f][w] += d
+	t.fuocc.WriteEdge[f][w] = t.writeN[f][w] > 0
+}
+
+// claimPass adds or withdraws the claim of a pass-through of tk on f.
+func (t *Tx) claimPass(tk TransferKey, f int, d int32) {
+	step, ok := t.b.passStep(tk, f)
+	if !ok {
+		return
+	}
+	t.passClash += claimCell(&t.passN[f][step], d)
+	at := &t.fuocc.PassAt[f][step]
+	at.V += lifetime.ValueID(d) * (tk.V + 1)
+	at.K += int(d) * tk.K
+	at.ToReg += int(d) * tk.ToReg
 }
 
 // Begin opens a move: the undo log and cost journal restart empty.
@@ -249,7 +384,8 @@ func (t *Tx) Commit() {
 
 // Rollback rejects the move: cost entries overwritten by DeltaCost are
 // restored from the journal and the binding mutations are unwound in
-// reverse order, re-adjusting the use counts symmetrically.
+// reverse order, re-adjusting the use counts and occupancy
+// symmetrically.
 func (t *Tx) Rollback() {
 	t.inMove = false
 	for i := len(t.costUndo) - 1; i >= 0; i-- {
@@ -272,62 +408,37 @@ func (t *Tx) revert(u *undoRec) {
 	b := t.b
 	switch u.op {
 	case undoOpFU:
-		op, old := u.a, u.b
-		if cur := b.OpFU[op]; cur >= 0 {
-			t.decArith(cur)
-		}
-		if old >= 0 {
-			t.incArith(old)
-		}
-		b.OpFU[op] = old
-		t.fuoccOK = false
+		op := cdfg.NodeID(u.a)
+		t.rebindOp(op, b.OpFU[op], u.b)
 	case undoSwap:
 		b.OpSwap[u.a] = !b.OpSwap[u.a]
 	case undoSegReg:
-		v, k, old := lifetime.ValueID(u.a), u.b, u.c
-		if cur := b.SegReg[v][k]; cur >= 0 {
-			t.decReg(cur)
-		}
-		if old >= 0 {
-			t.incReg(old)
-		}
-		b.SegReg[v][k] = old
-		t.occOK = false
+		v, k := lifetime.ValueID(u.a), u.b
+		t.moveSeg(v, k, b.SegReg[v][k], u.c)
 	case undoAddCopy:
-		v, k, r, pos := lifetime.ValueID(u.a), u.b, u.c, u.d
-		key := SegKey{v, k}
-		cs := b.Copies[key]
-		cs = append(cs[:pos], cs[pos+1:]...)
-		if len(cs) == 0 {
-			delete(b.Copies, key)
-		} else {
-			b.Copies[key] = cs
-		}
+		v, k, r := lifetime.ValueID(u.a), u.b, u.c
+		b.removeCopyAt(b.Seg(v, k), u.d)
 		t.decReg(r)
-		t.occOK = false
+		t.claimSeg(v, k, r, -1)
 	case undoRemoveCopy:
-		v, k, r, pos := lifetime.ValueID(u.a), u.b, u.c, u.d
-		key := SegKey{v, k}
-		cs := append(b.Copies[key], 0)
-		copy(cs[pos+1:], cs[pos:])
-		cs[pos] = r
-		b.Copies[key] = cs
+		v, k, r := lifetime.ValueID(u.a), u.b, u.c
+		b.insertCopyAt(b.Seg(v, k), u.d, r)
 		t.incReg(r)
-		t.occOK = false
+		t.claimSeg(v, k, r, 1)
 	case undoSetPass:
-		old := u.a
-		t.decPass(b.Pass[u.tk])
-		t.incPass(old)
-		b.Pass[u.tk] = old
-		t.fuoccOK = false
-	case undoNewPass:
-		t.decPass(b.Pass[u.tk])
-		delete(b.Pass, u.tk)
-		t.fuoccOK = false
-	case undoDelPass:
-		b.Pass[u.tk] = u.a
+		cur, _ := b.SetPass(u.tk, u.a)
+		t.decPass(cur)
+		t.claimPass(u.tk, cur, -1)
 		t.incPass(u.a)
-		t.fuoccOK = false
+		t.claimPass(u.tk, u.a, 1)
+	case undoNewPass:
+		f, _ := b.UnbindPass(u.tk)
+		t.decPass(f)
+		t.claimPass(u.tk, f, -1)
+	case undoDelPass:
+		b.SetPass(u.tk, u.a)
+		t.incPass(u.a)
+		t.claimPass(u.tk, u.a, 1)
 	}
 }
 
@@ -440,7 +551,7 @@ func (t *Tx) markBirth(v lifetime.ValueID) {
 		return
 	}
 	t.markReg(t.b.SegReg[v][0])
-	for _, c := range t.b.Copies[SegKey{v, 0}] {
+	for _, c := range t.b.CopiesAt(v, 0) {
 		t.markReg(c)
 	}
 }
@@ -464,14 +575,11 @@ func (t *Tx) markValue(v lifetime.ValueID) {
 	}
 	for k := 0; k < val.Len; k++ {
 		t.markReg(b.SegReg[v][k])
-		for _, c := range b.Copies[SegKey{v, k}] {
+		for _, c := range b.CopiesAt(v, k) {
 			t.markReg(c)
 		}
-	}
-	//lint:maporder set insertion into the dirty set; membership is order-free
-	for tk, f := range b.Pass {
-		if tk.V == v {
-			t.markIdx(2 * f)
+		for _, p := range b.PassesAt(v, k) {
+			t.markIdx(2 * p.FU)
 		}
 	}
 }
@@ -486,17 +594,26 @@ func (t *Tx) SetOpFU(op cdfg.NodeID, f int) {
 		return
 	}
 	t.record(undoRec{op: undoOpFU, a: int(op), b: old})
+	t.rebindOp(op, old, f)
+	t.markFUPorts(old)
+	t.markFUPorts(f)
+	t.markBirth(b.A.ValueOf[op])
+}
+
+// rebindOp moves op from unit old to unit f, keeping the use counts and
+// the FU occupancy current.
+func (t *Tx) rebindOp(op cdfg.NodeID, old, f int) {
 	if old >= 0 {
 		t.decArith(old)
 	}
 	if f >= 0 {
 		t.incArith(f)
 	}
-	b.OpFU[op] = f
-	t.fuoccOK = false
-	t.markFUPorts(old)
-	t.markFUPorts(f)
-	t.markBirth(b.A.ValueOf[op])
+	if t.b.A.Sched.G.Nodes[op].Op.IsArith() {
+		t.claimOp(op, old, -1)
+		t.claimOp(op, f, 1)
+	}
+	t.b.OpFU[op] = f
 }
 
 // FlipSwap reverses the operand order of commutative node op (move F3).
@@ -515,27 +632,33 @@ func (t *Tx) SetSegReg(v lifetime.ValueID, k, r int) {
 		return
 	}
 	t.record(undoRec{op: undoSegReg, a: int(v), b: k, c: old})
-	if old >= 0 {
-		t.decReg(old)
-	}
-	if r >= 0 {
-		t.incReg(r)
-	}
-	b.SegReg[v][k] = r
-	t.occOK = false
+	t.moveSeg(v, k, old, r)
 	t.markReg(old)
 	t.markReg(r)
 	t.markValue(v)
 }
 
+// moveSeg moves the primary register of (v, k) from one register to
+// another, keeping the use counts and the register occupancy current.
+func (t *Tx) moveSeg(v lifetime.ValueID, k, from, to int) {
+	if from >= 0 {
+		t.decReg(from)
+	}
+	if to >= 0 {
+		t.incReg(to)
+	}
+	t.claimSeg(v, k, from, -1)
+	t.claimSeg(v, k, to, 1)
+	t.b.SegReg[v][k] = to
+}
+
 // AddCopy stores a copy of (v, k) in register r (move R5).
 func (t *Tx) AddCopy(v lifetime.ValueID, k, r int) {
 	b := t.b
-	key := SegKey{v, k}
-	t.record(undoRec{op: undoAddCopy, a: int(v), b: k, c: r, d: len(b.Copies[key])})
-	b.Copies[key] = append(b.Copies[key], r)
+	t.record(undoRec{op: undoAddCopy, a: int(v), b: k, c: r, d: len(b.CopiesAt(v, k))})
+	b.AddCopy(v, k, r)
 	t.incReg(r)
-	t.occOK = false
+	t.claimSeg(v, k, r, 1)
 	t.markReg(r)
 	t.markValue(v)
 }
@@ -544,21 +667,14 @@ func (t *Tx) AddCopy(v lifetime.ValueID, k, r int) {
 // reporting whether it existed.
 func (t *Tx) RemoveCopy(v lifetime.ValueID, k, r int) bool {
 	b := t.b
-	key := SegKey{v, k}
-	cs := b.Copies[key]
-	for i, c := range cs {
+	for i, c := range b.CopiesAt(v, k) {
 		if c != r {
 			continue
 		}
 		t.record(undoRec{op: undoRemoveCopy, a: int(v), b: k, c: r, d: i})
-		cs = append(cs[:i], cs[i+1:]...)
-		if len(cs) == 0 {
-			delete(b.Copies, key)
-		} else {
-			b.Copies[key] = cs
-		}
+		b.removeCopyAt(b.Seg(v, k), i)
 		t.decReg(r)
-		t.occOK = false
+		t.claimSeg(v, k, r, -1)
 		t.markReg(r)
 		t.markValue(v)
 		return true
@@ -569,20 +685,21 @@ func (t *Tx) RemoveCopy(v lifetime.ValueID, k, r int) bool {
 // SetPass binds transfer tk to pass-capable FU f (move F4).
 func (t *Tx) SetPass(tk TransferKey, f int) {
 	b := t.b
-	old, existed := b.Pass[tk]
+	old, existed := b.PassOf(tk)
 	if existed && old == f {
 		return
 	}
 	if existed {
 		t.record(undoRec{op: undoSetPass, a: old, tk: tk})
 		t.decPass(old)
+		t.claimPass(tk, old, -1)
 		t.markIdx(2 * old)
 	} else {
 		t.record(undoRec{op: undoNewPass, tk: tk})
 	}
+	b.SetPass(tk, f)
 	t.incPass(f)
-	b.Pass[tk] = f
-	t.fuoccOK = false
+	t.claimPass(tk, f, 1)
 	t.markIdx(2 * f)
 	t.markReg(tk.ToReg)
 }
@@ -590,15 +707,13 @@ func (t *Tx) SetPass(tk TransferKey, f int) {
 // UnbindPass removes the pass-through binding of tk (move F5),
 // reporting whether it existed.
 func (t *Tx) UnbindPass(tk TransferKey) bool {
-	b := t.b
-	f, ok := b.Pass[tk]
+	f, ok := t.b.UnbindPass(tk)
 	if !ok {
 		return false
 	}
 	t.record(undoRec{op: undoDelPass, a: f, tk: tk})
 	t.decPass(f)
-	delete(b.Pass, tk)
-	t.fuoccOK = false
+	t.claimPass(tk, f, -1)
 	t.markIdx(2 * f)
 	t.markReg(tk.ToReg)
 	return true
@@ -608,62 +723,62 @@ func (t *Tx) UnbindPass(tk TransferKey) bool {
 // exists or whose FU is no longer free — the transactional counterpart
 // of Binding.PrunePass, with undo logging and dirty marking.
 func (t *Tx) PrunePass() int {
+	b := t.b
+	if b.nPass == 0 {
+		return 0
+	}
 	occ, err := t.FUOcc()
 	if err != nil {
 		// Leave pruning to Check; occupancy conflicts are a bug upstream.
 		return 0
 	}
 	n := 0
-	//lint:maporder the pruned set is determined against one occupancy snapshot and is order-free
-	for tk, f := range t.b.Pass {
-		bad := t.b.checkTransfer(tk) != nil
-		if !bad {
-			step := t.b.transferStep(tk)
-			if !t.b.FUPassFree(occ, f, step, tk) {
-				bad = true
+	for v := range b.A.Values {
+		vid := lifetime.ValueID(v)
+		for k := 0; k < b.A.Values[v].Len; k++ {
+			ps := b.PassesAt(vid, k)
+			for i := 0; i < len(ps); {
+				tk := TransferKey{vid, k, ps[i].Reg}
+				if b.isTransfer(tk) && b.FUPassFree(occ, ps[i].FU, b.transferStep(tk), tk) {
+					i++
+					continue
+				}
+				t.UnbindPass(tk)
+				ps = b.PassesAt(vid, k)
+				n++
 			}
-		}
-		if bad {
-			t.UnbindPass(tk)
-			n++
 		}
 	}
 	return n
 }
 
-// --- occupancy caches ---
+// --- occupancy ---
 
-// Occ returns the register occupancy of the current state, rebuilding
-// the reused buffer only when a mutation invalidated it. The returned
-// table aliases the transaction's buffer: it is valid until the next
-// mutation-then-Occ sequence, and movers that mutate mid-scan observe
-// the pre-move snapshot exactly as the clone-based path did.
+// Occ returns the register occupancy of the current state. The table
+// is the transaction's own, kept current by every mutation: it must
+// not be written, and it changes as the move proceeds.
 func (t *Tx) Occ() ([][]lifetime.ValueID, error) {
-	if !t.occOK {
-		if err := t.b.regOccupancyInto(t.occBuf); err != nil {
-			return nil, err
-		}
-		t.occOK = true
+	if err := t.OccLegal(); err != nil {
+		return nil, err
 	}
-	return t.occBuf, nil
+	return t.occ, nil
 }
 
 // OccLegal reports whether the current register assignment is
 // conflict-free — the transactional form of the movers' RegOccupancy
 // legality probe.
 func (t *Tx) OccLegal() error {
-	_, err := t.Occ()
-	return err
+	if t.regBad+t.regClash > 0 {
+		return ErrOccupancyConflict
+	}
+	return nil
 }
 
-// FUOcc returns the FU occupancy of the current state through the same
-// reused-buffer discipline as Occ.
+// FUOcc returns the FU occupancy of the current state under the same
+// discipline as Occ.
 func (t *Tx) FUOcc() (*FUOccupancy, error) {
-	if !t.fuoccOK {
-		if err := t.b.fuOccupancyInto(&t.fuocc); err != nil {
-			return nil, err
-		}
-		t.fuoccOK = true
+	if t.fuBad+t.issueClash+t.passClash > 0 {
+		return nil, ErrOccupancyConflict
 	}
 	return &t.fuocc, nil
 }
@@ -713,18 +828,11 @@ func (t *Tx) replaySink(idx int) (int, error) {
 		err = t.replayFUPort(sink, ns)
 	case datapath.SinkReg:
 		// The occupancy table inverts HeldIn: one pass over this
-		// register's column recovers every (value, position) it holds,
-		// replacing the all-values HeldIn scan (two map probes per
-		// position) with O(StorageSteps) array reads. On an occupancy
-		// conflict — which full Eval would not detect — fall back to
-		// the HeldIn-based replay so error behavior stays byte-
-		// identical to the clone path.
-		if !t.occOK {
-			if t.b.regOccupancyInto(t.occBuf) == nil {
-				t.occOK = true
-			}
-		}
-		if t.occOK {
+		// register's column recovers every (value, position) it holds.
+		// Under a register conflict, which full Eval does not detect,
+		// the column cannot list both claimants, so replay through
+		// HeldIn instead.
+		if t.OccLegal() == nil {
 			err = t.replayRegOcc(sink, ns)
 		} else {
 			err = t.replayReg(sink, ns)
@@ -746,7 +854,7 @@ func (t *Tx) pickHolderScratch(v lifetime.ValueID, k int, ns *datapath.NetScratc
 	if ns.Has(datapath.Source{Kind: datapath.SrcReg, Index: primary}) {
 		return primary
 	}
-	for _, c := range b.Copies[SegKey{v, k}] {
+	for _, c := range b.CopiesAt(v, k) {
 		if ns.Has(datapath.Source{Kind: datapath.SrcReg, Index: c}) {
 			return c
 		}
@@ -790,11 +898,11 @@ func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 	g := b.A.Sched.G
 	s := b.A.Sched
 	f, port := sink.Index, sink.Port
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		if !n.Op.IsArith() || b.OpFU[i] != f {
+	for _, i := range t.arith {
+		if b.OpFU[i] != f {
 			continue
 		}
+		n := &g.Nodes[i]
 		argPort := port
 		if b.OpSwap[i] {
 			argPort = 1 - port
@@ -808,26 +916,34 @@ func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 			return err
 		}
 	}
-	if port != 0 {
+	if port != 0 || b.nPass == 0 {
 		return nil
 	}
 	// Pass-through input reads. Eval visits them value-ascending, chain
-	// position ascending, holder position ascending; sort the unit's
-	// live transfers into that order before replaying. Stale entries
-	// whose transfer no longer exists are skipped exactly as Eval's
-	// holder walk never reaches them.
+	// position ascending, holder position ascending; collect the unit's
+	// live transfers and sort them into that order before replaying.
+	// Stale entries whose transfer no longer exists are skipped exactly
+	// as Eval's holder walk never reaches them. Without a pass conflict
+	// the unit's PassAt row lists every live one (a real transfer's step
+	// always lies within the FU tables); otherwise walk all bindings.
 	t.passTmp = t.passTmp[:0]
-	//lint:maporder entries are sorted into Eval's deterministic visit order before use
-	for tk, pf := range b.Pass {
-		if pf != f {
-			continue
+	if t.passClash == 0 {
+		for _, tk := range t.fuocc.PassAt[f] {
+			if tk != NoTransfer && b.isTransfer(tk) {
+				t.passTmp = append(t.passTmp, passEv{tk: tk, pos: t.holderPos(tk)})
+			}
 		}
-		v := &b.A.Values[tk.V]
-		if tk.K < 1 || tk.K >= v.Len ||
-			!b.HeldIn(tk.V, tk.K, tk.ToReg) || b.HeldIn(tk.V, tk.K-1, tk.ToReg) {
-			continue
+	} else {
+		for v := range b.A.Values {
+			vid := lifetime.ValueID(v)
+			for k := 0; k < b.A.Values[v].Len; k++ {
+				for _, p := range b.PassesAt(vid, k) {
+					if tk := (TransferKey{vid, k, p.Reg}); p.FU == f && b.isTransfer(tk) {
+						t.passTmp = append(t.passTmp, passEv{tk: tk, pos: t.holderPos(tk)})
+					}
+				}
+			}
 		}
-		t.passTmp = append(t.passTmp, passEv{tk: tk, pos: t.holderPos(tk)})
 	}
 	sortPassEvs(t.passTmp)
 	for _, pe := range t.passTmp {
@@ -850,7 +966,7 @@ func (t *Tx) holderPos(tk TransferKey) int {
 	if t.b.SegReg[tk.V][tk.K] == tk.ToReg {
 		return 0
 	}
-	for i, c := range t.b.Copies[SegKey{tk.V, tk.K}] {
+	for i, c := range t.b.CopiesAt(tk.V, tk.K) {
 		if c == tk.ToReg {
 			return i + 1
 		}
@@ -925,11 +1041,12 @@ func (t *Tx) replayReg(sink datapath.Sink, ns *datapath.NetScratch) error {
 // register's column lists exactly the (value, position) pairs HeldIn
 // would report, so sorting them into (value, position) order and
 // checking adjacency for the held-previous-position test reproduces
-// the HeldIn scan without any map probes. Requires t.occOK.
+// the HeldIn scan without any map probes. Requires a conflict-free
+// register occupancy.
 func (t *Tx) replayRegOcc(sink datapath.Sink, ns *datapath.NetScratch) error {
 	b := t.b
 	ss := b.A.StorageSteps
-	col := t.occBuf[sink.Index]
+	col := t.occ[sink.Index]
 	t.segTmp = t.segTmp[:0]
 	for step, vid := range col {
 		if vid == lifetime.NoValue {
@@ -992,7 +1109,7 @@ func (t *Tx) emitBirth(sink datapath.Sink, v *lifetime.Value, ns *datapath.NetSc
 func (t *Tx) emitTransfer(sink datapath.Sink, v *lifetime.Value, k, r int, ns *datapath.NetScratch) error {
 	b := t.b
 	tstep := v.StepAt(k-1, b.A.StorageSteps)
-	if f, viaPass := b.Pass[TransferKey{v.ID, k, r}]; viaPass {
+	if f, viaPass := b.PassOf(TransferKey{v.ID, k, r}); viaPass {
 		return ns.Add(sink, datapath.Source{Kind: datapath.SrcFU, Index: f}, tstep)
 	}
 	from := t.pickHolderScratch(v.ID, k-1, ns)

@@ -1,13 +1,16 @@
 package binding
 
 import (
+	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"salsa/internal/cdfg"
+	"salsa/internal/datapath"
 	"salsa/internal/lifetime"
+	"salsa/internal/randgraph"
 	"salsa/internal/sched"
+	"salsa/internal/workloads"
 )
 
 // walkRNG is the repo's LCG, so the random walk below replays from its
@@ -82,8 +85,8 @@ type txSnapshot struct {
 	opFU   []int
 	opSwap []bool
 	segReg [][]int
-	copies map[SegKey][]int
-	pass   map[TransferKey]int
+	copies [][]int
+	pass   [][]PassTo
 }
 
 func takeSnapshot(b *Binding) txSnapshot {
@@ -111,37 +114,148 @@ func assertRestored(t *testing.T, step int, b *Binding, want txSnapshot) {
 	}
 }
 
-// sortedPassKeys collects the pass bindings in a deterministic order so
-// the seeded walk replays identically.
-func sortedPassKeys(b *Binding) []TransferKey {
-	keys := make([]TransferKey, 0, len(b.Pass))
-	for tk := range b.Pass {
-		keys = append(keys, tk)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, bb := keys[i], keys[j]
-		if a.V != bb.V {
-			return a.V < bb.V
-		}
-		if a.K != bb.K {
-			return a.K < bb.K
-		}
-		return a.ToReg < bb.ToReg
-	})
-	return keys
-}
-
 // TestTxRandomWalkMatchesFullEval is the incremental-binding property
 // test: a seeded walk drives every Tx mutator — including illegal
 // mutations the engine's movers would never emit — and checks, at every
-// step, the two contracts the search depends on:
+// step, the contracts the search depends on:
 //
 //   - DeltaCost on a legal state equals a full Eval of the same state,
 //     term by term (the affected-set replay misses nothing);
 //   - Rollback restores the exact pre-move binding AND cost tables,
-//     whether the move was legal, illegal, or unevaluable.
+//     whether the move was legal, illegal, or unevaluable;
+//   - the incrementally kept occupancy equals a from-scratch rebuild
+//     after every mutation, Commit and Rollback (assertOccupancy).
 func TestTxRandomWalkMatchesFullEval(t *testing.T) {
-	fx, b := txFixture(t)
+	_, b := txFixture(t)
+	applied, outcomes := txWalk(t, b, 20260808, 400)
+
+	// The walk must actually have exercised every mutator and every
+	// outcome; a degenerate seed would silently gut the test.
+	for _, kind := range []string{"setopfu", "flipswap", "setsegreg", "addcopy", "removecopy", "setpass", "unbindpass"} {
+		if applied[kind] == 0 {
+			t.Errorf("random walk never applied %s (tally %v)", kind, applied)
+		}
+	}
+	for _, out := range []string{"commit", "rollback", "illegal"} {
+		if outcomes[out] == 0 {
+			t.Errorf("random walk never hit outcome %s (tally %v)", out, outcomes)
+		}
+	}
+}
+
+// TestTxOccupancyOracle runs the seeded walk on the benchmark and
+// generated graphs the search meets: the EWF, the DCT and three random
+// scheduled CDFGs, each from a first-fit legal binding.
+func TestTxOccupancyOracle(t *testing.T) {
+	cases := map[string]func() (*cdfg.Graph, int, bool, int){
+		"ewf": func() (*cdfg.Graph, int, bool, int) { return workloads.EWF(), 19, false, 1 },
+		"dct": func() (*cdfg.Graph, int, bool, int) { return workloads.DCT(), 12, false, 1 },
+	}
+	for _, seed := range []int64{3, 4, 5} {
+		seed := seed
+		cases[fmt.Sprintf("rand%d", seed)] = func() (*cdfg.Graph, int, bool, int) {
+			cs := randgraph.Generate(seed, randgraph.Params{})
+			return cs.Graph, cs.Steps, cs.PipelinedMul, cs.ExtraRegs + 1
+		}
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			g, steps, pipelined, extra := build()
+			a, lim, err := lifetime.MinFUAnalysis(g, cdfg.DefaultDelays(pipelined), steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inputs []string
+			for i := range g.Nodes {
+				if g.Nodes[i].Op == cdfg.Input {
+					inputs = append(inputs, g.Nodes[i].Name)
+				}
+			}
+			b := firstFit(t, a, datapath.NewHardware(lim, a.MinRegs+extra, inputs, true))
+			_, outcomes := txWalk(t, b, uint64(len(name))*7919, 300)
+			if outcomes["commit"] == 0 || outcomes["rollback"] == 0 {
+				t.Errorf("walk never committed or rolled back a legal move (tally %v)", outcomes)
+			}
+		})
+	}
+}
+
+// firstFit builds a legal binding: operators on the lowest free unit of
+// their class in (step, node) order, and at every storage step the live
+// values, in ID order, in the lowest registers.
+func firstFit(t *testing.T, a *lifetime.Analysis, hw *datapath.Hardware) *Binding {
+	t.Helper()
+	b := New(a, hw, DefaultConfig())
+	s := a.Sched
+	busy := make([][]bool, len(hw.FUs))
+	for f := range busy {
+		busy[f] = make([]bool, s.Steps)
+	}
+	for st := 0; st < s.Steps; st++ {
+		for i := range s.G.Nodes {
+			n := &s.G.Nodes[i]
+			if !n.Op.IsArith() || s.Start[i] != st {
+				continue
+			}
+			for _, f := range hw.FUsOfClass(sched.ClassOf(n.Op)) {
+				ii := s.Delays.IIOf(n.Op)
+				free := true
+				for tt := st; tt < st+ii; tt++ {
+					free = free && !busy[f][tt]
+				}
+				if free {
+					b.OpFU[i] = f
+					for tt := st; tt < st+ii; tt++ {
+						busy[f][tt] = true
+					}
+					break
+				}
+			}
+		}
+	}
+	next := make([]int, a.StorageSteps)
+	for v := range a.Values {
+		for k := range b.SegReg[v] {
+			step := a.Values[v].StepAt(k, a.StorageSteps)
+			b.SegReg[v][k] = next[step]
+			next[step]++
+		}
+	}
+	if err := b.Check(); err != nil {
+		t.Fatalf("first-fit binding illegal: %v", err)
+	}
+	return b
+}
+
+// assertOccupancy is the oracle for the transaction's incrementally
+// kept occupancy: its tables equal a from-scratch RegOccupancy and
+// FUOccupancy, and its probes report a conflict exactly when the
+// rebuild fails.
+func assertOccupancy(t *testing.T, where string, tx *Tx, b *Binding) {
+	t.Helper()
+	want, werr := b.RegOccupancy()
+	got, gerr := tx.Occ()
+	if (werr == nil) != (gerr == nil) || (werr == nil) != (tx.OccLegal() == nil) {
+		t.Fatalf("%s: register probe verdict %v / %v, rebuild %v", where, gerr, tx.OccLegal(), werr)
+	}
+	if werr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: register occupancy\n got %v\nwant %v", where, got, want)
+	}
+	fwant, fwerr := b.FUOccupancy()
+	fgot, fgerr := tx.FUOcc()
+	if (fwerr == nil) != (fgerr == nil) {
+		t.Fatalf("%s: FU probe verdict %v, rebuild %v", where, fgerr, fwerr)
+	}
+	if fwerr == nil && !reflect.DeepEqual(*fgot, *fwant) {
+		t.Fatalf("%s: FU occupancy\n got %+v\nwant %+v", where, *fgot, *fwant)
+	}
+}
+
+// txWalk drives a seeded random walk of Tx mutations over b, checking
+// the delta, rollback and occupancy contracts at every step, and
+// returns the tallies of applied mutators and move outcomes.
+func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes map[string]int) {
+	t.Helper()
 	tx, err := NewTx(b)
 	if err != nil {
 		t.Fatal(err)
@@ -153,15 +267,18 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 	if got := tx.Cost(); got != baseline {
 		t.Fatalf("fresh Tx cost %+v, want the full Eval %+v", got, baseline)
 	}
+	assertOccupancy(t, "fresh Tx", tx, b)
 
 	var arith []cdfg.NodeID
-	for i := range fx.g.Nodes {
-		if fx.g.Nodes[i].Op.IsArith() {
+	g := b.A.Sched.G
+	for i := range g.Nodes {
+		if g.Nodes[i].Op.IsArith() {
 			arith = append(arith, cdfg.NodeID(i))
 		}
 	}
-	nF, nR := len(fx.hw.FUs), len(fx.hw.Regs)
-	rng := &walkRNG{x: 20260808}
+	nF, nR := len(b.HW.FUs), len(b.HW.Regs)
+	values := b.A.Values
+	rng := &walkRNG{x: seed}
 
 	// One random mutation; returns the kind applied (for the coverage
 	// tally) or "" when the pick was a no-op on the current state.
@@ -174,18 +291,18 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			tx.FlipSwap(arith[rng.intn(len(arith))])
 			return "flipswap"
 		case 2:
-			vid := lifetime.ValueID(rng.intn(len(fx.a.Values)))
-			k := rng.intn(fx.a.Value(vid).Len)
+			vid := lifetime.ValueID(rng.intn(len(values)))
+			k := rng.intn(values[vid].Len)
 			tx.SetSegReg(vid, k, rng.intn(nR))
 			return "setsegreg"
 		case 3:
-			vid := lifetime.ValueID(rng.intn(len(fx.a.Values)))
-			k := rng.intn(fx.a.Value(vid).Len)
+			vid := lifetime.ValueID(rng.intn(len(values)))
+			k := rng.intn(values[vid].Len)
 			tx.AddCopy(vid, k, rng.intn(nR))
 			return "addcopy"
 		case 4:
-			vid := lifetime.ValueID(rng.intn(len(fx.a.Values)))
-			k := rng.intn(fx.a.Value(vid).Len)
+			vid := lifetime.ValueID(rng.intn(len(values)))
+			k := rng.intn(values[vid].Len)
 			if tx.RemoveCopy(vid, k, rng.intn(nR)) {
 				return "removecopy"
 			}
@@ -198,11 +315,11 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			tx.SetPass(ts[rng.intn(len(ts))], rng.intn(nF))
 			return "setpass"
 		case 6:
-			keys := sortedPassKeys(b)
+			keys := b.Passes()
 			if len(keys) == 0 {
 				return ""
 			}
-			if tx.UnbindPass(keys[rng.intn(len(keys))]) {
+			if tx.UnbindPass(keys[rng.intn(len(keys))].TransferKey) {
 				return "unbindpass"
 			}
 			return ""
@@ -214,9 +331,8 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 		}
 	}
 
-	applied := map[string]int{}
-	outcomes := map[string]int{}
-	const steps = 400
+	applied = map[string]int{}
+	outcomes = map[string]int{}
 	for step := 0; step < steps; step++ {
 		pre := takeSnapshot(b)
 		preCost := baseline
@@ -226,6 +342,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			if kind := mutate(); kind != "" {
 				applied[kind]++
 				moved = true
+				assertOccupancy(t, fmt.Sprintf("step %d after %s", step, kind), tx, b)
 			}
 		}
 		if !moved {
@@ -238,6 +355,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			// undo log must still unwind it exactly.
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
+			assertOccupancy(t, fmt.Sprintf("step %d illegal-move rollback", step), tx, b)
 			if got := tx.Cost(); got != preCost {
 				t.Fatalf("step %d: cost after illegal-move rollback %+v, want %+v", step, got, preCost)
 			}
@@ -253,6 +371,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			}
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
+			assertOccupancy(t, fmt.Sprintf("step %d unevaluable rollback", step), tx, b)
 			outcomes["unevaluable"]++
 			continue
 		}
@@ -270,6 +389,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			if got := tx.Cost(); got != want {
 				t.Fatalf("step %d: cost after commit %+v, want %+v", step, got, want)
 			}
+			assertOccupancy(t, fmt.Sprintf("step %d commit", step), tx, b)
 			outcomes["commit"]++
 		} else {
 			tx.Rollback()
@@ -277,25 +397,13 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			if got := tx.Cost(); got != preCost {
 				t.Fatalf("step %d: cost after rollback %+v, want %+v", step, got, preCost)
 			}
+			assertOccupancy(t, fmt.Sprintf("step %d rollback", step), tx, b)
 			outcomes["rollback"]++
 		}
 	}
 
-	// The walk must actually have exercised every mutator and every
-	// outcome; a degenerate seed would silently gut the test.
-	for _, kind := range []string{"setopfu", "flipswap", "setsegreg", "addcopy", "removecopy", "setpass", "unbindpass"} {
-		if applied[kind] == 0 {
-			t.Errorf("random walk never applied %s (tally %v)", kind, applied)
-		}
-	}
-	for _, out := range []string{"commit", "rollback", "illegal"} {
-		if outcomes[out] == 0 {
-			t.Errorf("random walk never hit outcome %s (tally %v)", out, outcomes)
-		}
-	}
-
 	// After the walk the incremental tables still agree with a fresh
-	// full evaluation — no drift accumulated across 400 moves.
+	// full evaluation — no drift accumulated across the walk.
 	_, final, err := b.Eval()
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +411,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 	if got := tx.Cost(); got != final {
 		t.Fatalf("post-walk Tx cost %+v, want %+v", got, final)
 	}
+	return applied, outcomes
 }
 
 // TestTxResetReseedsFromCurrentState: Reset on a mutated binding must
@@ -385,7 +494,7 @@ func TestScratchTxMutatesWithoutCostState(t *testing.T) {
 func TestTxPrunePassRollsBack(t *testing.T) {
 	_, b, vid := movingFixture(t)
 	tk := TransferKey{V: vid, K: 2, ToReg: 1}
-	b.Pass[tk] = 0
+	b.SetPass(tk, 0)
 	if err := b.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +509,11 @@ func TestTxPrunePassRollsBack(t *testing.T) {
 	if n := tx.PrunePass(); n != 1 {
 		t.Fatalf("PrunePass = %d, want 1", n)
 	}
-	if _, ok := b.Pass[tk]; ok {
+	if _, ok := b.PassOf(tk); ok {
 		t.Fatal("stale pass binding survived PrunePass")
 	}
 	tx.Rollback()
-	if f, ok := b.Pass[tk]; !ok || f != 0 {
+	if f, ok := b.PassOf(tk); !ok || f != 0 {
 		t.Fatalf("rollback did not restore the pruned pass binding: %v %t", f, ok)
 	}
 	if b.SegReg[vid][2] != 1 {

@@ -548,7 +548,10 @@ func (r *Router) handleSubmitJob(w http.ResponseWriter, req *http.Request) {
 // sick, or has forgotten the job (a restart without its journal), the
 // poll retries the ring Sequence — a shard restarted with its data
 // dir, or a survivor holding a replica of it, serves the journaled job
-// byte-identically. The terminal answers are deliberately split:
+// byte-identically. Another member's answer is trusted only for a
+// content-keyed job ID (service.ContentKeyedJobID), which proves its
+// job is the same request; for an older-form ID it counts as a 404.
+// The terminal answers are deliberately split:
 //
 //   - 503 + Retry-After ("keep polling") while any member that might
 //     hold the journal is unreachable — a restart may yet recover the
@@ -608,8 +611,15 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		if sres.Status != http.StatusNotFound {
+			if !service.ContentKeyedJobID(m[2]) {
+				// An older-form ID is unique only within one process:
+				// this member's job may be another request's, so its
+				// answer proves nothing either way.
+				continue
+			}
 			// A survivor adopted the journal (or the owner's data dir
-			// moved): serve from it, zero loss.
+			// moved), or holds the same request under the same ID:
+			// content-keyed IDs make its result byte-identical.
 			r.metrics.failovers.Add(1)
 			r.metrics.served(b)
 			passthrough(w, sres, b)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,6 +391,9 @@ func TestRouterJobStatusErrors(t *testing.T) {
 	}
 }
 
+// keyedJobID is a content-keyed job ID of the form the service issues.
+var keyedJobID = "j1-" + strings.Repeat("de", 32)
+
 // TestRouterJobPollFailsOver: when the pinned shard has forgotten a
 // job but another member holds it (its data dir — and with it the
 // journal — moved), the poll walks the ring and serves the survivor's
@@ -400,7 +404,7 @@ func TestRouterJobPollFailsOver(t *testing.T) {
 	svc := service.New(service.Config{})
 	ts0 := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts0.Close)
-	adopted := []byte(`{"id":"j1-deadbeef","state":"done","http_status":200,"result":{"ok":true},"recovered":true,"elapsed_ms":42}` + "\n")
+	adopted := []byte(`{"id":"` + keyedJobID + `","state":"done","http_status":200,"result":{"ok":true},"recovered":true,"elapsed_ms":42}` + "\n")
 	ts1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/jobs/") {
 			w.Header().Set("Content-Type", "application/json")
@@ -417,7 +421,7 @@ func TestRouterJobPollFailsOver(t *testing.T) {
 	front := httptest.NewServer(router.Handler())
 	t.Cleanup(front.Close)
 
-	resp, err := http.Get(front.URL + "/jobs/s0-j1-deadbeef")
+	resp, err := http.Get(front.URL + "/jobs/s0-" + keyedJobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +436,62 @@ func TestRouterJobPollFailsOver(t *testing.T) {
 	m := router.MetricsSnapshot()
 	if m["jobs_lost_total"] != 0 || m["failover_total"] == 0 {
 		t.Errorf("adopted job: jobs_lost=%d failover=%d, want 0/>0", m["jobs_lost_total"], m["failover_total"])
+	}
+}
+
+// TestRouterJobPollSharedID: two members each hold a job under one
+// older-form ID ("jN-<fingerprint prefix>", unique only within one
+// process). With the pinned member down, the other member's job may be
+// a different request, so the router must not serve it: the poll stays
+// 503 (keep polling) until the pinned member answers. A content-keyed
+// ID proves the other member's job is the same request, and is served.
+func TestRouterJobPollSharedID(t *testing.T) {
+	const legacyID = "j2-0123456789ab"
+	var pinnedUp atomic.Bool
+	fake := func(seed int, up *atomic.Bool) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if up != nil && !up.Load() {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			if strings.HasPrefix(r.URL.Path, "/jobs/") {
+				fmt.Fprintf(w, `{"id":%q,"state":"done","http_status":200,"result":{"seed":%d}}`+"\n", strings.TrimPrefix(r.URL.Path, "/jobs/"), seed)
+				return
+			}
+			w.Write([]byte("{}\n"))
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	pinned, other := fake(2, &pinnedUp), fake(1, nil)
+	router, err := New(Config{Backends: []string{pinned.URL, other.URL}, ProxyAttempts: 1, ProxyBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(router.Handler())
+	t.Cleanup(front.Close)
+	poll := func(id string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(front.URL + "/jobs/s0-" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(body)
+	}
+
+	if status, body := poll(legacyID); status != http.StatusServiceUnavailable {
+		t.Fatalf("pinned member down, other member holds a job under the same older-form ID: status %d body %s, want 503", status, body)
+	}
+	pinnedUp.Store(true)
+	if status, body := poll(legacyID); status != http.StatusOK || !strings.Contains(body, `"seed":2`) {
+		t.Fatalf("pinned member back: status %d body %s, want its own job", status, body)
+	}
+	pinnedUp.Store(false)
+	if status, body := poll(keyedJobID); status != http.StatusOK || !strings.Contains(body, `"seed":1`) {
+		t.Fatalf("content-keyed ID: status %d body %s, want the other member's answer", status, body)
 	}
 }
 

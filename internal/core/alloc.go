@@ -59,9 +59,9 @@ type Options struct {
 	AnnealCool float64
 
 	// Paranoid re-validates the binding after every accepted move and,
-	// on the incremental path, asserts the delta cost of every accepted
-	// move equals a from-scratch evaluation (tests only; slows
-	// allocation down).
+	// on the incremental path, asserts that the delta cost of every
+	// candidate the search or polish evaluates, accepted or not, equals
+	// a from-scratch evaluation (tests only; slows allocation down).
 	Paranoid bool
 
 	// CloneEval switches the inner move loop back to the legacy

@@ -182,7 +182,7 @@ func TestTraditionalModelNeverSegments(t *testing.T) {
 	if b.NumCopies() != 0 {
 		t.Error("traditional run produced value copies")
 	}
-	if len(b.Pass) != 0 {
+	if b.NumPass() != 0 {
 		t.Error("traditional run produced pass-throughs")
 	}
 }
@@ -369,7 +369,7 @@ func TestMatchingAllocateLegalAndComparable(t *testing.T) {
 				}
 			}
 		}
-		if res.Binding.NumCopies() != 0 || len(res.Binding.Pass) != 0 {
+		if res.Binding.NumCopies() != 0 || res.Binding.NumPass() != 0 {
 			t.Errorf("%s: matching used extended-model features", name)
 		}
 		// Improvement from the matching start must help or tie.
@@ -450,7 +450,10 @@ func TestPolishSuffixMovesAvailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, after, _ := polish(b, before, SALSAOptions(1))
+	pb, after, _, err := polish(b, before, SALSAOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if after.Total > before.Total {
 		t.Errorf("polish worsened cost: %d -> %d", before.Total, after.Total)
 	}

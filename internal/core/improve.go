@@ -44,6 +44,8 @@ func improve(b *binding.Binding, initCost binding.Cost, opts Options, ctl *Contr
 	mv := newMover(b, opts, rng)
 	ctx := ctl.ctx()
 
+	// cur is the walk's binding and best the best seen; trial restarts
+	// and improvements copy between the two instead of cloning.
 	cur := b
 	curCost := initCost
 	best := b.Clone()
@@ -73,7 +75,7 @@ search:
 		if trial > 0 {
 			// Each trial restarts its walk from the best allocation so
 			// the uphill quota explores around it instead of drifting.
-			cur = best.Clone()
+			cur.CopyFrom(best)
 			curCost = bestCost
 			if !opts.CloneEval {
 				if err := tx.Reset(cur); err != nil {
@@ -112,7 +114,16 @@ search:
 					continue
 				}
 				var err error
-				if cost, err = tx.DeltaCost(); err != nil {
+				cost, err = tx.DeltaCost()
+				if opts.Paranoid {
+					// The tentpole invariant, on every evaluated
+					// candidate: the incrementally maintained cost must
+					// equal a from-scratch evaluation.
+					if perr := checkDelta(cur, cost, err); perr != nil {
+						return nil, fmt.Errorf("core: move %v: %w", kind, perr)
+					}
+				}
+				if err != nil {
 					return nil, fmt.Errorf("core: move produced illegal binding: %w", err)
 				}
 			}
@@ -143,23 +154,11 @@ search:
 				if err := cur.Check(); err != nil {
 					return nil, fmt.Errorf("core: accepted illegal binding: %w", err)
 				}
-				if !opts.CloneEval {
-					// The tentpole invariant: the incrementally
-					// maintained cost of every accepted move must equal
-					// a from-scratch evaluation.
-					_, full, err := cur.Eval()
-					if err != nil {
-						return nil, fmt.Errorf("core: accepted unevaluable binding: %w", err)
-					}
-					if full != cost {
-						return nil, fmt.Errorf("core: move %v: delta cost %+v != full evaluation %+v", kind, cost, full)
-					}
-				}
 			}
 			accepted++
 			curCost = cost
 			if cost.Total < bestCost.Total {
-				best = cur.Clone()
+				best.CopyFrom(cur)
 				bestCost = cost
 				improved = true
 			}
@@ -200,7 +199,10 @@ search:
 // truncated at a trial boundary (see internal/engine) and obtain the
 // same bytes a live truncation at that boundary would have produced.
 func Finalize(best *binding.Binding, bestCost binding.Cost, opts Options) (*Result, error) {
-	best, bestCost, bestIC := polish(best, bestCost, opts)
+	best, bestCost, bestIC, err := polish(best, bestCost, opts)
+	if err != nil {
+		return nil, err
+	}
 	if bestIC == nil {
 		// polish leaves the IC nil only when the input binding did not
 		// evaluate, which a legal search state never hits.
@@ -220,4 +222,20 @@ func Finalize(best *binding.Binding, bestCost binding.Cost, opts Options) (*Resu
 		IC:        bestIC,
 		MergedMux: bestIC.MergedMuxCost(),
 	}, nil
+}
+
+// checkDelta is the Paranoid cross-check of one delta-evaluated
+// candidate against a full evaluation of the same binding: both must
+// fail, or both succeed with identical costs.
+func checkDelta(b *binding.Binding, delta binding.Cost, derr error) error {
+	_, full, err := b.Eval()
+	switch {
+	case derr != nil && err == nil:
+		return fmt.Errorf("delta evaluation failed (%v) but full evaluation succeeds", derr)
+	case derr == nil && err != nil:
+		return fmt.Errorf("delta evaluation succeeded but full evaluation fails: %w", err)
+	case derr == nil && delta != full:
+		return fmt.Errorf("delta cost %+v != full evaluation %+v", delta, full)
+	}
+	return nil
 }

@@ -137,17 +137,18 @@ func assignRegisters(b *binding.Binding, opts Options) error {
 		}
 		return ps
 	}
-	record := func(v *lifetime.Value, r int) {
+	record := func(v *lifetime.Value, ports [][2]int, r int) {
 		if f := producerFU(v); f >= 0 {
 			writers[r][f] = true
 		}
-		for _, p := range readPorts(v) {
+		for _, p := range ports {
 			readers[r][p] = true
 		}
 	}
 
 	for _, vid := range order {
 		v := &a.Values[vid]
+		ports := readPorts(v)
 		// Contiguous placement: among registers free across the whole
 		// lifetime, pick the one already connected to this value's
 		// producer and readers (fewest new connections).
@@ -167,7 +168,7 @@ func assignRegisters(b *binding.Binding, opts Options) error {
 			if f := producerFU(v); f >= 0 && writers[r][f] {
 				score += 2 // reuses the FU->register connection
 			}
-			for _, p := range readPorts(v) {
+			for _, p := range ports {
 				if readers[r][p] {
 					score++ // reuses a register->FU-port connection
 				}
@@ -181,7 +182,7 @@ func assignRegisters(b *binding.Binding, opts Options) error {
 				b.SegReg[vid][k] = bestR
 				occ[bestR][v.StepAt(k, a.StorageSteps)] = true
 			}
-			record(v, bestR)
+			record(v, ports, bestR)
 			continue
 		}
 		if !opts.EnableSegments {

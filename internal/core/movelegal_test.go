@@ -125,3 +125,24 @@ func TestParanoidSearchEWF(t *testing.T) {
 		t.Error("paranoid search accepted no moves; the legality property was not exercised")
 	}
 }
+
+// TestParanoidSearchCases runs short Paranoid searches on the
+// apply/undo cases (EWF, DCT, three random graphs): every candidate a
+// search delta-evaluates, accepted or not, is compared with a full
+// evaluation before rollback, and every acceptance is re-checked.
+func TestParanoidSearchCases(t *testing.T) {
+	for name, build := range txUndoCases(t) {
+		t.Run(name, func(t *testing.T) {
+			a, hw := build(t)
+			o := quickOpts(5)
+			o.MaxTrials = 3
+			res, err := Allocate(a, hw, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MovesTried == 0 {
+				t.Error("paranoid search tried no moves")
+			}
+		})
+	}
+}

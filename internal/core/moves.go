@@ -68,8 +68,9 @@ type mover struct {
 	weightsSum int
 	weights    []int
 
-	// tkBuf is reused across moves for deterministic map-key collection.
-	tkBuf []binding.TransferKey
+	// Scratch reused across moves so a move allocates nothing.
+	tkBuf  []binding.TransferKey
+	intBuf []int
 }
 
 func newMover(b *binding.Binding, opts Options, rng *rand.Rand) *mover {
@@ -173,13 +174,18 @@ func (m *mover) fuExchange(tx *binding.Tx) bool {
 			tx.SetOpFU(cdfg.NodeID(o), f1)
 		}
 	}
-	//lint:maporder each entry is retargeted independently (keyed value updates); the result is order-free
-	for tk, f := range b.Pass {
-		switch f {
-		case f1:
-			tx.SetPass(tk, f2)
-		case f2:
-			tx.SetPass(tk, f1)
+	if b.NumPass() > 0 {
+		for _, v := range m.valueIDs {
+			for k := 0; k < b.A.Values[v].Len; k++ {
+				for _, p := range b.PassesAt(v, k) {
+					switch p.FU {
+					case f1:
+						tx.SetPass(binding.TransferKey{V: v, K: k, ToReg: p.Reg}, f2)
+					case f2:
+						tx.SetPass(binding.TransferKey{V: v, K: k, ToReg: p.Reg}, f1)
+					}
+				}
+			}
 		}
 	}
 	tx.PrunePass()
@@ -246,7 +252,8 @@ func (m *mover) operandReverse(tx *binding.Tx) bool {
 // pass-capable FU.
 func (m *mover) bindPass(tx *binding.Tx) bool {
 	b := tx.B()
-	transfers := b.Transfers()
+	m.tkBuf = b.AppendTransfers(m.tkBuf[:0])
+	transfers := m.tkBuf
 	if len(transfers) == 0 {
 		return false
 	}
@@ -257,16 +264,17 @@ func (m *mover) bindPass(tx *binding.Tx) bool {
 	off := m.rng.Intn(len(transfers))
 	for d := 0; d < len(transfers); d++ {
 		tk := transfers[(off+d)%len(transfers)]
-		if _, bound := b.Pass[tk]; bound {
+		if _, bound := b.PassOf(tk); bound {
 			continue
 		}
 		t := b.A.Values[tk.V].StepAt(tk.K-1, b.A.StorageSteps)
-		var cands []int
+		cands := m.intBuf[:0]
 		for f := range b.HW.FUs {
 			if b.FUPassFree(occ, f, t, tk) {
 				cands = append(cands, f)
 			}
 		}
+		m.intBuf = cands
 		if len(cands) == 0 {
 			continue
 		}
@@ -279,18 +287,23 @@ func (m *mover) bindPass(tx *binding.Tx) bool {
 // unbindPass (F5) removes one pass-through binding.
 func (m *mover) unbindPass(tx *binding.Tx) bool {
 	b := tx.B()
-	if len(b.Pass) == 0 {
+	if b.NumPass() == 0 {
 		return false
 	}
-	// Deterministic selection from the map: collect and sort by key.
-	m.tkBuf = m.tkBuf[:0]
-	//lint:maporder keys are sorted before the random draw
-	for tk := range b.Pass {
-		m.tkBuf = append(m.tkBuf, tk)
+	// Draw the i-th binding in ascending transfer-key order, the order
+	// the dense layout stores them in.
+	i := m.rng.Intn(b.NumPass())
+	for _, v := range m.valueIDs {
+		for k := 0; k < b.A.Values[v].Len; k++ {
+			ps := b.PassesAt(v, k)
+			if i < len(ps) {
+				tx.UnbindPass(binding.TransferKey{V: v, K: k, ToReg: ps[i].Reg})
+				return true
+			}
+			i -= len(ps)
+		}
 	}
-	sortTransferKeys(m.tkBuf)
-	tx.UnbindPass(m.tkBuf[m.rng.Intn(len(m.tkBuf))])
-	return true
+	return false
 }
 
 // segExchange (R1) swaps the registers of two segments in one step.
@@ -301,12 +314,13 @@ func (m *mover) segExchange(tx *binding.Tx) bool {
 		return false
 	}
 	t := m.rng.Intn(b.A.StorageSteps)
-	var regs []int
+	regs := m.intBuf[:0]
 	for r := range occ {
 		if occ[r][t] != lifetime.NoValue {
 			regs = append(regs, r)
 		}
 	}
+	m.intBuf = regs
 	if len(regs) < 2 {
 		return false
 	}
@@ -316,6 +330,7 @@ func (m *mover) segExchange(tx *binding.Tx) bool {
 		j++
 	}
 	r1, r2 := regs[i], regs[j]
+	// The occupancy table is live: read both holders before mutating.
 	v1, v2 := occ[r1][t], occ[r2][t]
 	if v1 == v2 {
 		return false // two copies of one value: swapping is a no-op
@@ -360,12 +375,7 @@ func (m *mover) segMove(tx *binding.Tx) bool {
 	val := &b.A.Values[v]
 	k := m.rng.Intn(val.Len)
 	t := val.StepAt(k, b.A.StorageSteps)
-	var free []int
-	for r := range occ {
-		if occ[r][t] == lifetime.NoValue {
-			free = append(free, r)
-		}
-	}
+	free := m.freeRegs(occ, t)
 	if len(free) == 0 {
 		return false
 	}
@@ -374,8 +384,9 @@ func (m *mover) segMove(tx *binding.Tx) bool {
 	if m.rng.Intn(3) > 0 {
 		// Suffix move: primary segments k..Len-1 all go to `to`,
 		// stopping early if `to` is occupied by another value. The
-		// occupancy snapshot is pre-move by construction (the buffer is
-		// only refilled on the next Occ call).
+		// occupancy table is live, but each step tt is read before
+		// any segment at tt moves: v's chain positions occupy
+		// distinct steps.
 		moved := 0
 		for kk := k; kk < val.Len; kk++ {
 			tt := val.StepAt(kk, b.A.StorageSteps)
@@ -400,10 +411,9 @@ func (m *mover) segMove(tx *binding.Tx) bool {
 
 	// Single-segment move of the primary, or of a copy half the time
 	// when one exists.
-	holders := b.HoldersAt(v, k)
-	from := holders[0]
-	if len(holders) > 1 && m.rng.Intn(2) == 0 {
-		from = holders[1+m.rng.Intn(len(holders)-1)]
+	from := b.SegReg[v][k]
+	if copies := b.CopiesAt(v, k); len(copies) > 0 && m.rng.Intn(2) == 0 {
+		from = copies[m.rng.Intn(len(copies))]
 	}
 	m.rebindHolder(tx, v, t, from, to)
 	tx.PrunePass()
@@ -490,12 +500,7 @@ func (m *mover) valueSplit(tx *binding.Tx) bool {
 	val := &b.A.Values[v]
 	k := m.rng.Intn(val.Len)
 	t := val.StepAt(k, b.A.StorageSteps)
-	var free []int
-	for r := range occ {
-		if occ[r][t] == lifetime.NoValue {
-			free = append(free, r)
-		}
-	}
+	free := m.freeRegs(occ, t)
 	if len(free) == 0 {
 		return false
 	}
@@ -512,42 +517,31 @@ func (m *mover) valueMerge(tx *binding.Tx) bool {
 	if b.NumCopies() == 0 {
 		return false
 	}
-	type copyRef struct {
-		key binding.SegKey
-		reg int
-	}
-	var all []copyRef
+	// Draw the i-th copy in (value, position, list) order.
+	i := m.rng.Intn(b.NumCopies())
 	for _, v := range m.valueIDs {
-		val := &b.A.Values[v]
-		for k := 0; k < val.Len; k++ {
-			for _, r := range b.Copies[binding.SegKey{V: v, K: k}] {
-				all = append(all, copyRef{binding.SegKey{V: v, K: k}, r})
+		for k := 0; k < b.A.Values[v].Len; k++ {
+			cs := b.CopiesAt(v, k)
+			if i < len(cs) {
+				tx.RemoveCopy(v, k, cs[i])
+				tx.PrunePass()
+				return true
 			}
+			i -= len(cs)
 		}
 	}
-	if len(all) == 0 {
-		return false
-	}
-	c := all[m.rng.Intn(len(all))]
-	tx.RemoveCopy(c.key.V, c.key.K, c.reg)
-	tx.PrunePass()
-	return true
+	return false
 }
 
-func sortTransferKeys(keys []binding.TransferKey) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && lessTK(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+// freeRegs lists the registers free at storage step t, in ascending
+// order, in the mover's scratch buffer.
+func (m *mover) freeRegs(occ [][]lifetime.ValueID, t int) []int {
+	free := m.intBuf[:0]
+	for r := range occ {
+		if occ[r][t] == lifetime.NoValue {
+			free = append(free, r)
 		}
 	}
-}
-
-func lessTK(a, b binding.TransferKey) bool {
-	if a.V != b.V {
-		return a.V < b.V
-	}
-	if a.K != b.K {
-		return a.K < b.K
-	}
-	return a.ToReg < b.ToReg
+	m.intBuf = free
+	return free
 }

@@ -22,11 +22,11 @@ import (
 // unless it improves — the same delta==full invariant the search's
 // inner loop relies on, so the accepted sequence (and therefore the
 // result) is identical to the historical clone-and-reevaluate sweep.
-func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Binding, binding.Cost, *datapath.Interconnect) {
+func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Binding, binding.Cost, *datapath.Interconnect, error) {
 	best := b.Clone()
 	tx, err := binding.NewTx(best)
 	if err != nil {
-		return b, cost, nil
+		return b, cost, nil, nil
 	}
 	bestCost := cost
 
@@ -34,8 +34,12 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 	// it strictly improves, roll back otherwise. A delta-evaluation
 	// error means the candidate was illegal — discarded exactly as the
 	// clone path discarded candidates whose Eval failed.
+	var paranoidErr error
 	try := func() bool {
 		candCost, err := tx.DeltaCost()
+		if opts.Paranoid && paranoidErr == nil {
+			paranoidErr = checkDelta(best, candCost, err)
+		}
 		if err == nil && candCost.Total < bestCost.Total {
 			tx.Commit()
 			bestCost = candCost
@@ -46,6 +50,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 	}
 
 	g := best.A.Sched.G
+	var copies []int
 	for sweep := 0; sweep < 20; sweep++ {
 		improved := false
 
@@ -74,10 +79,11 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 
 		// Suffix moves (the extended model's cheapest value-migration
 		// primitive: one new transfer), over every split point and
-		// target register. The legality pre-probe reads a polish-owned
-		// occupancy snapshot so rejected candidates cannot disturb it.
+		// target register. The legality pre-probe reads the live
+		// occupancy before the candidate opens, so it always sees the
+		// current (committed or rolled-back) state.
 		if opts.EnableSegments {
-			occ, err := best.RegOccupancy()
+			occ, err := tx.Occ()
 			if err == nil {
 				for v := range best.A.Values {
 					val := &best.A.Values[v]
@@ -111,10 +117,6 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 							tx.PrunePass()
 							if try() {
 								improved = true
-								occ, err = best.RegOccupancy()
-								if err != nil {
-									break
-								}
 							}
 						}
 					}
@@ -128,7 +130,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 			if !n.Op.IsArith() {
 				continue
 			}
-			occ, err := best.FUOccupancy()
+			occ, err := tx.FUOcc()
 			if err != nil {
 				break
 			}
@@ -165,12 +167,14 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 			}
 		}
 
-		// Pass-through binds (F4) and unbinds (F5).
+		// Pass-through binds (F4) and unbinds (F5). The bind sweep probes
+		// one occupancy snapshot taken before it starts, so binds it
+		// commits do not steer its later probes.
 		if opts.EnablePass {
 			occ, err := best.FUOccupancy()
 			if err == nil {
 				for _, tk := range best.Transfers() {
-					if _, bound := best.Pass[tk]; bound {
+					if _, bound := best.PassOf(tk); bound {
 						continue
 					}
 					t := best.A.Values[tk.V].StepAt(tk.K-1, best.A.StorageSteps)
@@ -187,15 +191,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 					}
 				}
 			}
-			keys := make([]binding.TransferKey, 0, len(best.Pass))
-			//lint:maporder keys are sorted before use
-			for tk := range best.Pass {
-				keys = append(keys, tk)
-			}
-			sortTransferKeys(keys)
-			for _, tk := range keys {
+			for _, pb := range best.Passes() {
 				tx.Begin()
-				tx.UnbindPass(tk)
+				tx.UnbindPass(pb.TransferKey)
 				if try() {
 					improved = true
 				}
@@ -207,7 +205,8 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 			for v := range best.A.Values {
 				val := &best.A.Values[v]
 				for k := 0; k < val.Len; k++ {
-					for _, r := range append([]int(nil), best.Copies[binding.SegKey{V: val.ID, K: k}]...) {
+					copies = append(copies[:0], best.CopiesAt(val.ID, k)...)
+					for _, r := range copies {
 						tx.Begin()
 						tx.RemoveCopy(val.ID, k, r)
 						tx.PrunePass()
@@ -223,9 +222,12 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 			break
 		}
 	}
+	if paranoidErr != nil {
+		return nil, binding.Cost{}, nil, paranoidErr
+	}
 	bestIC, _, err := best.Eval()
 	if err != nil {
-		return best, bestCost, nil
+		return best, bestCost, nil, nil
 	}
-	return best, bestCost, bestIC
+	return best, bestCost, bestIC, nil
 }

@@ -329,10 +329,9 @@ func zeroStateStimulus(g *cdfg.Graph, seed int64) cdfg.Env {
 
 // Fingerprint renders the complete allocation state of a binding as a
 // canonical string, for byte-identity comparison across engine runs.
-// It never ranges over the binding's maps: copies are visited per
-// segment in value order and pass-throughs via the deterministic
-// Transfers enumeration, with count cross-checks so an entry outside
-// those enumerations cannot hide.
+// Copies are visited per segment in value order and pass-throughs via
+// the Transfers enumeration, with count cross-checks so a pass-through
+// bound to no live transfer cannot hide.
 func Fingerprint(b *binding.Binding) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "fu=%v swap=%v seg=%v", b.OpFU, b.OpSwap, b.SegReg)
@@ -349,11 +348,11 @@ func Fingerprint(b *binding.Binding) string {
 	fmt.Fprintf(&sb, "] n=%d/%d pass=[", nCopies, b.NumCopies())
 	nPass := 0
 	for _, tk := range b.Transfers() {
-		if f, ok := b.Pass[tk]; ok {
+		if f, ok := b.PassOf(tk); ok {
 			fmt.Fprintf(&sb, "%d.%d.%d->%d ", tk.V, tk.K, tk.ToReg, f)
 			nPass++
 		}
 	}
-	fmt.Fprintf(&sb, "] n=%d/%d", nPass, len(b.Pass))
+	fmt.Fprintf(&sb, "] n=%d/%d", nPass, b.NumPass())
 	return sb.String()
 }

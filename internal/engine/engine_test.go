@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,23 +47,22 @@ func quickOpts(seed int64) core.Options {
 }
 
 // fingerprint renders the complete allocation state so byte-identity
-// across runs can be asserted. Map-backed parts are emitted in sorted
-// key order.
+// across runs can be asserted.
 func fingerprint(b *binding.Binding) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "fu=%v swap=%v seg=%v", b.OpFU, b.OpSwap, b.SegReg)
-	copies := make([]string, 0, len(b.Copies))
-	for k, regs := range b.Copies {
-		rs := append([]int(nil), regs...)
-		sort.Ints(rs)
-		copies = append(copies, fmt.Sprintf("%d.%d:%v", k.V, k.K, rs))
+	var copies []string
+	for v := range b.SegReg {
+		for k := range b.SegReg[v] {
+			if cs := b.CopiesAt(lifetime.ValueID(v), k); len(cs) > 0 {
+				copies = append(copies, fmt.Sprintf("%d.%d:%v", v, k, cs))
+			}
+		}
 	}
-	sort.Strings(copies)
-	passes := make([]string, 0, len(b.Pass))
-	for k, f := range b.Pass {
-		passes = append(passes, fmt.Sprintf("%d.%d.%d->%d", k.V, k.K, k.ToReg, f))
+	var passes []string
+	for _, pb := range b.Passes() {
+		passes = append(passes, fmt.Sprintf("%d.%d.%d->%d", pb.V, pb.K, pb.ToReg, pb.FU))
 	}
-	sort.Strings(passes)
 	fmt.Fprintf(&sb, " copies=%v pass=%v", copies, passes)
 	return sb.String()
 }

@@ -180,7 +180,7 @@ func runPoint(id string, g *cdfg.Graph, steps int, pipelined bool, extraRegs int
 	row.SalsaMux = sRes.Cost.MuxCost
 	row.SalsaMerged = sRes.MergedMux
 	row.SalsaRegsUsed = sRes.Cost.RegsUsed
-	row.Passes = len(sRes.Binding.Pass)
+	row.Passes = sRes.Binding.NumPass()
 	row.Copies = sRes.Binding.NumCopies()
 	row.Segmented = countSegmented(sRes.Binding)
 	ba := sRes.IC.AllocateBuses()
@@ -373,7 +373,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 			Merged:    res.MergedMux,
 			RegsUsed:  res.Cost.RegsUsed,
 			Total:     res.Cost.Total,
-			Passes:    len(res.Binding.Pass),
+			Passes:    res.Binding.NumPass(),
 			Copies:    res.Binding.NumCopies(),
 			Segmented: countSegmented(res.Binding),
 		})

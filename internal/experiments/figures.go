@@ -125,7 +125,7 @@ func Figure3() (*FigureDemo, error) {
 
 	// Bind the transfer through the adder (idle during step 3).
 	pb := b.Clone()
-	pb.Pass[binding.TransferKey{V: vid, K: 3, ToReg: 1}] = 0
+	pb.SetPass(binding.TransferKey{V: vid, K: 3, ToReg: 1}, 0)
 	if err := pb.Check(); err != nil {
 		return nil, fmt.Errorf("figure3 pass binding: %w", err)
 	}

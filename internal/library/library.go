@@ -92,8 +92,8 @@ func Analyze(l Library, b *binding.Binding) (*Report, error) {
 			}
 		}
 		if !used {
-			for _, pf := range b.Pass {
-				if pf == f.ID {
+			for _, pb := range b.Passes() {
+				if pb.FU == f.ID {
 					used = true
 					break
 				}

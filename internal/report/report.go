@@ -120,8 +120,7 @@ func FUChart(b *binding.Binding) (string, error) {
 }
 
 func hasPass(occ *binding.FUOccupancy, f, t int) bool {
-	_, ok := occ.PassAt[[2]int{f, t}]
-	return ok
+	return occ.PassAt[f][t] != binding.NoTransfer
 }
 
 // MuxSummary lists every multi-source module input with its sources,

@@ -171,7 +171,7 @@ func TestEmitPassThroughAppears(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := workloads.EWF()
 		b := allocate(t, g, seed)
-		if len(b.Pass) == 0 {
+		if b.NumPass() == 0 {
 			continue
 		}
 		nl, err := Emit(b, "ewf_dp")

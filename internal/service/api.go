@@ -56,6 +56,18 @@ type allocSpec struct {
 	key string
 }
 
+// Request-size caps. A request above any of them is rejected with 400
+// before any work is scheduled, so a small request cannot demand
+// unbounded engine jobs (restarts), hardware registers
+// (extra_registers) or schedule length (steps) — nor, once journaled,
+// replay that demand on every boot. Each cap is far above what the
+// testdata corpus, the CLI defaults and the experiments use.
+const (
+	MaxRestarts       = 64
+	MaxExtraRegisters = 64
+	MaxSteps          = 1024
+)
+
 // normalize validates the wire request's graph and search options and
 // resolves them to the normalized executable request. Shared by the
 // backend's parseRequest and the router-facing ContentKey so the two
@@ -63,6 +75,18 @@ type allocSpec struct {
 func (ar *AllocateRequest) normalize() (salsa.Request, error) {
 	if len(ar.Graph) == 0 {
 		return salsa.Request{}, fmt.Errorf("missing required field %q", "graph")
+	}
+	for _, c := range []struct {
+		field    string
+		val, max int
+	}{
+		{"restarts", ar.Restarts, MaxRestarts},
+		{"extra_registers", ar.ExtraRegisters, MaxExtraRegisters},
+		{"steps", ar.Steps, MaxSteps},
+	} {
+		if c.val > c.max {
+			return salsa.Request{}, fmt.Errorf("%s %d exceeds the cap of %d", c.field, c.val, c.max)
+		}
 	}
 	g, err := cdfg.ParseJSON(ar.Graph)
 	if err != nil {

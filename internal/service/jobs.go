@@ -1,8 +1,11 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -220,16 +223,20 @@ func newJobRegistry(maxJobs int, clk clock.Clock) *jobRegistry {
 	return &jobRegistry{jobs: make(map[string]*job), maxJobs: maxJobs, clk: clk}
 }
 
-// create registers a fresh queued job keyed by a sequence number and
-// the request fingerprint prefix (readable, unique per process).
-func (r *jobRegistry) create(fingerprint string) (*job, error) {
+// create registers a fresh queued job for the request with the given
+// content key (allocSpec.key). The ID is a per-process sequence number
+// plus the SHA-256 of the key, so two jobs sharing an ID — even on
+// different servers — are the same normalized request and finish with
+// byte-identical results.
+func (r *jobRegistry) create(key string) (*job, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.jobs) >= r.maxJobs {
 		return nil, fmt.Errorf("job registry full (%d jobs)", r.maxJobs)
 	}
 	r.seq++
-	j := &job{id: fmt.Sprintf("j%d-%.12s", r.seq, fingerprint), clk: r.clk, created: r.clk.Now(), state: jobQueued}
+	sum := sha256.Sum256([]byte(key))
+	j := &job{id: fmt.Sprintf("j%d-%x", r.seq, sum), clk: r.clk, created: r.clk.Now(), state: jobQueued}
 	r.jobs[j.id] = j
 	return j, nil
 }
@@ -265,7 +272,23 @@ func (r *jobRegistry) remove(id string) {
 	delete(r.jobs, id)
 }
 
-// parseJobSeq extracts N from a "jN-<fingerprint>" job ID.
+// ContentKeyedJobID reports whether id has the form create issues,
+// "jN-" plus the 64 hex digits of the content key's SHA-256. Journals
+// written by earlier versions may still hold "jN-<fingerprint prefix>"
+// IDs, which are unique only within one process and name no request.
+func ContentKeyedJobID(id string) bool {
+	if _, ok := parseJobSeq(id); !ok {
+		return false
+	}
+	_, sum, _ := strings.Cut(id, "-")
+	if len(sum) != 2*sha256.Size {
+		return false
+	}
+	_, err := hex.DecodeString(sum)
+	return err == nil
+}
+
+// parseJobSeq extracts N from a "jN-<suffix>" job ID.
 func parseJobSeq(id string) (int, bool) {
 	var seq int
 	var rest string

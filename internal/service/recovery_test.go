@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"salsa/internal/clock"
 	"salsa/internal/journal"
 	"salsa/internal/workloads"
 )
@@ -188,5 +190,43 @@ func TestJobRecoverySurvivesUnjournaledServer(t *testing.T) {
 	m := e.s.MetricsSnapshot()
 	if m["jobs_recovered_total"] != 0 || m["journal_errors_total"] != 0 {
 		t.Errorf("journal counters moved on an unjournaled server: %v", m)
+	}
+}
+
+// TestJobIDs: a fresh job's ID carries the SHA-256 of its content key,
+// so equal keys give equal ID suffixes and different keys different
+// ones; an ID of the older "jN-<fingerprint prefix>" form, as journals
+// written by earlier versions hold, still restores and advances the
+// sequence, but is not content-keyed.
+func TestJobIDs(t *testing.T) {
+	r := newJobRegistry(8, clock.NewVirtual())
+	const legacy = "j7-3c62da355d7c"
+	if _, ok := r.restore(legacy); !ok {
+		t.Fatalf("restore(%q) refused", legacy)
+	}
+	if ContentKeyedJobID(legacy) {
+		t.Errorf("%q reported content-keyed", legacy)
+	}
+	a, err := r.create("fp|mode=salsa seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.create("fp|mode=salsa seed=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(a.id, "j8-") || !ContentKeyedJobID(a.id) || !ContentKeyedJobID(b.id) {
+		t.Fatalf("fresh IDs %q, %q: want j8-… and content-keyed", a.id, b.id)
+	}
+	if strings.TrimPrefix(a.id, "j8-") == strings.TrimPrefix(b.id, "j9-") {
+		t.Errorf("different content keys share an ID suffix: %q, %q", a.id, b.id)
+	}
+	other := newJobRegistry(8, clock.NewVirtual())
+	c, err := other.create("fp|mode=salsa seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.id != "j1-"+strings.TrimPrefix(a.id, "j8-") {
+		t.Errorf("equal content keys on two servers: %q vs %q, want equal suffixes", c.id, a.id)
 	}
 }

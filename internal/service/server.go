@@ -449,7 +449,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if spec == nil {
 		return
 	}
-	j, err := s.jobs.create(spec.fingerprint)
+	j, err := s.jobs.create(spec.key)
 	if err != nil {
 		w.Header().Set("Retry-After", s.retryAfterHint())
 		writeJSON(w, http.StatusTooManyRequests, errorBody(err.Error()))

@@ -496,6 +496,50 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRequestCaps: a request over a size cap is answered 400 naming the
+// field and the cap, before any search runs; a request at the caps
+// passes validation.
+func TestRequestCaps(t *testing.T) {
+	e := newTestServer(t, Config{})
+	cases := []struct {
+		field  string
+		mutate func(*AllocateRequest)
+		cap    int
+	}{
+		{"restarts", func(ar *AllocateRequest) { ar.Restarts = MaxRestarts + 1 }, MaxRestarts},
+		{"extra_registers", func(ar *AllocateRequest) { ar.ExtraRegisters = MaxExtraRegisters + 1 }, MaxExtraRegisters},
+		{"steps", func(ar *AllocateRequest) { ar.Steps = MaxSteps + 1 }, MaxSteps},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			for _, path := range []string{"/allocate", "/jobs"} {
+				status, _, body := e.post(t, path, allocBody(t, workloads.Figure1(), tc.mutate))
+				if status != http.StatusBadRequest {
+					t.Fatalf("%s: status %d, want 400 (body %s)", path, status, body)
+				}
+				if want := fmt.Sprintf("exceeds the cap of %d", tc.cap); !strings.Contains(string(body), tc.field) || !strings.Contains(string(body), want) {
+					t.Errorf("%s: error %s does not name the field and its cap", path, body)
+				}
+			}
+			var ar AllocateRequest
+			if err := json.Unmarshal(allocBody(t, workloads.Figure1(), tc.mutate), &ar); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ar.ContentKey(); err == nil {
+				t.Error("ContentKey accepted an over-cap request, so a router would forward it")
+			}
+		})
+	}
+	if m := e.s.metrics.snapshot(0); m["engine_invocations_total"] != 0 {
+		t.Errorf("over-cap requests reached the engine: %v", m["engine_invocations_total"])
+	}
+	atCap := AllocateRequest{Restarts: MaxRestarts, ExtraRegisters: MaxExtraRegisters, Steps: MaxSteps}
+	atCap.Graph = mustMarshal(t, workloads.Figure1())
+	if _, err := atCap.normalize(); err != nil {
+		t.Errorf("request at the caps rejected: %v", err)
+	}
+}
+
 // TestMetricsEndpoint checks the Prometheus rendering: well-formed
 // series for the service counters, the latency histogram, and the
 // engine's process-wide counters.

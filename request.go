@@ -143,7 +143,7 @@ func BuildResultJSON(g *cdfg.Graph, steps int, mode string, seed int64, restarts
 			Total:     res.Cost.Total,
 		},
 		MergedMux:     res.MergedMux,
-		PassThroughs:  len(res.Binding.Pass),
+		PassThroughs:  res.Binding.NumPass(),
 		Copies:        res.Binding.NumCopies(),
 		Trials:        res.Trials,
 		MovesTried:    res.MovesTried,

@@ -232,5 +232,5 @@ func Summary(res *Result) string {
 	b := res.Binding
 	return fmt.Sprintf("%d muxes (%d merged), %d registers, %d FUs, %d pass-throughs, %d copies",
 		res.Cost.MuxCost, res.MergedMux, res.Cost.RegsUsed, res.Cost.FUsUsed,
-		len(b.Pass), b.NumCopies())
+		b.NumPass(), b.NumCopies())
 }

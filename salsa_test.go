@@ -100,7 +100,7 @@ func TestDisablePassHardware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Binding.Pass) != 0 {
+	if res.Binding.NumPass() != 0 {
 		t.Error("pass-throughs bound despite DisablePassHardware")
 	}
 }
