@@ -27,7 +27,7 @@ func TestAllocationBudget(t *testing.T) {
 		{"dct", workloads.DCT, 12, 15000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, hw, jobs := allocateParallelSetup(t, tc.g, tc.steps, false)
+			a, hw, jobs := allocateParallelSetup(t, tc.g, tc.steps)
 			var runErr error
 			allocs := testing.AllocsPerRun(2, func() {
 				if _, _, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{Workers: 1}); err != nil {

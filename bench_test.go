@@ -186,9 +186,9 @@ func BenchmarkEvalEWF(b *testing.B) {
 	}
 }
 
-// BenchmarkCloneEWF measures one deep copy: the per-move snapshot of
-// the CloneEval reference path, and the engine's per-improvement
-// record (the search itself copies into preallocated bindings).
+// BenchmarkCloneEWF measures one deep copy: the engine's
+// per-improvement record (the search itself copies into preallocated
+// bindings).
 func BenchmarkCloneEWF(b *testing.B) {
 	bd := ewfBinding(b)
 	b.ResetTimer()
@@ -198,8 +198,7 @@ func BenchmarkCloneEWF(b *testing.B) {
 }
 
 // BenchmarkDeltaEvalEWF measures one transactional move round-trip
-// (apply + delta cost + rollback) — the incremental path's per-move
-// cost, replacing clone + full Eval.
+// (apply + delta cost + rollback) — the search's per-move cost.
 func BenchmarkDeltaEvalEWF(b *testing.B) {
 	bd := ewfBinding(b)
 	tx, err := binding.NewTx(bd)
@@ -386,13 +385,9 @@ func BenchmarkScale_Synth200(b *testing.B) { benchScale(b, 200) }
 // benchAllocateParallel runs an 8-restart portfolio through the engine
 // with the given worker count; the allocation result is identical for
 // every worker count, so the families differ only in wall clock.
-// cloneEval selects the legacy clone-and-reevaluate reference path; the
-// default transactional path produces byte-identical allocations, so
-// the CloneEval families measure exactly the incremental evaluation's
-// speedup.
-func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers int, cloneEval bool) {
+func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers int) {
 	b.Helper()
-	a, hw, jobs := allocateParallelSetup(b, g, steps, cloneEval)
+	a, hw, jobs := allocateParallelSetup(b, g, steps)
 	b.ResetTimer()
 	var merged float64
 	for i := 0; i < b.N; i++ {
@@ -409,7 +404,7 @@ func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers in
 // allocateParallelSetup builds benchAllocateParallel's problem: the
 // graph at the given schedule length on its minimum FU set with one
 // spare register, and an 8-restart portfolio of short SALSA searches.
-func allocateParallelSetup(tb testing.TB, g func() *cdfg.Graph, steps int, cloneEval bool) (*lifetime.Analysis, *datapath.Hardware, []engine.Job) {
+func allocateParallelSetup(tb testing.TB, g func() *cdfg.Graph, steps int) (*lifetime.Analysis, *datapath.Hardware, []engine.Job) {
 	tb.Helper()
 	graph := g()
 	d := cdfg.DefaultDelays(false)
@@ -427,30 +422,20 @@ func allocateParallelSetup(tb testing.TB, g func() *cdfg.Graph, steps int, clone
 	o := core.SALSAOptions(1)
 	o.MovesPerTrial = 600
 	o.MaxTrials = 8
-	o.CloneEval = cloneEval
 	return a, hw, engine.Restarts(o, 8)
 }
 
 func BenchmarkAllocateParallel_EWF_W1(b *testing.B) {
-	benchAllocateParallel(b, workloads.EWF, 19, 1, false)
+	benchAllocateParallel(b, workloads.EWF, 19, 1)
 }
 func BenchmarkAllocateParallel_EWF_WNumCPU(b *testing.B) {
-	benchAllocateParallel(b, workloads.EWF, 19, runtime.NumCPU(), false)
+	benchAllocateParallel(b, workloads.EWF, 19, runtime.NumCPU())
 }
 func BenchmarkAllocateParallel_DCT_W1(b *testing.B) {
-	benchAllocateParallel(b, workloads.DCT, 12, 1, false)
+	benchAllocateParallel(b, workloads.DCT, 12, 1)
 }
 func BenchmarkAllocateParallel_DCT_WNumCPU(b *testing.B) {
-	benchAllocateParallel(b, workloads.DCT, 12, runtime.NumCPU(), false)
-}
-
-// The CloneEval families pin the legacy clone-based path so benchstat
-// can report the incremental transaction speedup from a single run.
-func BenchmarkAllocateParallel_EWF_W1_CloneEval(b *testing.B) {
-	benchAllocateParallel(b, workloads.EWF, 19, 1, true)
-}
-func BenchmarkAllocateParallel_DCT_W1_CloneEval(b *testing.B) {
-	benchAllocateParallel(b, workloads.DCT, 12, 1, true)
+	benchAllocateParallel(b, workloads.DCT, 12, runtime.NumCPU())
 }
 
 // BenchmarkHungarian measures the matching core on a 40x40 instance.

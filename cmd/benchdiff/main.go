@@ -8,16 +8,17 @@
 //     log: benchmark name → median ns/op, allocs/op and B/op;
 //   - with -old FILE, prints an old-vs-new comparison table and, for
 //     every benchmark whose name matches -gate, fails (exit 1) when
-//     median ns/op regressed by more than -max-regress percent.
+//     median ns/op regressed by more than -max-regress percent or the
+//     benchmark is missing from the new log.
 //
 // The CI benchmark job runs the suite on the pull request and on the
 // merge base, then gates the PR with:
 //
 //	benchdiff -old base.txt -new pr.txt \
-//	    -gate 'BenchmarkAllocateParallel_(EWF|DCT)_' -max-regress 10 \
-//	    -json BENCH_incremental.json
+//	    -gate '^BenchmarkAllocateParallel_(EWF|DCT)_(W1|WNumCPU)$' -max-regress 10
 //
-// Exit codes: 0 ok, 1 gated regression, 2 usage or parse error.
+// Exit codes: 0 ok, 1 gated regression or removal, 2 usage or parse
+// error.
 package main
 
 import (
@@ -120,7 +121,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	oldSum := summarize(oldRuns)
 
-	regressed := false
+	gated := func(name string) bool { return gateRE != nil && gateRE.MatchString(name) }
+	regressed, removed := false, false
 	for _, name := range sortedNames(newSum) {
 		n := newSum[name]
 		o, ok := oldSum[name]
@@ -129,9 +131,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		delta := (n.NsPerOp - o.NsPerOp) / o.NsPerOp * 100
-		gated := gateRE != nil && gateRE.MatchString(name)
 		verdict := ""
-		if gated {
+		if gated(name) {
 			verdict = "  [gated]"
 			if delta > *maxRegress {
 				verdict = fmt.Sprintf("  [REGRESSION > %.0f%%]", *maxRegress)
@@ -141,8 +142,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-50s %14.0f -> %14.0f ns/op  %+7.2f%%%s\n",
 			name, o.NsPerOp, n.NsPerOp, delta, verdict)
 	}
+	// A gated benchmark the new log lacks was deleted or renamed; the
+	// gate cannot compare it, so it fails rather than passing silently.
+	for _, name := range sortedNames(oldSum) {
+		if _, ok := newSum[name]; ok {
+			continue
+		}
+		verdict := ""
+		if gated(name) {
+			verdict = "  [GATED BENCHMARK REMOVED]"
+			removed = true
+		}
+		fmt.Fprintf(stdout, "%-50s %14.0f ns/op  (removed)%s\n", name, oldSum[name].NsPerOp, verdict)
+	}
 	if regressed {
 		fmt.Fprintln(stdout, "benchdiff: gated benchmark regressed")
+	}
+	if removed {
+		fmt.Fprintln(stdout, "benchdiff: gated benchmark missing from -new")
+	}
+	if regressed || removed {
 		return 1
 	}
 	return 0

@@ -153,6 +153,34 @@ func TestGateIgnoresUngatedRegression(t *testing.T) {
 	}
 }
 
+func TestGateFailsOnRemovedBenchmark(t *testing.T) {
+	oldPath := writeLog(t, "old.txt", sampleLog)
+	for _, tc := range []struct {
+		drop string
+		want int
+	}{
+		{"BenchmarkAllocateParallel_EWF_W1", 1}, // gated: deleting it must not pass the gate
+		{"BenchmarkDeltaEvalEWF", 0},            // outside the gate expression
+	} {
+		var kept []string
+		for _, line := range strings.Split(sampleLog, "\n") {
+			if !strings.HasPrefix(line, tc.drop+"-") {
+				kept = append(kept, line)
+			}
+		}
+		newPath := writeLog(t, "new.txt", strings.Join(kept, "\n"))
+		var out, errb bytes.Buffer
+		code := run([]string{"-old", oldPath, "-new", newPath,
+			"-gate", "^BenchmarkAllocateParallel_(EWF|DCT)_(W1|WNumCPU)$", "-max-regress", "10"}, &out, &errb)
+		if code != tc.want {
+			t.Errorf("%s removed: exit %d, want %d; output:\n%s", tc.drop, code, tc.want, out.String())
+		}
+		if !strings.Contains(out.String(), tc.drop) || !strings.Contains(out.String(), "(removed)") {
+			t.Errorf("%s removed: no (removed) line:\n%s", tc.drop, out.String())
+		}
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(nil, &out, &errb); code != 2 {

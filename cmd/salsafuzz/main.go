@@ -3,8 +3,9 @@
 // becomes a random scheduled CDFG that is allocated under both binding
 // models, re-checked for legality and cost, simulated cycle-accurately,
 // re-simulated from emitted RTL, and re-run under a different engine
-// worker count. Any divergence is a finding; the process exits 1 if any
-// seed produced one, 0 otherwise.
+// worker count with every delta cost checked against a full evaluation.
+// Any divergence is a finding; the process exits 1 if any seed produced
+// one, 0 otherwise.
 //
 // Usage:
 //
@@ -46,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", runtime.NumCPU(), "seeds crosschecked in parallel (output is identical for any count)")
 		inject    = fs.String("inject", "", fmt.Sprintf("plant a fault into every extended binding to demonstrate the oracle; one of %v", crosscheck.FaultKinds()))
 		simIters  = fs.Int("sim-iters", 0, "loop iterations simulated per cyclic case (0 = oracle default)")
-		incr      = fs.Bool("incremental", true, "re-run each portfolio on the legacy clone-and-reevaluate path and require a byte-identical winner")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "salsafuzz: -seeds must be positive")
 		return 2
 	}
-	cfg := crosscheck.Config{SimIters: *simIters, DisableIncremental: !*incr}
+	cfg := crosscheck.Config{SimIters: *simIters}
 	if *inject != "" {
 		f, err := crosscheck.InjectFault(*inject)
 		if err != nil {

@@ -364,6 +364,11 @@ func grid[T any](rows, cols int) [][]T {
 	return g
 }
 
+// gridEqual reports whether two tables have the same shape and cells.
+func gridEqual[T comparable](a, b [][]T) bool {
+	return slices.EqualFunc(a, b, slices.Equal[[]T])
+}
+
 // FUOccupancy builds the FU usage tables from scratch. It errors on
 // overlapping operator windows, class mismatches and two pass-throughs
 // on one unit in one step.

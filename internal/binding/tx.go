@@ -30,17 +30,8 @@ var ErrOccupancyConflict = errors.New("binding: occupancy conflict")
 // of the ordered use-events targeting that sink alone. A mutator marks
 // every sink whose event sequence its change can alter; unmarked sinks
 // keep their event sequences and therefore their exact fanins.
-//
-// A Tx built with NewScratchTx skips all cost maintenance and only
-// provides the mutators plus the occupancy tables — the clone-based
-// reference path drives the same move code through a scratch Tx so
-// both paths draw identical random sequences.
 type Tx struct {
-	b *Binding
-	// inc enables incremental cost maintenance; scratch transactions
-	// leave it off and evaluate clones with full Eval instead.
-	inc bool
-
+	b  *Binding
 	ct *datapath.CostTable
 	ns datapath.NetScratch
 
@@ -127,8 +118,8 @@ type segPos struct {
 	k int
 }
 
-// NewTx builds an incremental transaction over b, evaluating it once to
-// seed the cost tables.
+// NewTx builds a transaction over b, evaluating it once to seed the
+// cost tables.
 func NewTx(b *Binding) (*Tx, error) {
 	t := &Tx{}
 	if err := t.Reset(b); err != nil {
@@ -137,36 +128,15 @@ func NewTx(b *Binding) (*Tx, error) {
 	return t, nil
 }
 
-// NewScratchTx builds a mutation-only transaction (no cost tables) so
-// the clone-based path can run the same move code.
-func NewScratchTx(b *Binding) *Tx {
-	t := &Tx{}
-	t.Retarget(b)
-	return t
-}
-
 // B returns the binding under transaction.
 func (t *Tx) B() *Binding { return t.b }
 
-// Retarget points a scratch transaction at another binding over the
-// same hardware and schedule; the clone path retargets one scratch Tx
-// at each fresh clone. Cost state is not maintained.
-func (t *Tx) Retarget(b *Binding) {
-	t.b = b
-	t.inc = false
-	t.ensureShape()
-	t.seedOcc()
-	t.undo = t.undo[:0]
-	t.inMove = false
-}
-
-// Reset re-seeds an incremental transaction from b's current state: use
-// counts and occupancy are recomputed and every sink's cost is
-// replayed. The search calls it once per trial restart, so its cost
-// amortizes over the trial's moves.
+// Reset re-seeds the transaction from b's current state: use counts
+// and occupancy are recomputed and every sink's cost is replayed. The
+// search calls it once per trial restart, so its cost amortizes over
+// the trial's moves.
 func (t *Tx) Reset(b *Binding) error {
 	t.b = b
-	t.inc = true
 	t.ensureShape()
 	t.seedOcc()
 	t.undo = t.undo[:0]
@@ -458,9 +428,6 @@ func (t *Tx) fuWeight(f int) int {
 }
 
 func (t *Tx) incArith(f int) {
-	if !t.inc {
-		return
-	}
 	if t.fuArith[f]+t.fuPass[f] == 0 {
 		t.fusUsed++
 		t.fuArea += t.fuWeight(f)
@@ -469,9 +436,6 @@ func (t *Tx) incArith(f int) {
 }
 
 func (t *Tx) decArith(f int) {
-	if !t.inc {
-		return
-	}
 	t.fuArith[f]--
 	if t.fuArith[f]+t.fuPass[f] == 0 {
 		t.fusUsed--
@@ -480,9 +444,6 @@ func (t *Tx) decArith(f int) {
 }
 
 func (t *Tx) incPass(f int) {
-	if !t.inc {
-		return
-	}
 	if t.fuArith[f]+t.fuPass[f] == 0 {
 		t.fusUsed++
 		t.fuArea += t.fuWeight(f)
@@ -491,9 +452,6 @@ func (t *Tx) incPass(f int) {
 }
 
 func (t *Tx) decPass(f int) {
-	if !t.inc {
-		return
-	}
 	t.fuPass[f]--
 	if t.fuArith[f]+t.fuPass[f] == 0 {
 		t.fusUsed--
@@ -502,9 +460,6 @@ func (t *Tx) decPass(f int) {
 }
 
 func (t *Tx) incReg(r int) {
-	if !t.inc {
-		return
-	}
 	if t.regCnt[r] == 0 {
 		t.regsUsed++
 	}
@@ -512,9 +467,6 @@ func (t *Tx) incReg(r int) {
 }
 
 func (t *Tx) decReg(r int) {
-	if !t.inc {
-		return
-	}
 	t.regCnt[r]--
 	if t.regCnt[r] == 0 {
 		t.regsUsed--
@@ -524,7 +476,7 @@ func (t *Tx) decReg(r int) {
 // --- affected-set marking ---
 
 func (t *Tx) markIdx(idx int) {
-	if !t.inc || idx < 0 || t.dirty[idx] {
+	if idx < 0 || t.dirty[idx] {
 		return
 	}
 	t.dirty[idx] = true
@@ -547,7 +499,7 @@ func (t *Tx) markFUPorts(f int) {
 // markBirth marks the registers loaded at a value's birth — the sinks
 // seeing the producer FU as a source.
 func (t *Tx) markBirth(v lifetime.ValueID) {
-	if !t.inc || v == lifetime.NoValue {
+	if v == lifetime.NoValue {
 		return
 	}
 	t.markReg(t.b.SegReg[v][0])
@@ -561,7 +513,7 @@ func (t *Tx) markBirth(v lifetime.ValueID) {
 // register holding it (primary or copy, any position), and the input
 // ports of pass-through FUs carrying its transfers.
 func (t *Tx) markValue(v lifetime.ValueID) {
-	if !t.inc || v == lifetime.NoValue {
+	if v == lifetime.NoValue {
 		return
 	}
 	b := t.b
@@ -783,11 +735,35 @@ func (t *Tx) FUOcc() (*FUOccupancy, error) {
 	return &t.fuocc, nil
 }
 
+// CheckOccupancy compares the transaction's occupancy with the
+// from-scratch RegOccupancy and FUOccupancy of its binding: both must
+// report a conflict, or both succeed with equal tables. A claim left
+// stale by a mutator or revert shows nowhere else, since it only
+// changes which candidates the movers draw.
+func (t *Tx) CheckOccupancy() error {
+	want, werr := t.b.RegOccupancy()
+	got, gerr := t.Occ()
+	fwant, fwerr := t.b.FUOccupancy()
+	fgot, fgerr := t.FUOcc()
+	switch {
+	case (werr == nil) != (gerr == nil):
+		return fmt.Errorf("binding: register occupancy verdict %v, rebuild %v", gerr, werr)
+	case (fwerr == nil) != (fgerr == nil):
+		return fmt.Errorf("binding: FU occupancy verdict %v, rebuild %v", fgerr, fwerr)
+	case werr == nil && !gridEqual(got, want):
+		return errors.New("binding: register occupancy differs from a rebuild")
+	case fwerr == nil && !(gridEqual(fgot.Issue, fwant.Issue) &&
+		gridEqual(fgot.WriteEdge, fwant.WriteEdge) && gridEqual(fgot.PassAt, fwant.PassAt)):
+		return errors.New("binding: FU occupancy differs from a rebuild")
+	}
+	return nil
+}
+
 // --- incremental cost ---
 
 // Cost assembles the current cost from the incrementally maintained
-// terms. It is only meaningful on an incremental Tx whose dirty sinks
-// have been replayed (i.e. after DeltaCost or on a clean baseline).
+// terms. It is only meaningful once the dirty sinks have been replayed
+// (i.e. after DeltaCost or on a clean baseline).
 func (t *Tx) Cost() Cost {
 	c := Cost{
 		FUsUsed:  t.fusUsed,
@@ -801,9 +777,9 @@ func (t *Tx) Cost() Cost {
 
 // DeltaCost replays every dirty sink against the mutated binding,
 // journaling the overwritten contributions, and returns the move's
-// resulting cost. An error reproduces exactly the Eval error the
-// clone-based path would have hit (a sink needing two sources in one
-// step); the caller rolls back or aborts just as it would there.
+// resulting cost. An error reproduces exactly the error a full Eval of
+// the mutated binding reports (a sink needing two sources in one
+// step); the caller rolls back or aborts.
 func (t *Tx) DeltaCost() (Cost, error) {
 	for _, idx := range t.dirtyList {
 		c, err := t.replaySink(idx)

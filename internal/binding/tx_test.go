@@ -227,27 +227,12 @@ func firstFit(t *testing.T, a *lifetime.Analysis, hw *datapath.Hardware) *Bindin
 	return b
 }
 
-// assertOccupancy is the oracle for the transaction's incrementally
-// kept occupancy: its tables equal a from-scratch RegOccupancy and
-// FUOccupancy, and its probes report a conflict exactly when the
-// rebuild fails.
-func assertOccupancy(t *testing.T, where string, tx *Tx, b *Binding) {
+// assertOccupancy fails the test when the transaction's incrementally
+// kept occupancy differs from a from-scratch rebuild (CheckOccupancy).
+func assertOccupancy(t *testing.T, where string, tx *Tx) {
 	t.Helper()
-	want, werr := b.RegOccupancy()
-	got, gerr := tx.Occ()
-	if (werr == nil) != (gerr == nil) || (werr == nil) != (tx.OccLegal() == nil) {
-		t.Fatalf("%s: register probe verdict %v / %v, rebuild %v", where, gerr, tx.OccLegal(), werr)
-	}
-	if werr == nil && !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: register occupancy\n got %v\nwant %v", where, got, want)
-	}
-	fwant, fwerr := b.FUOccupancy()
-	fgot, fgerr := tx.FUOcc()
-	if (fwerr == nil) != (fgerr == nil) {
-		t.Fatalf("%s: FU probe verdict %v, rebuild %v", where, fgerr, fwerr)
-	}
-	if fwerr == nil && !reflect.DeepEqual(*fgot, *fwant) {
-		t.Fatalf("%s: FU occupancy\n got %+v\nwant %+v", where, *fgot, *fwant)
+	if err := tx.CheckOccupancy(); err != nil {
+		t.Fatalf("%s: %v", where, err)
 	}
 }
 
@@ -267,7 +252,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 	if got := tx.Cost(); got != baseline {
 		t.Fatalf("fresh Tx cost %+v, want the full Eval %+v", got, baseline)
 	}
-	assertOccupancy(t, "fresh Tx", tx, b)
+	assertOccupancy(t, "fresh Tx", tx)
 
 	var arith []cdfg.NodeID
 	g := b.A.Sched.G
@@ -342,7 +327,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 			if kind := mutate(); kind != "" {
 				applied[kind]++
 				moved = true
-				assertOccupancy(t, fmt.Sprintf("step %d after %s", step, kind), tx, b)
+				assertOccupancy(t, fmt.Sprintf("step %d after %s", step, kind), tx)
 			}
 		}
 		if !moved {
@@ -355,7 +340,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 			// undo log must still unwind it exactly.
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
-			assertOccupancy(t, fmt.Sprintf("step %d illegal-move rollback", step), tx, b)
+			assertOccupancy(t, fmt.Sprintf("step %d illegal-move rollback", step), tx)
 			if got := tx.Cost(); got != preCost {
 				t.Fatalf("step %d: cost after illegal-move rollback %+v, want %+v", step, got, preCost)
 			}
@@ -371,7 +356,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 			}
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
-			assertOccupancy(t, fmt.Sprintf("step %d unevaluable rollback", step), tx, b)
+			assertOccupancy(t, fmt.Sprintf("step %d unevaluable rollback", step), tx)
 			outcomes["unevaluable"]++
 			continue
 		}
@@ -389,7 +374,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 			if got := tx.Cost(); got != want {
 				t.Fatalf("step %d: cost after commit %+v, want %+v", step, got, want)
 			}
-			assertOccupancy(t, fmt.Sprintf("step %d commit", step), tx, b)
+			assertOccupancy(t, fmt.Sprintf("step %d commit", step), tx)
 			outcomes["commit"]++
 		} else {
 			tx.Rollback()
@@ -397,7 +382,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 			if got := tx.Cost(); got != preCost {
 				t.Fatalf("step %d: cost after rollback %+v, want %+v", step, got, preCost)
 			}
-			assertOccupancy(t, fmt.Sprintf("step %d rollback", step), tx, b)
+			assertOccupancy(t, fmt.Sprintf("step %d rollback", step), tx)
 			outcomes["rollback"]++
 		}
 	}
@@ -441,50 +426,6 @@ func TestTxResetReseedsFromCurrentState(t *testing.T) {
 	}
 	if got := tx.Cost(); got != want {
 		t.Fatalf("cost after Reset %+v, want full Eval %+v", got, want)
-	}
-}
-
-// TestScratchTxMutatesWithoutCostState: a scratch Tx drives the same
-// mutators on clones — the clone-based reference path — without
-// maintaining any cost tables, and Retarget moves it between clones.
-func TestScratchTxMutatesWithoutCostState(t *testing.T) {
-	_, b := txFixture(t)
-	c1 := b.Clone()
-	tx := NewScratchTx(c1)
-	if tx.B() != c1 {
-		t.Fatal("scratch Tx does not report its binding")
-	}
-	tx.Begin()
-	tx.SetOpFU(3, 1) // node u: step 1, alone on FU1
-	tx.FlipSwap(3)
-	tx.Commit()
-	if b.OpFU[3] == 1 || b.OpSwap[3] {
-		t.Fatal("scratch Tx mutated the original binding, not the clone")
-	}
-	if c1.OpFU[3] != 1 || !c1.OpSwap[3] {
-		t.Fatal("scratch Tx mutations did not land on the clone")
-	}
-	if _, err := tx.Occ(); err != nil {
-		t.Fatalf("scratch Occ: %v", err)
-	}
-	if _, err := tx.FUOcc(); err != nil {
-		t.Fatalf("scratch FUOcc: %v", err)
-	}
-	if err := tx.OccLegal(); err != nil {
-		t.Fatalf("scratch OccLegal: %v", err)
-	}
-
-	// Retarget at a fresh clone: mutations stop touching the first.
-	c2 := b.Clone()
-	tx.Retarget(c2)
-	tx.Begin()
-	tx.SetSegReg(0, 0, 3)
-	tx.Commit()
-	if c1.SegReg[0][0] == 3 {
-		t.Fatal("retargeted Tx still mutates the previous clone")
-	}
-	if c2.SegReg[0][0] != 3 {
-		t.Fatal("retargeted Tx mutation did not land on the new clone")
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/list"
 	"fmt"
 	"io"
 	"sort"
@@ -98,66 +97,4 @@ func (m *routerMetrics) snapshot() map[string]int64 {
 		out["served_total_"+b] = counts[i]
 	}
 	return out
-}
-
-// respCache is a bounded LRU over complete 200 response bodies, keyed
-// by the request's content key — the router-side twin of the backend's
-// result cache, so hot fingerprints stop crossing the network at all.
-// Values are exact backend bytes; a router hit is byte-identical to
-// the shard's answer. Partial results are never stored (they are not a
-// deterministic function of the key) and neither are errors.
-type respCache struct {
-	mu    sync.Mutex
-	max   int                      // immutable after construction
-	order *list.List               // guarded by mu; front = most recently used
-	items map[string]*list.Element // guarded by mu
-}
-
-type respEntry struct {
-	key  string
-	body []byte
-}
-
-func newRespCache(max int) *respCache {
-	return &respCache{max: max, order: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns the cached body for key and marks it most recently used.
-func (c *respCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*respEntry).body, true
-}
-
-// put stores body under key, evicting the least recently used entry
-// when the cache is full. A zero or negative capacity disables caching.
-func (c *respCache) put(key string, body []byte) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*respEntry).body = body
-		return
-	}
-	c.items[key] = c.order.PushFront(&respEntry{key: key, body: body})
-	for len(c.items) > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*respEntry).key)
-	}
-}
-
-// len reports the current entry count.
-func (c *respCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
 }

@@ -99,7 +99,7 @@ type Router struct {
 	cfg     Config
 	clock   clock.Clock
 	metrics *routerMetrics
-	cache   *respCache
+	cache   *service.ResultCache
 	// full is the ring over every configured backend, healthy or not —
 	// the reference a request's "natural" owner is computed against so
 	// re-homing is observable. Immutable after construction.
@@ -150,7 +150,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		clock:   cfg.Clock,
 		metrics: newRouterMetrics(),
-		cache:   newRespCache(cfg.CacheEntries),
+		cache:   service.NewResultCache(cfg.CacheEntries),
 		full:    NewRing(backends, cfg.Replicas),
 		clients: make(map[string]*client.Client, len(backends)),
 		index:   make(map[string]int, len(backends)),
@@ -271,7 +271,7 @@ func (r *Router) Healthy() []string {
 // and the simulation harness.
 func (r *Router) MetricsSnapshot() map[string]int64 {
 	m := r.metrics.snapshot()
-	m["cache_entries"] = int64(r.cache.len())
+	m["cache_entries"] = int64(r.cache.Len())
 	m["healthy_backends"] = int64(len(r.Healthy()))
 	return m
 }
@@ -459,7 +459,7 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	if cached, hit := r.cache.get(key); hit {
+	if cached, hit := r.cache.Get(key); hit {
 		r.metrics.cacheHits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Salsa-Cache", "hit")
@@ -476,7 +476,7 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	}
 	passthrough(w, res, backend)
 	if res.Status == http.StatusOK && !isPartial(res.Body) {
-		r.cache.put(key, res.Body)
+		r.cache.Put(key, res.Body)
 	}
 }
 
@@ -543,7 +543,9 @@ func (r *Router) handleSubmitJob(w http.ResponseWriter, req *http.Request) {
 	_, _ = w.Write(append(out, '\n'))
 }
 
-// handleJobStatus proxies a poll to the job's pinned shard. The pinned
+// handleJobStatus proxies a poll to the job's pinned shard. An ID whose
+// backend part is not one a service issues (service.ValidJobID) is an
+// unknown job: 404, with nothing proxied and no loss counted. The pinned
 // shard is authoritative while it answers; when it is unreachable,
 // sick, or has forgotten the job (a restart without its journal), the
 // poll retries the ring Sequence — a shard restarted with its data
@@ -564,7 +566,7 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 	r.work.Add(1)
 	defer r.work.Done()
 	m := jobID.FindStringSubmatch(req.PathValue("id"))
-	if m == nil {
+	if m == nil || !service.ValidJobID(m[2]) {
 		writeError(w, http.StatusNotFound, "unknown job "+req.PathValue("id")+" (cluster job IDs look like s0-j1-...)")
 		return
 	}
@@ -689,7 +691,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
-	gauge("salsa_router_cache_entries", "Router response-cache resident entries.", int64(r.cache.len()))
+	gauge("salsa_router_cache_entries", "Router response-cache resident entries.", int64(r.cache.Len()))
 
 	// Scrape-through: engine counters from every live backend, once per
 	// family, one labelled sample per backend, in configured order.

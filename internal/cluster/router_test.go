@@ -339,14 +339,21 @@ func TestRouterAsyncPinning(t *testing.T) {
 }
 
 // TestRouterJobStatusErrors walks the poll decision tree: malformed
-// IDs are immediate 404s; a job no reachable shard knows is genuine
-// loss (404 + jobs_lost_total — resubmission is the only cure); a job
-// pinned to an unreachable shard is NOT declared lost — the shard's
-// journal may recover it on rejoin, so the poll answers 503 +
-// Retry-After and counts job_unavailable_total instead.
+// IDs — an unknown shard, or a backend part that is not a job ID a
+// service issues, such as an encoded path to another backend endpoint —
+// are immediate 404s, proxied nowhere and not counted as lost; a job no
+// reachable shard knows is genuine loss (404 + jobs_lost_total —
+// resubmission is the only cure); a job pinned to an unreachable shard
+// is NOT declared lost — the shard's journal may recover it on rejoin,
+// so the poll answers 503 + Retry-After and counts
+// job_unavailable_total instead.
 func TestRouterJobStatusErrors(t *testing.T) {
 	tc := newTestCluster(t, 2, Config{ProxyAttempts: 1})
-	for _, id := range []string{"nonsense", "s99-j1-abc", "sX-j1"} {
+	for _, id := range []string{
+		"nonsense", "s99-j1-abc", "sX-j1",
+		"s0-..%2Fmetrics", "s0-..%2F..%2Fdebug%2Fvars", "s0-j1-ab%2F..%2F..%2Fmetrics",
+		"s0-not-a-job", "s0-j1-", "s0-j1-DEADBEEF", "s0-j-1-abc", "s0-j+1-abc",
+	} {
 		resp, err := http.Get(tc.front.URL + "/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
@@ -356,6 +363,9 @@ func TestRouterJobStatusErrors(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET /jobs/%s: status %d, want 404", id, resp.StatusCode)
 		}
+	}
+	if m := tc.router.MetricsSnapshot(); m["routed_total"] != 0 || m["jobs_lost_total"] != 0 {
+		t.Errorf("malformed IDs: routed=%d jobs_lost=%d, want 0/0 (nothing proxied)", m["routed_total"], m["jobs_lost_total"])
 	}
 
 	// Genuine loss: the whole fleet is up and nobody knows the job.

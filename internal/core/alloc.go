@@ -58,19 +58,14 @@ type Options struct {
 	// (0, 1); the zero value selects DefaultAnnealCool.
 	AnnealCool float64
 
-	// Paranoid re-validates the binding after every accepted move and,
-	// on the incremental path, asserts that the delta cost of every
-	// candidate the search or polish evaluates, accepted or not, equals
-	// a from-scratch evaluation (tests only; slows allocation down).
+	// Paranoid re-validates the binding after every accepted move and
+	// asserts that the delta cost of every candidate the search or
+	// polish evaluates, accepted or not, equals a from-scratch
+	// evaluation, and that the incrementally kept occupancy equals a
+	// rebuild whenever a search move or evaluated polish candidate
+	// commits or rolls back (tests and the crosscheck oracle only;
+	// slows allocation down).
 	Paranoid bool
-
-	// CloneEval switches the inner move loop back to the legacy
-	// clone-and-reevaluate path: every candidate move is applied to a
-	// fresh clone and costed with a full evaluation. The default
-	// in-place transactional path is byte-identical and much faster;
-	// the clone path is kept as the differential reference the
-	// crosscheck pipeline and fuzzers compare against.
-	CloneEval bool
 
 	// Initial, when set, warm-starts improvement from an existing legal
 	// binding (e.g. a traditional-model result) instead of running the
@@ -231,7 +226,6 @@ func withDefaults(o Options) Options {
 	d.EnableSplit = o.EnableSplit
 	d.Anneal = o.Anneal
 	d.Paranoid = o.Paranoid
-	d.CloneEval = o.CloneEval
 	d.Initial = o.Initial
 	if o.AnnealT0 != 0 {
 		d.AnnealT0 = o.AnnealT0

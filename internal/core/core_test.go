@@ -313,23 +313,16 @@ func TestMoveKindsAllFire(t *testing.T) {
 	rng := newRNG(9)
 	m := newMover(b, opts, rng)
 	fired := make(map[moveKind]int)
-	cur := b
-	tx := binding.NewScratchTx(cur)
+	tx, err := binding.NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4000; i++ {
 		kind := m.pickKind()
-		cand := cur.Clone()
-		tx.Retarget(cand)
-		if !m.apply(tx, kind) {
-			continue
+		if applyChecked(t, tx, m, kind) {
+			fired[kind]++
+			tx.Commit()
 		}
-		if err := cand.Check(); err != nil {
-			t.Fatalf("move %v produced illegal binding: %v", kind, err)
-		}
-		if _, _, err := cand.Eval(); err != nil {
-			t.Fatalf("move %v produced unevaluable binding: %v", kind, err)
-		}
-		fired[kind]++
-		cur = cand
 	}
 	for k := moveKind(0); k < numMoveKinds; k++ {
 		if fired[k] == 0 {

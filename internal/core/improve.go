@@ -8,10 +8,9 @@ import (
 )
 
 // cancelCheckStride is how many moves pass between context polls; a
-// move costs at most a few dirty-sink replays (or a clone plus full
-// evaluation on the reference path), so checking every few moves keeps
-// cancellation latency in the microseconds without measurable overhead
-// on the hot path.
+// move costs at most a few dirty-sink replays, so checking every few
+// moves keeps cancellation latency in the microseconds without
+// measurable overhead on the hot path.
 const cancelCheckStride = 32
 
 // improve runs the paper's iterative improvement scheme (§4): several
@@ -24,11 +23,7 @@ const cancelCheckStride = 32
 //
 // Moves run as in-place transactions: the mover mutates the current
 // binding through a binding.Tx, the cost delta is recomputed from only
-// the sinks the move perturbed, and rejected moves roll back. With
-// opts.CloneEval the legacy clone-and-reevaluate path runs instead —
-// the same mover code against a scratch transaction on a fresh clone,
-// so both paths draw identical random sequences and produce
-// byte-identical results (the crosscheck pipeline asserts this).
+// the sinks the move perturbed, and rejected moves roll back.
 //
 // With opts.Anneal the acceptance rule switches to simulated annealing
 // (Metropolis criterion with geometric cooling by opts.AnnealCool
@@ -51,14 +46,9 @@ func improve(b *binding.Binding, initCost binding.Cost, opts Options, ctl *Contr
 	best := b.Clone()
 	bestCost := initCost
 
-	var tx *binding.Tx
-	var err error
-	if opts.CloneEval {
-		tx = binding.NewScratchTx(cur)
-	} else {
-		if tx, err = binding.NewTx(cur); err != nil {
-			return nil, fmt.Errorf("core: initial allocation unevaluable: %w", err)
-		}
+	tx, err := binding.NewTx(cur)
+	if err != nil {
+		return nil, fmt.Errorf("core: initial allocation unevaluable: %w", err)
 	}
 
 	stop := StopNatural
@@ -77,10 +67,8 @@ search:
 			// the uphill quota explores around it instead of drifting.
 			cur.CopyFrom(best)
 			curCost = bestCost
-			if !opts.CloneEval {
-				if err := tx.Reset(cur); err != nil {
-					return nil, fmt.Errorf("core: trial restart unevaluable: %w", err)
-				}
+			if err := tx.Reset(cur); err != nil {
+				return nil, fmt.Errorf("core: trial restart unevaluable: %w", err)
 			}
 		}
 		uphillLeft := opts.UphillQuota
@@ -93,39 +81,28 @@ search:
 			tried++
 			kind := mv.pickKind()
 
-			var cand *binding.Binding
-			var cost binding.Cost
-			if opts.CloneEval {
-				cand = cur.Clone()
-				tx.Retarget(cand)
-				if !mv.apply(tx, kind) {
-					continue
-				}
-				var err error
-				if _, cost, err = cand.Eval(); err != nil {
-					// A move produced an unevaluable binding: a bug, not
-					// a search dead end.
-					return nil, fmt.Errorf("core: move produced illegal binding: %w", err)
-				}
-			} else {
-				tx.Begin()
-				if !mv.apply(tx, kind) {
-					tx.Rollback()
-					continue
-				}
-				var err error
-				cost, err = tx.DeltaCost()
+			tx.Begin()
+			if !mv.apply(tx, kind) {
+				tx.Rollback()
 				if opts.Paranoid {
-					// The tentpole invariant, on every evaluated
-					// candidate: the incrementally maintained cost must
-					// equal a from-scratch evaluation.
-					if perr := checkDelta(cur, cost, err); perr != nil {
-						return nil, fmt.Errorf("core: move %v: %w", kind, perr)
+					if err := checkOcc(tx, kind); err != nil {
+						return nil, err
 					}
 				}
-				if err != nil {
-					return nil, fmt.Errorf("core: move produced illegal binding: %w", err)
+				continue
+			}
+			cost, err := tx.DeltaCost()
+			if opts.Paranoid {
+				// On every evaluated candidate, the incrementally
+				// maintained cost must equal a from-scratch evaluation.
+				if perr := checkDelta(cur, cost, err); perr != nil {
+					return nil, fmt.Errorf("core: move %v: %w", kind, perr)
 				}
+			}
+			if err != nil {
+				// A move produced an unevaluable binding: a bug, not a
+				// search dead end.
+				return nil, fmt.Errorf("core: move produced illegal binding: %w", err)
 			}
 
 			accept := false
@@ -140,19 +117,21 @@ search:
 				accept = true
 			}
 			if !accept {
-				if !opts.CloneEval {
-					tx.Rollback()
+				tx.Rollback()
+				if opts.Paranoid {
+					if err := checkOcc(tx, kind); err != nil {
+						return nil, err
+					}
 				}
 				continue
 			}
-			if opts.CloneEval {
-				cur = cand
-			} else {
-				tx.Commit()
-			}
+			tx.Commit()
 			if opts.Paranoid {
 				if err := cur.Check(); err != nil {
 					return nil, fmt.Errorf("core: accepted illegal binding: %w", err)
+				}
+				if err := checkOcc(tx, kind); err != nil {
+					return nil, err
 				}
 			}
 			accepted++
@@ -222,6 +201,15 @@ func Finalize(best *binding.Binding, bestCost binding.Cost, opts Options) (*Resu
 		IC:        bestIC,
 		MergedMux: bestIC.MergedMuxCost(),
 	}, nil
+}
+
+// checkOcc is the Paranoid check after a search move commits or rolls
+// back: the transaction's occupancy must equal a from-scratch rebuild.
+func checkOcc(tx *binding.Tx, kind moveKind) error {
+	if err := tx.CheckOccupancy(); err != nil {
+		return fmt.Errorf("core: move %v: %w", kind, err)
+	}
+	return nil
 }
 
 // checkDelta is the Paranoid cross-check of one delta-evaluated

@@ -7,63 +7,78 @@ import (
 	"salsa/internal/workloads"
 )
 
+// applyChecked runs one move of the given kind through tx the way the
+// search does: Begin, apply, then — when the move applies — a legality
+// check of the mutated binding and its delta cost, which must equal a
+// full evaluation. An applied move is left open for the caller to
+// Commit or Rollback; one that does not apply is rolled back.
+func applyChecked(t *testing.T, tx *binding.Tx, mv *mover, kind moveKind) bool {
+	t.Helper()
+	tx.Begin()
+	if !mv.apply(tx, kind) {
+		tx.Rollback()
+		return false
+	}
+	if err := tx.B().Check(); err != nil {
+		t.Fatalf("%s produced an illegal binding: %v", kind, err)
+	}
+	delta, err := tx.DeltaCost()
+	if err != nil {
+		t.Fatalf("%s produced an unevaluable binding: %v", kind, err)
+	}
+	if err := checkDelta(tx.B(), delta, nil); err != nil {
+		t.Fatalf("%s: %v", kind, err)
+	}
+	return true
+}
+
 // TestMoveKindsPreserveLegality is the move-legality property test: for
 // every Table-1 move kind, applying the move to a legal EWF binding
-// must yield a binding that passes binding.Check and evaluates. The
-// walk adopts some mutated bindings as the new base so later applies
-// start from states deep in the search space, not just the initial
-// allocation.
+// must yield a binding that passes binding.Check and whose delta cost
+// equals a full evaluation. The walk commits some moves and rolls the
+// others back, so later applies start from states deep in the search
+// space, not just the initial allocation.
 func TestMoveKindsPreserveLegality(t *testing.T) {
 	g := workloads.EWF()
 	a, hw := setup(t, g, 3, 2, false)
 	opts := withDefaults(SALSAOptions(7))
-	base := binding.New(a, hw, binding.DefaultConfig())
-	if err := initialAllocation(base, opts); err != nil {
+	b := binding.New(a, hw, binding.DefaultConfig())
+	if err := initialAllocation(b, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Check(); err != nil {
+	if err := b.Check(); err != nil {
 		t.Fatalf("initial allocation illegal: %v", err)
 	}
 
 	rng := newRNG(opts.Seed)
-	mv := newMover(base, opts, rng)
+	mv := newMover(b, opts, rng)
 	fired := make(map[moveKind]int)
-	tx := binding.NewScratchTx(base)
+	tx, err := binding.NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Warm the base with a mixed walk: the initial allocation holds
+	// Warm the binding with a mixed walk: the initial allocation holds
 	// every value in one register, so transfer-dependent moves (F4/F5)
 	// have no instance until segment moves have created transfers.
 	for i := 0; i < 1500; i++ {
 		kind := mv.pickKind()
-		nb := base.Clone()
-		tx.Retarget(nb)
-		if !mv.apply(tx, kind) {
-			continue
+		if applyChecked(t, tx, mv, kind) {
+			fired[kind]++
+			tx.Commit()
 		}
-		fired[kind]++
-		if err := nb.Check(); err != nil {
-			t.Fatalf("%s produced an illegal binding during warm-up: %v", kind, err)
-		}
-		base = nb
 	}
 
 	for kind := moveKind(0); kind < numMoveKinds; kind++ {
-		cur := base.Clone()
 		for i := 0; i < 200; i++ {
-			nb := cur.Clone()
-			tx.Retarget(nb)
-			if !mv.apply(tx, kind) {
+			if !applyChecked(t, tx, mv, kind) {
 				continue
 			}
 			fired[kind]++
-			if err := nb.Check(); err != nil {
-				t.Fatalf("%s produced an illegal binding on apply %d: %v", kind, fired[kind], err)
-			}
-			if _, _, err := nb.Eval(); err != nil {
-				t.Fatalf("%s produced an unevaluable binding on apply %d: %v", kind, fired[kind], err)
-			}
 			if fired[kind]%3 == 0 {
-				cur = nb // walk deeper so later applies see varied states
+				tx.Commit() // walk deeper so later applies see varied states
+			} else {
+				tx.Rollback()
 			}
 		}
 	}
@@ -75,32 +90,29 @@ func TestMoveKindsPreserveLegality(t *testing.T) {
 }
 
 // TestMixedWalkStaysLegal interleaves all enabled move kinds in one
-// long random walk, checking legality after every successful apply —
-// cross-kind interactions (a split followed by an exchange followed by
-// a merge) are where stale-state bugs hide.
+// long random walk, checking legality and the delta cost after every
+// successful apply — cross-kind interactions (a split followed by an
+// exchange followed by a merge) are where stale-state bugs hide.
 func TestMixedWalkStaysLegal(t *testing.T) {
 	g := workloads.EWF()
 	a, hw := setup(t, g, 2, 1, false)
 	opts := withDefaults(SALSAOptions(11))
-	cur := binding.New(a, hw, binding.DefaultConfig())
-	if err := initialAllocation(cur, opts); err != nil {
+	b := binding.New(a, hw, binding.DefaultConfig())
+	if err := initialAllocation(b, opts); err != nil {
 		t.Fatal(err)
 	}
 	rng := newRNG(opts.Seed)
-	mv := newMover(cur, opts, rng)
-	tx := binding.NewScratchTx(cur)
+	mv := newMover(b, opts, rng)
+	tx, err := binding.NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	applied := 0
 	for i := 0; i < 600; i++ {
-		nb := cur.Clone()
-		tx.Retarget(nb)
-		if !mv.apply(tx, mv.pickKind()) {
-			continue
+		if applyChecked(t, tx, mv, mv.pickKind()) {
+			applied++
+			tx.Commit()
 		}
-		applied++
-		if err := nb.Check(); err != nil {
-			t.Fatalf("mixed walk: illegal binding after %d applies: %v", applied, err)
-		}
-		cur = nb
 	}
 	if applied < 50 {
 		t.Errorf("mixed walk only applied %d moves out of 600 attempts", applied)

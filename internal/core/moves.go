@@ -54,9 +54,7 @@ var moveWeights = [numMoveKinds]int{
 
 // mover bundles the random move generator with cached lookups. Moves
 // mutate the target binding exclusively through its transaction, so the
-// incremental search can undo a rejected move and the clone-based
-// reference path can drive the identical code (and identical random
-// sequence) against a scratch transaction.
+// search can undo a rejected move.
 type mover struct {
 	rng  *rand.Rand
 	opts Options

@@ -19,9 +19,7 @@ import (
 //
 // Candidates run as transactions on a private working clone: each one
 // is applied in place, costed from its dirty sinks, and rolled back
-// unless it improves — the same delta==full invariant the search's
-// inner loop relies on, so the accepted sequence (and therefore the
-// result) is identical to the historical clone-and-reevaluate sweep.
+// unless it improves.
 func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Binding, binding.Cost, *datapath.Interconnect, error) {
 	best := b.Clone()
 	tx, err := binding.NewTx(best)
@@ -32,21 +30,24 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 
 	// try closes the candidate move currently open on tx: commit when
 	// it strictly improves, roll back otherwise. A delta-evaluation
-	// error means the candidate was illegal — discarded exactly as the
-	// clone path discarded candidates whose Eval failed.
+	// error means the candidate was illegal and is discarded.
 	var paranoidErr error
 	try := func() bool {
 		candCost, err := tx.DeltaCost()
 		if opts.Paranoid && paranoidErr == nil {
 			paranoidErr = checkDelta(best, candCost, err)
 		}
-		if err == nil && candCost.Total < bestCost.Total {
+		ok := err == nil && candCost.Total < bestCost.Total
+		if ok {
 			tx.Commit()
 			bestCost = candCost
-			return true
+		} else {
+			tx.Rollback()
 		}
-		tx.Rollback()
-		return false
+		if opts.Paranoid && paranoidErr == nil {
+			paranoidErr = tx.CheckOccupancy()
+		}
+		return ok
 	}
 
 	g := best.A.Sched.G

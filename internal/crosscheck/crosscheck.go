@@ -13,13 +13,12 @@
 //     both allocations against the CDFG reference semantics;
 //   - the emitted RTL is parsed back and re-simulated at the gate level
 //     (internal/vsim.VerifyBinding);
-//   - the whole extended portfolio is re-run on the legacy
-//     clone-and-reevaluate path (core.Options.CloneEval) and must
-//     reproduce the transactional path's winning binding byte for byte
-//     at identical cost;
 //   - the whole extended portfolio is re-run under a different engine
-//     worker count and must reproduce the winning binding byte for
-//     byte.
+//     worker count with core.Options.Paranoid set, which compares the
+//     delta cost of every candidate move with a full binding.Eval,
+//     re-checks every accepted binding and compares the kept occupancy
+//     with a rebuild; every job of the re-run must succeed and the
+//     winning binding must be reproduced byte for byte.
 //
 // Any divergence between two views is a finding. A schedule the
 // pipeline cannot compile (too few steps, unrepairable loop-carried
@@ -68,7 +67,7 @@ const (
 	StageDpsim       = "dpsim"
 	StageDpsimTrad   = "dpsim-traditional"
 	StageVsim        = "vsim"
-	StageIncremental = "incremental-vs-clone"
+	StageParanoid    = "paranoid"
 	StageDeterminism = "determinism"
 )
 
@@ -86,13 +85,10 @@ type Config struct {
 	// SimIters is the number of loop iterations the simulators replay
 	// for cyclic graphs (default 4; straight-line graphs always run 1).
 	SimIters int
-	// DisableDeterminism skips the second engine run under a different
-	// worker count (the most expensive stage).
+	// DisableDeterminism skips the second engine run, the Paranoid
+	// re-run under a different worker count (the most expensive
+	// stage), and with it the paranoid and determinism stages.
 	DisableDeterminism bool
-	// DisableIncremental skips the clone-path re-run that asserts the
-	// transactional delta-cost search reproduces the legacy
-	// clone-and-reevaluate search byte for byte.
-	DisableIncremental bool
 	// Inject, when non-nil, corrupts a clone of the extended-model
 	// binding before the re-verification stages. It exists so tests and
 	// the salsafuzz -inject flag can prove the oracle catches (and the
@@ -261,34 +257,27 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 		return fail(StageVsim, "%v", err)
 	}
 
-	if !cfg.DisableIncremental {
-		// The same portfolio on the legacy clone-and-reevaluate path
-		// must retrace the transactional search move for move: the two
-		// draw identical random sequences and the delta cost of every
-		// move equals a full evaluation, so any divergence in the
-		// winning binding or its cost is an incremental-evaluation bug.
-		cloneJobs := make([]engine.Job, len(jobs))
-		copy(cloneJobs, jobs)
-		for i := range cloneJobs {
-			cloneJobs[i].Opts.CloneEval = true
-		}
-		cloneRes, _, err := engine.Run(nil, a, hw, cloneJobs, engine.Config{Workers: 1})
-		if err != nil {
-			return fail(StageIncremental, "clone-path re-run failed: %v", err)
-		}
-		if cloneRes.Cost != salsaRes.Cost {
-			return fail(StageIncremental, "clone path cost %+v, incremental path cost %+v",
-				cloneRes.Cost, salsaRes.Cost)
-		}
-		if f1, f2 := Fingerprint(salsaRes.Binding), Fingerprint(cloneRes.Binding); f1 != f2 {
-			return fail(StageIncremental, "winning binding differs between incremental and clone paths:\n  incremental: %s\n  clone:       %s", f1, f2)
-		}
-	}
-
 	if !cfg.DisableDeterminism {
-		again, _, err := engine.Run(nil, a, hw, jobs, engine.Config{Workers: 2})
+		// Paranoid draws no randomness, so the re-run retraces the same
+		// searches while checking every delta cost and the occupancy
+		// against full rebuilds: a failed job is an incremental-
+		// evaluation or move legality bug, a different winner a
+		// determinism bug. The engine keeps a failed job's error in its
+		// stats and still returns the other jobs' winner, so the stats
+		// are checked job by job. A job may run past its canonical
+		// pruning point by a timing-dependent margin; an error there is
+		// a bug all the same.
+		for i := range jobs {
+			jobs[i].Opts.Paranoid = true
+		}
+		again, st, err := engine.Run(nil, a, hw, jobs, engine.Config{Workers: 2})
+		for _, jr := range st.PerJob {
+			if jr.Err != nil {
+				return fail(StageParanoid, "paranoid re-run under 2 workers: job %d (%s): %v", jr.Job, jr.Label, jr.Err)
+			}
+		}
 		if err != nil {
-			return fail(StageDeterminism, "re-run under 2 workers failed: %v", err)
+			return fail(StageParanoid, "paranoid re-run under 2 workers failed: %v", err)
 		}
 		if f1, f2 := Fingerprint(salsaRes.Binding), Fingerprint(again.Binding); f1 != f2 {
 			return fail(StageDeterminism, "winning binding differs across worker counts:\n  w1: %s\n  w2: %s", f1, f2)

@@ -15,10 +15,10 @@ import (
 )
 
 // fastConfig keeps unit-test runtime low; the full-stage configuration
-// (including the incremental-vs-clone and worker-count re-runs) is
+// (including the Paranoid re-run under a different worker count) is
 // exercised by TestSeedsClean and the salsafuzz CI smoke run.
 func fastConfig() Config {
-	return Config{DisableDeterminism: true, DisableIncremental: true}
+	return Config{DisableDeterminism: true}
 }
 
 // TestSeedsClean runs the complete oracle (all stages, including the

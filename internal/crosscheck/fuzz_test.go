@@ -13,8 +13,8 @@ import (
 // graph space within each shape. Any finding is a real divergence
 // between two independent views of an allocation, so the target fails
 // hard on it. The zero Config leaves every stage enabled, including
-// the incremental-vs-clone re-run that retraces each portfolio on the
-// legacy clone-and-reevaluate path.
+// the Paranoid re-run that checks every delta cost of each portfolio
+// against a full evaluation.
 //
 // The seed corpus mirrors the benchmark suite: one entry per workload,
 // shaped to its op count, cyclicity and multiplier style, so the fuzz

@@ -5,13 +5,15 @@ import (
 	"sync"
 )
 
-// resultCache is a bounded LRU over finished response bodies, keyed by
+// ResultCache is a bounded LRU over finished response bodies, keyed by
 // the request's content address (graph fingerprint + normalized
 // options). Values are the exact bytes served for the original miss, so
 // a hit is byte-identical to the response that populated it. Only
 // complete (non-partial) results are stored — a deadline-truncated
-// result is not a deterministic function of the key.
-type resultCache struct {
+// result is not a deterministic function of the key. The service
+// caches its own results in one; the cluster router caches its
+// backends' answers in another.
+type ResultCache struct {
 	mu    sync.Mutex
 	max   int                      // immutable after construction
 	order *list.List               // guarded by mu; front = most recently used
@@ -23,12 +25,14 @@ type cacheEntry struct {
 	body []byte
 }
 
-func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, order: list.New(), items: make(map[string]*list.Element)}
+// NewResultCache returns an empty cache holding at most max entries; a
+// zero or negative max disables caching.
+func NewResultCache(max int) *ResultCache {
+	return &ResultCache{max: max, order: list.New(), items: make(map[string]*list.Element)}
 }
 
-// get returns the cached body for key and marks it most recently used.
-func (c *resultCache) get(key string) ([]byte, bool) {
+// Get returns the cached body for key and marks it most recently used.
+func (c *ResultCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -39,9 +43,9 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// put stores body under key, evicting the least recently used entry
+// Put stores body under key, evicting the least recently used entry
 // when the cache is full. A zero or negative capacity disables caching.
-func (c *resultCache) put(key string, body []byte) {
+func (c *ResultCache) Put(key string, body []byte) {
 	if c.max <= 0 {
 		return
 	}
@@ -62,7 +66,7 @@ func (c *resultCache) put(key string, body []byte) {
 
 // remove drops key if present (the simulation harness's forced
 // eviction; production never calls it).
-func (c *resultCache) remove(key string) {
+func (c *ResultCache) remove(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -71,8 +75,8 @@ func (c *resultCache) remove(key string) {
 	}
 }
 
-// len reports the current entry count.
-func (c *resultCache) len() int {
+// Len reports the current entry count.
+func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)

@@ -2,9 +2,9 @@ package service
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -255,7 +255,7 @@ func (r *jobRegistry) restore(id string) (*job, bool) {
 	if _, exists := r.jobs[id]; exists {
 		return nil, false
 	}
-	if seq, ok := parseJobSeq(id); ok && seq > r.seq {
+	if seq, _, ok := splitJobID(id); ok && seq > r.seq {
 		r.seq = seq
 	}
 	j := &job{id: id, clk: r.clk, created: r.clk.Now(), state: jobQueued, recovered: true}
@@ -272,30 +272,39 @@ func (r *jobRegistry) remove(id string) {
 	delete(r.jobs, id)
 }
 
+// ValidJobID reports whether id has the form of a job ID a service
+// issues, "jN-" plus lowercase hex digits: a content-keyed ID, or an
+// older-form one a journal written by an earlier version may still
+// hold. No other string can name a job.
+func ValidJobID(id string) bool {
+	_, _, ok := splitJobID(id)
+	return ok
+}
+
 // ContentKeyedJobID reports whether id has the form create issues,
 // "jN-" plus the 64 hex digits of the content key's SHA-256. Journals
 // written by earlier versions may still hold "jN-<fingerprint prefix>"
 // IDs, which are unique only within one process and name no request.
 func ContentKeyedJobID(id string) bool {
-	if _, ok := parseJobSeq(id); !ok {
-		return false
-	}
-	_, sum, _ := strings.Cut(id, "-")
-	if len(sum) != 2*sha256.Size {
-		return false
-	}
-	_, err := hex.DecodeString(sum)
-	return err == nil
+	_, sum, ok := splitJobID(id)
+	return ok && len(sum) == 2*sha256.Size
 }
 
-// parseJobSeq extracts N from a "jN-<suffix>" job ID.
-func parseJobSeq(id string) (int, bool) {
-	var seq int
-	var rest string
-	if _, err := fmt.Sscanf(id, "j%d-%s", &seq, &rest); err != nil {
-		return 0, false
+// splitJobID splits a "jN-<hex>" job ID into N and the hex suffix.
+func splitJobID(id string) (seq int, sum string, ok bool) {
+	rest, ok := strings.CutPrefix(id, "j")
+	if !ok {
+		return 0, "", false
 	}
-	return seq, true
+	num, sum, ok := strings.Cut(rest, "-")
+	if !ok || sum == "" || strings.Trim(sum, "0123456789abcdef") != "" {
+		return 0, "", false
+	}
+	n, err := strconv.ParseUint(num, 10, strconv.IntSize-1)
+	if err != nil {
+		return 0, "", false
+	}
+	return int(n), sum, true
 }
 
 func (r *jobRegistry) get(id string) *job {

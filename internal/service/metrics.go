@@ -195,7 +195,7 @@ func publishExpvar(s *Server) {
 			if srv == nil {
 				return nil
 			}
-			return srv.metrics.snapshot(srv.cache.len())
+			return srv.metrics.snapshot(srv.cache.Len())
 		}))
 	})
 }

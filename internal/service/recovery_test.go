@@ -197,7 +197,8 @@ func TestJobRecoverySurvivesUnjournaledServer(t *testing.T) {
 // so equal keys give equal ID suffixes and different keys different
 // ones; an ID of the older "jN-<fingerprint prefix>" form, as journals
 // written by earlier versions hold, still restores and advances the
-// sequence, but is not content-keyed.
+// sequence, but is not content-keyed. Both forms are valid job IDs;
+// nothing else is.
 func TestJobIDs(t *testing.T) {
 	r := newJobRegistry(8, clock.NewVirtual())
 	const legacy = "j7-3c62da355d7c"
@@ -228,5 +229,15 @@ func TestJobIDs(t *testing.T) {
 	}
 	if c.id != "j1-"+strings.TrimPrefix(a.id, "j8-") {
 		t.Errorf("equal content keys on two servers: %q vs %q, want equal suffixes", c.id, a.id)
+	}
+	for _, id := range []string{legacy, a.id, c.id} {
+		if !ValidJobID(id) {
+			t.Errorf("ValidJobID(%q) = false for an issued ID", id)
+		}
+	}
+	for _, id := range []string{"", "j1", "j1-", "j-1-ab", "j+1-ab", "jx-ab", "x1-ab", "j1-AB", "j1-ab/../metrics", "../metrics"} {
+		if ValidJobID(id) {
+			t.Errorf("ValidJobID(%q) = true", id)
+		}
 	}
 }

@@ -114,7 +114,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	metrics *metrics
-	cache   *resultCache
+	cache   *ResultCache
 	flight  *flightGroup
 	jobs    *jobRegistry
 	// journal is Config.Journal (nil when durability is disabled).
@@ -153,7 +153,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: newMetrics(),
-		cache:   newResultCache(cfg.CacheEntries),
+		cache:   NewResultCache(cfg.CacheEntries),
 		flight:  newFlightGroup(),
 		jobs:    newJobRegistry(cfg.MaxJobs, clk),
 		journal: cfg.Journal,
@@ -220,7 +220,7 @@ func (s *Server) recoverJobs() {
 // simulation harness and property tests reconcile observed responses
 // against it.
 func (s *Server) MetricsSnapshot() map[string]int64 {
-	return s.metrics.snapshot(s.cache.len())
+	return s.metrics.snapshot(s.cache.Len())
 }
 
 // Handler returns the service's HTTP mux.
@@ -384,7 +384,7 @@ func (s *Server) cacheGet(key string) ([]byte, bool) {
 	if s.hooks != nil && s.hooks.EvictCache != nil && s.hooks.EvictCache(key) {
 		s.cache.remove(key)
 	}
-	return s.cache.get(key)
+	return s.cache.Get(key)
 }
 
 // rejectDraining answers 503 during drain; reports whether it did.
@@ -593,7 +593,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.writePrometheus(w, s.cache.len())
+	s.metrics.writePrometheus(w, s.cache.Len())
 }
 
 // runAllocation is the singleflight leader's path: admission control,
@@ -667,7 +667,7 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 		// wrong to cache under a deterministic content address.
 		s.metrics.partials.Add(1)
 	} else {
-		s.cache.put(spec.key, body)
+		s.cache.Put(spec.key, body)
 	}
 	return &outcome{status: http.StatusOK, body: body, partial: rj.Partial}
 }

@@ -255,7 +255,7 @@ func TestShortDeadlinePartial(t *testing.T) {
 			if e.s.metrics.partials.Load() == 0 {
 				t.Error("partial counter not incremented")
 			}
-			if e.s.cache.len() != 0 {
+			if e.s.cache.Len() != 0 {
 				t.Error("partial result was cached")
 			}
 			return
@@ -593,24 +593,24 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestCacheLRU exercises the eviction order directly.
 func TestCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if _, ok := c.get("a"); !ok { // a is now most recently used
+	c := NewResultCache(2)
+	c.Put("a", []byte("A"))
+	c.Put("b", []byte("B"))
+	if _, ok := c.Get("a"); !ok { // a is now most recently used
 		t.Fatal("a missing")
 	}
-	c.put("c", []byte("C")) // evicts b
-	if _, ok := c.get("b"); ok {
+	c.Put("c", []byte("C")) // evicts b
+	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction")
 	}
-	if v, ok := c.get("a"); !ok || string(v) != "A" {
+	if v, ok := c.Get("a"); !ok || string(v) != "A" {
 		t.Error("a evicted out of LRU order")
 	}
-	if v, ok := c.get("c"); !ok || string(v) != "C" {
+	if v, ok := c.Get("c"); !ok || string(v) != "C" {
 		t.Error("c missing")
 	}
-	if c.len() != 2 {
-		t.Errorf("len %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Errorf("len %d, want 2", c.Len())
 	}
 }
 
