@@ -12,7 +12,13 @@
 package salsa_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -28,6 +34,7 @@ import (
 	"salsa/internal/match"
 	"salsa/internal/place"
 	"salsa/internal/rtl"
+	"salsa/internal/service"
 	"salsa/internal/vsim"
 	"salsa/internal/workloads"
 )
@@ -486,6 +493,49 @@ func BenchmarkMatchingAllocateEWF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.MatchingAllocate(a, hw, binding.DefaultConfig()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeCachedAllocate measures salsad's cache-hit path: one
+// POST /allocate through the service handler, cycling over the testdata
+// corpus × search seeds 1–2 (the hot set of salsabench's warm-repeat),
+// every request a byte-identical repeat of a prewarmed one.
+func BenchmarkServeCachedAllocate(b *testing.B) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("corpus: %v (%d files)", err, len(files))
+	}
+	var bodies [][]byte
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, seed := range []int64{1, 2} {
+			body, err := json.Marshal(service.AllocateRequest{Graph: raw, Seed: seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	h := service.New(service.Config{}).Handler()
+	serve := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/allocate", bytes.NewReader(body)))
+		return rec
+	}
+	for _, body := range bodies {
+		if rec := serve(body); rec.Code != http.StatusOK {
+			b.Fatalf("prewarm: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(bodies[i%len(bodies)]); rec.Header().Get("X-Salsa-Cache") != "hit" {
+			b.Fatalf("request %d: status %d cache %q, want a hit", i, rec.Code, rec.Header().Get("X-Salsa-Cache"))
 		}
 	}
 }

@@ -18,7 +18,10 @@ type routerMetrics struct {
 	rehomed   atomic.Int64 // requests whose healthy-ring owner differs from the full-ring owner
 	cacheHits atomic.Int64 // router response-cache hits
 	cacheMiss atomic.Int64 // router response-cache misses
-	noBackend atomic.Int64 // 503s for an empty healthy ring
+	// bodyDigestHits counts /allocate and /jobs requests whose content
+	// address the body table knew, so their body was not decoded.
+	bodyDigestHits atomic.Int64
+	noBackend      atomic.Int64 // 503s for an empty healthy ring
 	// jobsLost counts genuine loss: every member reachable, none knows
 	// the job — no replica of the owning journal survives. A merely
 	// unreachable shard counts jobUnavailable instead (its journal may
@@ -69,6 +72,7 @@ func (m *routerMetrics) writePrometheus(w io.Writer) {
 	counter("salsa_router_rehomed_total", "Requests whose owner moved because a backend was unhealthy.", m.rehomed.Load())
 	counter("salsa_router_cache_hits_total", "Router response-cache hits.", m.cacheHits.Load())
 	counter("salsa_router_cache_misses_total", "Router response-cache misses.", m.cacheMiss.Load())
+	counter("salsa_router_body_digest_hits_total", "Requests whose body the body table knew, addressed without decoding it.", m.bodyDigestHits.Load())
 	counter("salsa_router_no_backend_total", "Requests rejected because no backend was healthy.", m.noBackend.Load())
 	counter("salsa_router_jobs_lost_total", "Job polls for which no reachable shard knows the job (genuine loss; resubmit).", m.jobsLost.Load())
 	counter("salsa_router_job_unavailable_total", "Job polls answered 503 while the pinned shard is unreachable (journal may recover it).", m.jobUnavailable.Load())
@@ -82,15 +86,16 @@ func (m *routerMetrics) writePrometheus(w io.Writer) {
 // snapshot returns the router counters as a flat map for tests.
 func (m *routerMetrics) snapshot() map[string]int64 {
 	out := map[string]int64{
-		"requests_total":        m.requests.Load(),
-		"routed_total":          m.routed.Load(),
-		"failover_total":        m.failovers.Load(),
-		"rehomed_total":         m.rehomed.Load(),
-		"cache_hits_total":      m.cacheHits.Load(),
-		"cache_misses_total":    m.cacheMiss.Load(),
-		"no_backend_total":      m.noBackend.Load(),
-		"jobs_lost_total":       m.jobsLost.Load(),
-		"job_unavailable_total": m.jobUnavailable.Load(),
+		"requests_total":         m.requests.Load(),
+		"routed_total":           m.routed.Load(),
+		"failover_total":         m.failovers.Load(),
+		"rehomed_total":          m.rehomed.Load(),
+		"cache_hits_total":       m.cacheHits.Load(),
+		"cache_misses_total":     m.cacheMiss.Load(),
+		"body_digest_hits_total": m.bodyDigestHits.Load(),
+		"no_backend_total":       m.noBackend.Load(),
+		"jobs_lost_total":        m.jobsLost.Load(),
+		"job_unavailable_total":  m.jobUnavailable.Load(),
 	}
 	backends, counts := m.shards()
 	for i, b := range backends {

@@ -41,8 +41,8 @@ type Config struct {
 	// to unhealthy (re-homing its keys); 0 selects 2. Recovery is
 	// immediate: one good probe readmits.
 	FailAfter int
-	// CacheEntries bounds the router's response cache; 0 selects 128,
-	// negative disables.
+	// CacheEntries bounds the router's response cache and its body
+	// table; 0 selects 128, negative disables both.
 	CacheEntries int
 	// Replicas is the ring's virtual-node count per backend; 0 selects
 	// DefaultReplicas.
@@ -93,13 +93,15 @@ func (c Config) withDefaults() Config {
 // Router proxies the salsad API over a consistent-hash ring of
 // backends. Construct with New, call Start to begin health probing,
 // mount Handler on an http.Server, and call Drain on shutdown. The
-// router holds no allocation state of its own beyond a response cache,
-// so any number of router instances can front the same fleet.
+// router holds no allocation state of its own beyond a response cache
+// and a body table, so any number of router instances can front the
+// same fleet.
 type Router struct {
 	cfg     Config
 	clock   clock.Clock
 	metrics *routerMetrics
 	cache   *service.ResultCache
+	bodies  *service.BodyTable
 	// full is the ring over every configured backend, healthy or not —
 	// the reference a request's "natural" owner is computed against so
 	// re-homing is observable. Immutable after construction.
@@ -151,6 +153,7 @@ func New(cfg Config) (*Router, error) {
 		clock:   cfg.Clock,
 		metrics: newRouterMetrics(),
 		cache:   service.NewResultCache(cfg.CacheEntries),
+		bodies:  service.NewBodyTable(cfg.CacheEntries),
 		full:    NewRing(backends, cfg.Replicas),
 		clients: make(map[string]*client.Client, len(backends)),
 		index:   make(map[string]int, len(backends)),
@@ -423,22 +426,31 @@ func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, boo
 	return body, true
 }
 
-// contentKeyOf decodes just enough of the wire request to compute its
-// content address, answering 400 itself on malformed requests (the
-// router validates exactly as the backend would, so a request it
+// contentKeyOf returns the wire request's content address, which both
+// routes it and keys the router cache. A body the body table knows is
+// not decoded; any other is decoded just enough to compute the address
+// and then recorded. The router answers 400 itself on malformed
+// requests (it validates exactly as the backend would, so a request it
 // forwards is never bounced as malformed by the shard).
-func contentKeyOf(w http.ResponseWriter, body []byte) (fingerprint, key string, ok bool) {
+func (r *Router) contentKeyOf(w http.ResponseWriter, body []byte) (service.ContentAddr, bool) {
+	digest, addr, known := r.bodies.Lookup(body)
+	if known {
+		r.metrics.bodyDigestHits.Add(1)
+		return addr, true
+	}
 	var ar service.AllocateRequest
 	if err := json.Unmarshal(body, &ar); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return "", "", false
+		return service.ContentAddr{}, false
 	}
 	fp, key, err := ar.ContentKey()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return "", "", false
+		return service.ContentAddr{}, false
 	}
-	return fp, key, true
+	addr = service.ContentAddr{Fingerprint: fp, Key: key}
+	r.bodies.Record(digest, addr)
+	return addr, true
 }
 
 // handleAllocate proxies one synchronous allocation to the
@@ -455,11 +467,11 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	fp, key, ok := contentKeyOf(w, body)
+	addr, ok := r.contentKeyOf(w, body)
 	if !ok {
 		return
 	}
-	if cached, hit := r.cache.Get(key); hit {
+	if cached, hit := r.cache.Get(addr.Key); hit {
 		r.metrics.cacheHits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Salsa-Cache", "hit")
@@ -469,14 +481,14 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.metrics.cacheMiss.Add(1)
-	res, backend, err := r.proxy(req.Context(), http.MethodPost, "/allocate", body, fp)
+	res, backend, err := r.proxy(req.Context(), http.MethodPost, "/allocate", body, addr.Fingerprint)
 	if err != nil {
 		writeUnavailable(w, "cluster: "+err.Error())
 		return
 	}
 	passthrough(w, res, backend)
 	if res.Status == http.StatusOK && !isPartial(res.Body) {
-		r.cache.Put(key, res.Body)
+		r.cache.Put(addr.Key, res.Body)
 	}
 }
 
@@ -511,11 +523,11 @@ func (r *Router) handleSubmitJob(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	fp, _, ok := contentKeyOf(w, body)
+	addr, ok := r.contentKeyOf(w, body)
 	if !ok {
 		return
 	}
-	res, backend, err := r.proxy(req.Context(), http.MethodPost, "/jobs", body, fp)
+	res, backend, err := r.proxy(req.Context(), http.MethodPost, "/jobs", body, addr.Fingerprint)
 	if err != nil {
 		writeUnavailable(w, "cluster: "+err.Error())
 		return

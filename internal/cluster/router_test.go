@@ -507,22 +507,81 @@ func TestRouterJobPollSharedID(t *testing.T) {
 
 // TestRouterBadRequest: the router validates requests itself, so a
 // malformed request is bounced at the edge without spending a backend
-// exchange.
+// exchange — on repeat too, since a rejected body never enters the
+// body table.
 func TestRouterBadRequest(t *testing.T) {
 	tc := newTestCluster(t, 1, Config{})
-	for _, body := range []string{"{not json", `{}`, `{"graph":{"name":"x","nodes":[],"edges":[]},"mode":"bogus"}`} {
-		resp, err := http.Post(tc.front.URL+"/allocate", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
+	for _, body := range []string{
+		"{not json", `{}`,
+		`{"graph":{"name":"x","nodes":[],"edges":[]},"mode":"bogus"}`,
+		`{"graph":{"name":"x","nodes":[],"edges":[]},"steps":-4}`,
+	} {
+		for i := 0; i < 2; i++ {
+			resp, err := http.Post(tc.front.URL+"/allocate", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("body %q, attempt %d: status %d, want 400", body, i+1, resp.StatusCode)
+			}
 		}
 	}
-	if m := tc.router.MetricsSnapshot(); m["routed_total"] != 0 {
+	m := tc.router.MetricsSnapshot()
+	if m["routed_total"] != 0 {
 		t.Errorf("routed_total = %d after only malformed requests, want 0", m["routed_total"])
+	}
+	if m["body_digest_hits_total"] != 0 || tc.router.bodies.Len() != 0 {
+		t.Errorf("malformed requests: %d body-digest hits, %d table entries; want 0 and 0",
+			m["body_digest_hits_total"], tc.router.bodies.Len())
+	}
+}
+
+// TestRouterBodyTable: a body the router has addressed once is not
+// decoded again. Its repeat is a router-cache hit served from the table,
+// and the same body as a job routes from the table to the same shard
+// the sync request went to. With caching off, the table is off too.
+func TestRouterBodyTable(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+	body := allocBody(t, workloads.Figure1(), 1)
+	hits := func() int64 { return tc.router.MetricsSnapshot()["body_digest_hits_total"] }
+
+	resp1, out1 := postAllocate(t, tc.front.URL, body)
+	shard := resp1.Header.Get("X-Salsa-Shard")
+	if resp1.StatusCode != http.StatusOK || hits() != 0 {
+		t.Fatalf("first request: status %d, %d body-digest hits; want 200 and 0", resp1.StatusCode, hits())
+	}
+	resp2, out2 := postAllocate(t, tc.front.URL, body)
+	if resp2.Header.Get("X-Salsa-Cache") != "hit" || resp2.Header.Get("X-Salsa-Shard") != "router" || !bytes.Equal(out1, out2) {
+		t.Errorf("repeat: cache %q shard %q identical %t, want a byte-identical router hit",
+			resp2.Header.Get("X-Salsa-Cache"), resp2.Header.Get("X-Salsa-Shard"), bytes.Equal(out1, out2))
+	}
+	if hits() != 1 {
+		t.Errorf("after the repeat: %d body-digest hits, want 1", hits())
+	}
+
+	resp, err := http.Post(tc.front.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Salsa-Shard") != shard {
+		t.Errorf("job from a known body: status %d shard %q, want 202 on %q", resp.StatusCode, resp.Header.Get("X-Salsa-Shard"), shard)
+	}
+	if hits() != 2 || tc.router.bodies.Len() != 1 {
+		t.Errorf("after the job: %d body-digest hits, %d table entries; want 2 and 1", hits(), tc.router.bodies.Len())
+	}
+
+	off := newTestCluster(t, 1, Config{CacheEntries: -1})
+	for i := 0; i < 2; i++ {
+		if resp, _ := postAllocate(t, off.front.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("caching off, request %d: status %d", i+1, resp.StatusCode)
+		}
+	}
+	if m := off.router.MetricsSnapshot(); m["body_digest_hits_total"] != 0 || off.router.bodies.Len() != 0 {
+		t.Errorf("caching off: %d body-digest hits, %d table entries; want 0 and 0", m["body_digest_hits_total"], off.router.bodies.Len())
 	}
 }
 
@@ -545,6 +604,7 @@ func TestRouterMetricsAggregation(t *testing.T) {
 	for _, want := range []string{
 		"salsa_router_requests_total 2",
 		"salsa_router_routed_total 1",
+		"salsa_router_body_digest_hits_total 0",
 		fmt.Sprintf("salsa_router_backend_healthy{backend=%q} 1", tc.backends[0].URL),
 		fmt.Sprintf("salsa_router_backend_healthy{backend=%q} 1", tc.backends[1].URL),
 	} {

@@ -135,6 +135,16 @@ func collectGuards(pass *Pass) map[types.Object]*guardSpec {
 	return guarded
 }
 
+// fieldOrigin maps a field selected through an instantiated generic
+// struct (including a method's own receiver, LRU[K, V]) to the declared
+// field, the object collectGuards keyed its annotation by.
+func fieldOrigin(obj types.Object) types.Object {
+	if v, ok := obj.(*types.Var); ok {
+		return v.Origin()
+	}
+	return obj
+}
+
 // siblingMutex reports whether the struct has a field called name
 // whose type is a mutex.
 func siblingMutex(pass *Pass, st *ast.StructType, name string) bool {
@@ -222,7 +232,7 @@ func markGuardedWrites(pass *Pass, guarded map[types.Object]*guardSpec, file *as
 				e = x.X
 			case *ast.SelectorExpr:
 				if sel, ok := pass.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-					if _, ok := guarded[sel.Obj()]; ok {
+					if _, ok := guarded[fieldOrigin(sel.Obj())]; ok {
 						writes[x] = true
 					}
 				}
@@ -492,7 +502,7 @@ func checkLockguardBody(pass *Pass, guarded map[types.Object]*guardSpec, writes 
 			if !ok || selection.Kind() != types.FieldVal {
 				return
 			}
-			spec, ok := guarded[selection.Obj()]
+			spec, ok := guarded[fieldOrigin(selection.Obj())]
 			if !ok {
 				return
 			}

@@ -133,3 +133,25 @@ func (t *table) store(k string, v int) {
 	defer t.rw.Unlock()
 	t.rows[k] = v
 }
+
+// box is generic: its methods select fields through an instantiation
+// (box[T] with the receiver's own T), which must resolve to the
+// annotated declaration.
+type box[T any] struct {
+	mu  sync.Mutex
+	val T // guarded by mu
+}
+
+func (b *box[T]) get() T {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.val
+}
+
+func (b *box[T]) badSet(v T) {
+	b.val = v // want "write of b.val without holding b.mu"
+}
+
+func badIntBox(b *box[int]) int {
+	return b.val // want "read of b.val without holding b.mu"
+}

@@ -61,7 +61,9 @@ type allocSpec struct {
 // unbounded engine jobs (restarts), hardware registers
 // (extra_registers) or schedule length (steps) — nor, once journaled,
 // replay that demand on every boot. Each cap is far above what the
-// testdata corpus, the CLI defaults and the experiments use.
+// testdata corpus, the CLI defaults and the experiments use. Negative
+// extra_registers and steps are rejected with 400 too; a negative
+// restarts selects the default, like zero.
 const (
 	MaxRestarts       = 64
 	MaxExtraRegisters = 64
@@ -86,6 +88,14 @@ func (ar *AllocateRequest) normalize() (salsa.Request, error) {
 	} {
 		if c.val > c.max {
 			return salsa.Request{}, fmt.Errorf("%s %d exceeds the cap of %d", c.field, c.val, c.max)
+		}
+	}
+	for _, c := range []struct {
+		field string
+		val   int
+	}{{"extra_registers", ar.ExtraRegisters}, {"steps", ar.Steps}} {
+		if c.val < 0 {
+			return salsa.Request{}, fmt.Errorf("negative %s %d", c.field, c.val)
 		}
 	}
 	g, err := cdfg.ParseJSON(ar.Graph)

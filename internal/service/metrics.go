@@ -26,6 +26,7 @@ type metrics struct {
 	allocRequests   atomic.Int64 // requests that reached /allocate or /jobs
 	cacheHits       atomic.Int64
 	cacheMisses     atomic.Int64
+	bodyDigestHits  atomic.Int64 // cache hits served by body digest, without a decode
 	flightLeads     atomic.Int64 // singleflight leaders (one engine run each)
 	flightShared    atomic.Int64 // followers served from a leader's run
 	flightAbandoned atomic.Int64 // parked waiters whose request ctx expired first
@@ -114,6 +115,7 @@ func (m *metrics) writePrometheus(w io.Writer, cacheEntries int) {
 	counter("salsa_allocate_requests_total", "Allocation requests (sync and async).", m.allocRequests.Load())
 	counter("salsa_cache_hits_total", "Result-cache hits.", m.cacheHits.Load())
 	counter("salsa_cache_misses_total", "Result-cache misses.", m.cacheMisses.Load())
+	counter("salsa_body_digest_hits_total", "Result-cache hits whose body the body table knew, served without decoding it.", m.bodyDigestHits.Load())
 	gauge("salsa_cache_entries", "Result-cache resident entries.", int64(cacheEntries))
 	counter("salsa_singleflight_leader_total", "Requests that led an engine run.", m.flightLeads.Load())
 	counter("salsa_singleflight_shared_total", "Requests deduplicated onto an in-flight identical run.", m.flightShared.Load())
@@ -155,6 +157,7 @@ func (m *metrics) snapshot(cacheEntries int) map[string]int64 {
 		"allocate_requests_total":      m.allocRequests.Load(),
 		"cache_hits_total":             m.cacheHits.Load(),
 		"cache_misses_total":           m.cacheMisses.Load(),
+		"body_digest_hits_total":       m.bodyDigestHits.Load(),
 		"cache_entries":                int64(cacheEntries),
 		"singleflight_leader_total":    m.flightLeads.Load(),
 		"singleflight_shared_total":    m.flightShared.Load(),

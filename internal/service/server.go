@@ -11,6 +11,10 @@
 //   - a content-addressed LRU result cache keyed by
 //     (cdfg.Fingerprint, normalized options) storing exact response
 //     bytes, so a hit is byte-identical to the miss that filled it;
+//   - a body table in front of the decode: a POST /allocate body
+//     byte-identical to one that already decoded and validated finds
+//     its content address by SHA-256 digest, and a cached result is
+//     served without decoding the body again;
 //   - singleflight deduplication: identical requests in flight collapse
 //     to one engine run, followers share the leader's response bytes;
 //   - admission control: a bounded wait queue in front of a bounded
@@ -52,8 +56,8 @@ import (
 
 // Config tunes one Server.
 type Config struct {
-	// CacheEntries bounds the result cache; 0 selects 256, negative
-	// disables caching.
+	// CacheEntries bounds the result cache and the body table; 0
+	// selects 256, negative disables both.
 	CacheEntries int
 	// MaxConcurrent bounds simultaneous engine runs; 0 selects 2.
 	MaxConcurrent int
@@ -115,6 +119,7 @@ type Server struct {
 	cfg     Config
 	metrics *metrics
 	cache   *ResultCache
+	bodies  *BodyTable
 	flight  *flightGroup
 	jobs    *jobRegistry
 	// journal is Config.Journal (nil when durability is disabled).
@@ -154,6 +159,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		metrics: newMetrics(),
 		cache:   NewResultCache(cfg.CacheEntries),
+		bodies:  NewBodyTable(cfg.CacheEntries),
 		flight:  newFlightGroup(),
 		jobs:    newJobRegistry(cfg.MaxJobs, clk),
 		journal: cfg.Journal,
@@ -325,20 +331,26 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// decodeRequest reads and parses the wire request; on failure it writes
-// the error response and returns nil.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *allocSpec {
+// readBody reads the request body under the MaxBodyBytes bound; on
+// failure it writes the error response and returns false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
 				errorBody(fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)))
-			return nil
+			return nil, false
 		}
 		writeJSON(w, http.StatusBadRequest, errorBody("reading request body: "+err.Error()))
-		return nil
+		return nil, false
 	}
+	return body, true
+}
+
+// decodeRequest parses and validates the wire request; on failure it
+// writes the error response and returns nil.
+func (s *Server) decodeRequest(w http.ResponseWriter, body []byte) *allocSpec {
 	var ar AllocateRequest
 	if err := json.Unmarshal(body, &ar); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody("decoding request: "+err.Error()))
@@ -397,7 +409,10 @@ func (s *Server) rejectDraining(w http.ResponseWriter) bool {
 	return true
 }
 
-// handleAllocate is the synchronous allocation endpoint.
+// handleAllocate is the synchronous allocation endpoint. A body the
+// body table knows, whose result is cached, is served without being
+// decoded; anything else is decoded, validated and then recorded in
+// the table.
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.allocRequests.Add(1)
 	if s.rejectDraining(w) {
@@ -405,14 +420,25 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.work.Add(1)
 	defer s.work.Done()
-	spec := s.decodeRequest(w, r)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	digest, addr, known := s.bodies.Lookup(body)
+	if known {
+		if cached, hit := s.cacheGet(addr.Key); hit {
+			s.metrics.bodyDigestHits.Add(1)
+			s.serveHit(w, cached)
+			return
+		}
+	}
+	spec := s.decodeRequest(w, body)
 	if spec == nil {
 		return
 	}
-	if body, ok := s.cacheGet(spec.key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Salsa-Cache", "hit")
-		writeJSON(w, http.StatusOK, body)
+	s.bodies.Record(digest, ContentAddr{Fingerprint: spec.fingerprint, Key: spec.key})
+	if cached, hit := s.cacheGet(spec.key); hit {
+		s.serveHit(w, cached)
 		return
 	}
 	s.metrics.cacheMisses.Add(1)
@@ -437,6 +463,13 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, out)
 }
 
+// serveHit answers a synchronous request from the result cache.
+func (s *Server) serveHit(w http.ResponseWriter, body []byte) {
+	s.metrics.cacheHits.Add(1)
+	w.Header().Set("X-Salsa-Cache", "hit")
+	writeJSON(w, http.StatusOK, body)
+}
+
 // handleSubmitJob is the asynchronous submission endpoint: it answers
 // 202 with a job ID immediately and runs the allocation in the
 // background, exposing engine telemetry as progress on /jobs/{id}.
@@ -445,7 +478,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
 	}
-	spec := s.decodeRequest(w, r)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	spec := s.decodeRequest(w, body)
 	if spec == nil {
 		return
 	}

@@ -496,29 +496,32 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestRequestCaps: a request over a size cap is answered 400 naming the
-// field and the cap, before any search runs; a request at the caps
-// passes validation.
+// TestRequestCaps: a request over a size cap, or with a negative
+// extra_registers or steps, is answered 400 naming the field and the
+// bound, before any search runs; a request at the caps passes
+// validation.
 func TestRequestCaps(t *testing.T) {
 	e := newTestServer(t, Config{})
 	cases := []struct {
-		field  string
-		mutate func(*AllocateRequest)
-		cap    int
+		name, field string
+		mutate      func(*AllocateRequest)
+		want        string
 	}{
-		{"restarts", func(ar *AllocateRequest) { ar.Restarts = MaxRestarts + 1 }, MaxRestarts},
-		{"extra_registers", func(ar *AllocateRequest) { ar.ExtraRegisters = MaxExtraRegisters + 1 }, MaxExtraRegisters},
-		{"steps", func(ar *AllocateRequest) { ar.Steps = MaxSteps + 1 }, MaxSteps},
+		{"restarts", "restarts", func(ar *AllocateRequest) { ar.Restarts = MaxRestarts + 1 }, fmt.Sprintf("exceeds the cap of %d", MaxRestarts)},
+		{"extra_registers", "extra_registers", func(ar *AllocateRequest) { ar.ExtraRegisters = MaxExtraRegisters + 1 }, fmt.Sprintf("exceeds the cap of %d", MaxExtraRegisters)},
+		{"steps", "steps", func(ar *AllocateRequest) { ar.Steps = MaxSteps + 1 }, fmt.Sprintf("exceeds the cap of %d", MaxSteps)},
+		{"negative extra_registers", "extra_registers", func(ar *AllocateRequest) { ar.ExtraRegisters = -3 }, "negative"},
+		{"negative steps", "steps", func(ar *AllocateRequest) { ar.Steps = -4 }, "negative"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.field, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			for _, path := range []string{"/allocate", "/jobs"} {
 				status, _, body := e.post(t, path, allocBody(t, workloads.Figure1(), tc.mutate))
 				if status != http.StatusBadRequest {
 					t.Fatalf("%s: status %d, want 400 (body %s)", path, status, body)
 				}
-				if want := fmt.Sprintf("exceeds the cap of %d", tc.cap); !strings.Contains(string(body), tc.field) || !strings.Contains(string(body), want) {
-					t.Errorf("%s: error %s does not name the field and its cap", path, body)
+				if !strings.Contains(string(body), tc.field) || !strings.Contains(string(body), tc.want) {
+					t.Errorf("%s: error %s does not name the field and its bound", path, body)
 				}
 			}
 			var ar AllocateRequest
@@ -530,8 +533,9 @@ func TestRequestCaps(t *testing.T) {
 			}
 		})
 	}
-	if m := e.s.metrics.snapshot(0); m["engine_invocations_total"] != 0 {
-		t.Errorf("over-cap requests reached the engine: %v", m["engine_invocations_total"])
+	if m := e.s.metrics.snapshot(0); m["engine_invocations_total"] != 0 || m["jobs_submitted_total"] != 0 {
+		t.Errorf("out-of-bounds requests reached the engine (%d runs) or the job registry (%d jobs)",
+			m["engine_invocations_total"], m["jobs_submitted_total"])
 	}
 	atCap := AllocateRequest{Restarts: MaxRestarts, ExtraRegisters: MaxExtraRegisters, Steps: MaxSteps}
 	atCap.Graph = mustMarshal(t, workloads.Figure1())
@@ -558,6 +562,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`salsa_http_responses_total{code="200"} 2`,
 		"salsa_cache_hits_total 1",
 		"salsa_cache_misses_total 1",
+		"salsa_body_digest_hits_total 1",
 		"salsa_engine_invocations_total 1",
 		"salsa_singleflight_leader_total 1",
 		"salsa_queue_depth 0",

@@ -22,8 +22,8 @@ import (
 // TestServiceSmoke hammers a server with 200 concurrent mixed requests:
 // repeated graphs (cache hits and singleflight shares), distinct seeds
 // (misses), and 1ms deadlines (expected 408s). Every response must be a
-// well-understood status — never a 5xx — and the cache hit rate must be
-// positive.
+// well-understood status — never a 5xx — and the cache hit rate and the
+// body table's hits must be positive.
 //
 // By default it runs against an in-process httptest server; when
 // SALSAD_URL is set (CI boots a real salsad binary) it targets that
@@ -155,6 +155,12 @@ func TestServiceSmoke(t *testing.T) {
 		t.Errorf("salsa_cache_hits_total = %d, want > 0", metricHits)
 	}
 	t.Logf("cache hits: %d direct, %d cumulative in /metrics", hits.Load(), metricHits)
+
+	// The "normal" requests are byte-identical to the warm-up bodies, so
+	// the body table must have served some of them without a decode.
+	if digestHits := scrapeCounter(t, client, base, "salsa_body_digest_hits_total"); digestHits <= 0 {
+		t.Errorf("salsa_body_digest_hits_total = %d, want > 0", digestHits)
+	}
 }
 
 func mustMarshalSmoke(t *testing.T, g *cdfg.Graph) []byte {
