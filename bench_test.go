@@ -15,11 +15,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"salsa"
@@ -536,6 +540,55 @@ func BenchmarkServeCachedAllocate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if rec := serve(bodies[i%len(bodies)]); rec.Header().Get("X-Salsa-Cache") != "hit" {
 			b.Fatalf("request %d: status %d cache %q, want a hit", i, rec.Code, rec.Header().Get("X-Salsa-Cache"))
+		}
+	}
+}
+
+// BenchmarkServeColdAllocate measures salsad's search path under
+// concurrent load: two clients POST /allocate through the service
+// handler with the result cache and body table off, so every request
+// runs the engine. One op is the testdata corpus at one search seed,
+// 8 requests shared between the two clients.
+func BenchmarkServeColdAllocate(b *testing.B) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("corpus: %v (%d files)", err, len(files))
+	}
+	bodies := make([][]byte, len(files))
+	for i, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bodies[i], err = json.Marshal(service.AllocateRequest{Graph: raw, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h := service.New(service.Config{CacheEntries: -1}).Handler()
+	const clients = 2
+	errs := make([]error, clients)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for c := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := next.Add(1) - 1; k < int64(len(bodies)); k = next.Add(1) - 1 {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/allocate", bytes.NewReader(bodies[k])))
+					if rec.Code != http.StatusOK || rec.Header().Get("X-Salsa-Cache") != "miss" {
+						errs[c] = fmt.Errorf("%s: status %d cache %q: %s", files[k], rec.Code, rec.Header().Get("X-Salsa-Cache"), rec.Body)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxQueue      = fs.Int("max-queue", 64, "maximum requests waiting for an engine slot before 429")
 		defTimeout    = fs.Duration("default-timeout", 30*time.Second, "search deadline for requests without timeout_ms")
 		maxTimeout    = fs.Duration("max-timeout", 2*time.Minute, "upper clamp on request deadlines")
-		workers       = fs.Int("engine-workers", 0, "engine workers per run (0 = GOMAXPROCS)")
+		workers       = fs.Int("engine-workers", 0, "engine workers per run (0 = GOMAXPROCS divided among the runs holding an engine slot)")
 		journalDir    = fs.String("journal", "", "write-ahead journal directory for durable async jobs (empty disables; replayed on boot)")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight work on SIGTERM")
 		route         = fs.String("route", "", "comma-separated backend base URLs; boots as a cluster router instead of a backend")

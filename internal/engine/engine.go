@@ -25,11 +25,14 @@
 //     stop early, but the incumbent only ever carries canonical
 //     results of already-resolved lower-index jobs, so a live stop can
 //     never come before the canonical boundary — only after it, when
-//     the incumbent was still in flight. Any overrun is discarded by
+//     a lower-index job was still running. Any overrun is discarded by
 //     the reduction, which rebuilds the canonical result from the
 //     job's recorded trial-boundary trajectory (core.Finalize on the
 //     best-so-far at the boundary — the same bytes a live stop there
-//     would have produced).
+//     would have produced). Workers claim jobs in portfolio order and
+//     resolve the finished prefix before claiming the next job, so
+//     with one worker the incumbent is always canonical and no job
+//     overruns.
 //
 // Cancellation is the one escape hatch: a deadline stops jobs mid-
 // trial, which is inherently timing-dependent, so runs that hit their
@@ -56,7 +59,8 @@ import (
 type Config struct {
 	// Workers bounds the number of concurrent searches; <= 0 selects
 	// GOMAXPROCS. Workers = 1 is the sequential degenerate case: jobs
-	// run one at a time in portfolio order.
+	// run one at a time in portfolio order on the calling goroutine,
+	// each resolved before the next starts.
 	Workers int
 	// Timeout, when positive, bounds the whole portfolio's wall time;
 	// on expiry the best allocation found so far is returned.
@@ -110,51 +114,30 @@ func Run(ctx context.Context, a *lifetime.Analysis, hw *datapath.Hardware, jobs 
 	statJobs.Add(int64(len(jobs)))
 	statWorkers.Add(int64(workers))
 
-	eng := &run{jobs: jobs, cfg: cfg, start: start}
+	eng := &run{
+		jobs: jobs, cfg: cfg, start: start,
+		outcomes: make([]*outcome, len(jobs)),
+		st:       &Stats{Jobs: len(jobs), BestJob: -1, PerJob: make([]JobResult, len(jobs))},
+	}
 	eng.incumbent.Store(math.MaxInt64)
 	eng.liveBest = math.MaxInt64
 
-	// Feed job indices in portfolio order to a bounded pool. Workers
-	// drain the queue even after cancellation (a cancelled job returns
-	// its best-so-far almost immediately), which keeps the accounting
-	// exact: one done signal per job.
-	feed := make(chan int)
-	done := make(chan int, len(jobs))
-	outcomes := make([]*outcome, len(jobs))
+	// The calling goroutine is one of the workers. Workers drain the
+	// portfolio even after cancellation (a cancelled job returns its
+	// best-so-far almost immediately), so every job is resolved.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range feed {
-				outcomes[idx] = eng.runJob(ctx, a, hw, idx)
-				done <- idx
-			}
+			eng.work(ctx, a, hw)
 		}()
 	}
-	go func() {
-		defer close(feed)
-		for i := range jobs {
-			feed <- i
-		}
-	}()
-
-	// Reduce: as jobs finish (in any order), resolve the canonical
-	// prefix in portfolio order, publishing each resolved cost to the
-	// shared incumbent so running workers can prune against it.
-	st := &Stats{Jobs: len(jobs), BestJob: -1, PerJob: make([]JobResult, len(jobs))}
-	var winner *core.Result
-	finished := make([]bool, len(jobs))
-	resolved := 0
-	for n := 0; n < len(jobs); n++ {
-		idx := <-done
-		finished[idx] = true
-		for resolved < len(jobs) && finished[resolved] {
-			eng.resolve(resolved, outcomes[resolved], st, &winner)
-			resolved++
-		}
-	}
+	eng.work(ctx, a, hw)
 	wg.Wait()
+	eng.resolveMu.Lock()
+	st, winner := eng.st, eng.winner
+	eng.resolveMu.Unlock()
 	st.Wall = time.Since(start)
 
 	if winner == nil {
@@ -200,6 +183,10 @@ type run struct {
 	cfg   Config
 	start time.Time
 
+	// next is the index of the next job to claim: workers take jobs in
+	// portfolio order.
+	next atomic.Int64
+
 	// incumbent is the canonical prefix minimum: the best total cost
 	// among already-resolved jobs. Only the reduction writes it (in
 	// portfolio order); workers load it at trial boundaries to decide
@@ -208,12 +195,44 @@ type run struct {
 	// every value a worker observes comes from lower-index jobs only.
 	incumbent atomic.Int64
 
+	// The reduction: finished jobs' outcomes, folded into st and winner
+	// strictly in portfolio order by whichever worker completes the
+	// resolvable prefix. EventJobFinished is emitted under resolveMu,
+	// which keeps those events in portfolio order.
+	outcomes  []*outcome   // guarded by resolveMu; nil until the job finishes
+	resolved  int          // guarded by resolveMu; jobs 0..resolved-1 are folded in
+	st        *Stats       // guarded by resolveMu
+	winner    *core.Result // guarded by resolveMu
+	resolveMu sync.Mutex
+
 	// liveBest tracks the best trial-end cost seen anywhere, for
 	// EventImproved telemetry; guarded by mu so the event stream is
 	// monotone. Separate from incumbent: speculative, timing-dependent,
 	// never consulted for pruning.
 	liveBest int64 // guarded by mu
 	mu       sync.Mutex
+}
+
+// work is one worker's loop. It claims the next job in portfolio
+// order, runs it, and resolves the portfolio's finished prefix before
+// it claims another, so that a job claimed after every lower-index job
+// finished runs against its canonical incumbent. With one worker every
+// job does, and no trial runs past its canonical pruning boundary.
+func (eng *run) work(ctx context.Context, a *lifetime.Analysis, hw *datapath.Hardware) {
+	for {
+		idx := int(eng.next.Add(1) - 1)
+		if idx >= len(eng.jobs) {
+			return
+		}
+		out := eng.runJob(ctx, a, hw, idx)
+		eng.resolveMu.Lock()
+		eng.outcomes[idx] = out
+		for eng.resolved < len(eng.jobs) && eng.outcomes[eng.resolved] != nil {
+			eng.resolve(eng.resolved, eng.outcomes[eng.resolved], eng.st, &eng.winner)
+			eng.resolved++
+		}
+		eng.resolveMu.Unlock()
+	}
 }
 
 func (eng *run) emit(ev Event) {
@@ -288,7 +307,7 @@ func (eng *run) runJob(ctx context.Context, a *lifetime.Analysis, hw *datapath.H
 }
 
 // resolve folds job idx's outcome into the reduction. It is called in
-// strict portfolio order from the single reduction goroutine.
+// strict portfolio order, under resolveMu.
 func (eng *run) resolve(idx int, out *outcome, st *Stats, winner **core.Result) {
 	job := eng.jobs[idx]
 	jr := JobResult{Job: idx, Label: job.Label, Seed: job.Opts.Seed, Duration: out.dur, Err: out.err}
@@ -374,9 +393,9 @@ func (eng *run) resolve(idx int, out *outcome, st *Stats, winner **core.Result) 
 // canonicalStop returns the canonical pruning boundary for a completed
 // trajectory — the first trial with no improvement whose best exceeds
 // the canonical incumbent over lower-index jobs — or -1 when the job
-// runs to natural termination. The incumbent is read here, on the
-// reduction goroutine, after all lower-index jobs have been resolved,
-// so the answer is independent of worker count and timing.
+// runs to natural termination. The incumbent is read here, in the
+// reduction, after all lower-index jobs have been resolved, so the
+// answer is independent of worker count and timing.
 func (eng *run) canonicalStop(log []trialRec) int {
 	if eng.cfg.DisablePruning {
 		return -1

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -185,6 +186,53 @@ func assertCounterDeltas(t *testing.T, name string, workers int, before map[stri
 	// job did.
 	if inc := delta("salsa_engine_incumbent_updates_total"); inc < 1 || inc > int64(st.Jobs) {
 		t.Errorf("%s workers=%d: incumbent_updates delta %d outside [1, %d]", name, workers, inc, st.Jobs)
+	}
+}
+
+// TestOneWorkerNeverSpeculates: a single worker resolves each job
+// before it claims the next, so every job searches against its
+// canonical incumbent and stops live exactly at its canonical pruning
+// boundary — no trial is run that the reduction would discard. One
+// core makes the check strict: a job resolved by any goroutine other
+// than the worker would wait until the worker yields.
+func TestOneWorkerNeverSpeculates(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, hw := setup(t, workloads.Tseng(), 2, 1)
+	o := quickOpts(3)
+	o.MovesPerTrial = 120
+	o.MaxTrials = 6
+	jobs := engine.Restarts(o, 16)
+
+	var finished atomic.Int64
+	live := make([]int, len(jobs))
+	var early []string
+	_, st, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{
+		Workers: 1,
+		TrialHook: func(job, trial int) {
+			live[job]++
+			if n := finished.Load(); n != int64(job) && len(early) < 8 {
+				early = append(early, fmt.Sprintf("job %d trial %d ran with %d jobs finished", job, trial, n))
+			}
+		},
+		Events: func(ev engine.Event) {
+			if ev.Kind == engine.EventJobFinished {
+				finished.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pruned == 0 {
+		t.Fatal("no job was pruned; the portfolio does not exercise the incumbent")
+	}
+	for _, e := range early {
+		t.Error(e)
+	}
+	for i, jr := range st.PerJob {
+		if live[i] != jr.Trials {
+			t.Errorf("job %d ran %d trials live, canonical %d", i, live[i], jr.Trials)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 type EventKind int
 
 const (
-	// EventJobStarted fires when a worker picks a job off the queue.
+	// EventJobStarted fires when a worker claims a job.
 	EventJobStarted EventKind = iota
 	// EventImproved fires when a job's trial-end best improves the
 	// portfolio-wide best cost observed so far (the live incumbent).

@@ -73,10 +73,20 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayCorruption is the table of every torn-history shape replay
-// must absorb: the longest valid prefix survives, nothing panics, and
-// records after the first bad frame are gone.
-func TestReplayCorruption(t *testing.T) {
+// corruptCase is one torn-history segment replay must absorb.
+type corruptCase struct {
+	name string
+	data []byte // raw segment bytes
+	want int    // surviving states
+	// checks beyond the count:
+	terminal bool // want[0].Terminal
+	status   int  // want[0].Status when terminal
+}
+
+// corruptionCases is the table of every torn-history shape replay must
+// absorb; TestReplayCorruption checks each and FuzzReplay starts from
+// them.
+func corruptionCases() []corruptCase {
 	// A reference two-record stream: job accepted, then finished.
 	acc := encodeFrame(Accepted("j1-ff", []byte(`{"seed":1}`), "k"))
 	res := encodeFrame(Result("j1-ff", 200, []byte(`{"ok":true}`), false, 10))
@@ -98,14 +108,7 @@ func TestReplayCorruption(t *testing.T) {
 
 	dup := Result("j1-ff", 500, []byte(`{"error":"late duplicate"}`), true, 999)
 
-	cases := []struct {
-		name string
-		data []byte // raw segment bytes
-		want int    // surviving states
-		// checks beyond the count:
-		terminal bool // want[0].Terminal
-		status   int  // want[0].Status when terminal
-	}{
+	return []corruptCase{
 		{"empty file", nil, 0, false, 0},
 		{"truncated tail record", append(append([]byte(nil), acc...), res[:len(res)-5]...), 1, false, 0},
 		{"torn write partial frame", append(append([]byte(nil), acc...), res[:3]...), 1, false, 0},
@@ -116,13 +119,26 @@ func TestReplayCorruption(t *testing.T) {
 		{"duplicate terminal record", append(append(append([]byte(nil), acc...), res...), encodeFrame(dup)...), 1, true, 200},
 		{"intact", append(append([]byte(nil), acc...), res...), 1, true, 200},
 	}
-	for _, tc := range cases {
+}
+
+// writeSegment makes a journal directory holding data as its one
+// segment.
+func writeSegment(t *testing.T, data []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestReplayCorruption: for every torn-history shape, the longest
+// valid prefix survives, nothing panics, and records after the first
+// bad frame are gone.
+func TestReplayCorruption(t *testing.T) {
+	for _, tc := range corruptionCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), tc.data, 0o666); err != nil {
-				t.Fatal(err)
-			}
-			j, err := Open(dir)
+			j, err := Open(writeSegment(t, tc.data))
 			if err != nil {
 				t.Fatalf("Open over corrupt segment: %v", err)
 			}
@@ -143,6 +159,50 @@ func TestReplayCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReplay replays arbitrary bytes as a journal segment. Open must
+// succeed, every replayed job must have an Accepted record in the
+// segment's valid prefix, and that prefix must be exactly the frames
+// encodeFrame renders for the records decoded from it.
+func FuzzReplay(f *testing.F) {
+	for _, tc := range corruptionCases() {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := Open(writeSegment(t, data))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer j.Close()
+		recs := decodePrefix(data)
+		accepted := make(map[string]bool)
+		var prefix []byte
+		for _, rec := range recs {
+			if rec.Kind == KindAccepted {
+				accepted[rec.ID] = true
+			}
+			frame := encodeFrame(rec)
+			if again := decodePrefix(frame); len(again) != 1 || again[0].Kind != rec.Kind ||
+				again[0].ID != rec.ID || !bytes.Equal(again[0].Payload, rec.Payload) {
+				t.Fatalf("record %+v does not round-trip through its frame: %+v", rec, again)
+			}
+			prefix = append(prefix, frame...)
+		}
+		if !bytes.HasPrefix(data, prefix) {
+			t.Fatalf("re-encoding the %d replayed records does not reproduce the segment's prefix", len(recs))
+		}
+		seen := make(map[string]bool)
+		for _, st := range j.States() {
+			if !accepted[st.ID] {
+				t.Errorf("replayed job %q has no Accepted record", st.ID)
+			}
+			if seen[st.ID] {
+				t.Errorf("job %q replayed twice", st.ID)
+			}
+			seen[st.ID] = true
+		}
+	})
 }
 
 // TestReduceOrphans: progress and results whose acceptance did not

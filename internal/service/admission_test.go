@@ -1,12 +1,15 @@
 package service
 
 import (
+	"context"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"salsa"
 	"salsa/internal/clock"
 	"salsa/internal/workloads"
 )
@@ -320,5 +323,72 @@ func TestSemaphoreHandoffOrder(t *testing.T) {
 	defer mu.Unlock()
 	if len(order) != 3 || order[0] != 100 || order[1] != 101 || order[2] != 102 {
 		t.Errorf("run order %v, want [100 101 102] (arrival order)", order)
+	}
+}
+
+// TestEngineWorkerShare: with EngineWorkers 0, a run takes its share
+// of GOMAXPROCS once it holds an engine slot — every core alone, half
+// while another run holds the second slot, every core again once that
+// run is gone. A positive EngineWorkers fixes every run's count.
+func TestEngineWorkerShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		name          string
+		engineWorkers int
+		lone, second  int
+	}{
+		{"share", 0, 4, 2},
+		{"fixed", 3, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestServer(t, Config{MaxConcurrent: 2, EngineWorkers: tc.engineWorkers})
+			gate := make(chan struct{})
+			var gateOnce sync.Once
+			release := func() { gateOnce.Do(func() { close(gate) }) }
+			defer release()
+			// The first run holds its slot at the gate; later runs pass.
+			e.s.runStarted = func(spec *allocSpec) {
+				if spec.req.Seed == 1 {
+					<-gate
+				}
+			}
+			var mu sync.Mutex
+			workers := make(map[int64]int) // guarded by mu; search seed -> engine workers
+			e.s.execute = func(ctx context.Context, req salsa.Request) (*salsa.Design, *salsa.Result, *salsa.Stats, error) {
+				mu.Lock()
+				workers[req.Seed] = req.Engine.Workers
+				mu.Unlock()
+				return salsa.Execute(ctx, req)
+			}
+			post := func(seed int64) int {
+				status, _, _ := e.post(t, "/allocate", allocBody(t, workloads.Figure1(), func(ar *AllocateRequest) { ar.Seed = seed }))
+				return status
+			}
+
+			first := make(chan int, 1)
+			go func() { first <- post(1) }()
+			waitFor(t, "the first run to hold its slot", func() bool {
+				return e.s.metrics.activeRuns.Load() == 1
+			})
+			if status := post(2); status != http.StatusOK {
+				t.Fatalf("second run: status %d", status)
+			}
+			release()
+			if status := <-first; status != http.StatusOK {
+				t.Fatalf("first run: status %d", status)
+			}
+			if status := post(3); status != http.StatusOK {
+				t.Fatalf("third run: status %d", status)
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			want := map[int64]int{1: tc.lone, 2: tc.second, 3: tc.lone}
+			for seed, w := range want {
+				if workers[seed] != w {
+					t.Errorf("run with seed %d got %d engine workers, want %d", seed, workers[seed], w)
+				}
+			}
+		})
 	}
 }

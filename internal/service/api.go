@@ -166,7 +166,6 @@ func (s *Server) parseRequest(ar *AllocateRequest) (*allocSpec, error) {
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
 	}
-	req.Engine.Workers = s.cfg.EngineWorkers
 	if s.hooks != nil && s.hooks.TrialPause != nil {
 		req.Engine.TrialHook = s.hooks.TrialPause
 	}

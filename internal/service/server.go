@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -71,8 +72,11 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxBodyBytes bounds request bodies; 0 selects 4 MiB.
 	MaxBodyBytes int64
-	// EngineWorkers is the per-run engine worker count; 0 selects
-	// GOMAXPROCS (the engine's default).
+	// EngineWorkers, when positive, is every engine run's worker count.
+	// 0 (or negative) gives a run its share of the cores once it holds
+	// an engine slot: GOMAXPROCS divided by the runs holding a slot,
+	// itself included, and at least 1. A lone run keeps every core, and
+	// concurrent runs share the cores instead of each taking them all.
 	EngineWorkers int
 	// MaxJobs bounds the async job registry; 0 selects 1024.
 	MaxJobs int
@@ -666,6 +670,12 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 	}
 	s.metrics.queueDepth.Add(-1)
 	defer func() { <-s.sem }()
+	// Size the run to its share of the cores (see Config.EngineWorkers).
+	req := spec.req
+	req.Engine.Workers = s.cfg.EngineWorkers
+	if req.Engine.Workers <= 0 {
+		req.Engine.Workers = max(1, runtime.GOMAXPROCS(0)/len(s.sem))
+	}
 	s.metrics.activeRuns.Add(1)
 	defer s.metrics.activeRuns.Add(-1)
 	s.metrics.engineRuns.Add(1)
@@ -676,7 +686,7 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 		s.hooks.RunStarted(spec.fingerprint)
 	}
 
-	des, res, stats, err := s.execute(ctx, spec.req)
+	des, res, stats, err := s.execute(ctx, req)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			// The deadline fired before any legal allocation existed:
