@@ -3,6 +3,7 @@ package binding
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"salsa/internal/cdfg"
 	"salsa/internal/datapath"
@@ -73,6 +74,10 @@ type Tx struct {
 	// the binding's output port index.
 	arith   []cdfg.NodeID
 	outNode []cdfg.NodeID
+	// fuOps lists, per FU, the arithmetic nodes bound to it in node
+	// order. The rows are carved from one backing array with room for
+	// every arithmetic node, so rebinding never reallocates them.
+	fuOps [][]cdfg.NodeID
 
 	passTmp []passEv
 	segTmp  []segPos
@@ -83,6 +88,7 @@ type undoOp int
 const (
 	undoOpFU undoOp = iota
 	undoSwap
+	undoSwapUnits
 	undoSegReg
 	undoAddCopy
 	undoRemoveCopy
@@ -100,7 +106,7 @@ type undoRec struct {
 }
 
 // costRec remembers one sink's pre-move contribution overwritten by
-// DeltaCost.
+// DeltaCost or SwapUnits.
 type costRec struct {
 	idx int
 	old int
@@ -149,6 +155,7 @@ func (t *Tx) Reset(b *Binding) error {
 
 	for f := range t.fuArith {
 		t.fuArith[f], t.fuPass[f] = 0, 0
+		t.fuOps[f] = t.fuOps[f][:0]
 	}
 	for r := range t.regCnt {
 		t.regCnt[r] = 0
@@ -157,6 +164,7 @@ func (t *Tx) Reset(b *Binding) error {
 	for _, op := range t.arith {
 		if f := b.OpFU[op]; f >= 0 {
 			t.incArith(f)
+			t.fuOps[f] = append(t.fuOps[f], op)
 		}
 	}
 	for _, ps := range b.Pass {
@@ -226,11 +234,14 @@ func (t *Tx) ensureShape() {
 		t.passN = grid[int32](nF, T)
 	}
 	g := b.A.Sched.G
-	t.arith = t.arith[:0]
+	t.arith = slices.Grow(t.arith[:0], len(g.Nodes))
 	for i := range g.Nodes {
 		if g.Nodes[i].Op.IsArith() {
 			t.arith = append(t.arith, cdfg.NodeID(i))
 		}
+	}
+	if nA := len(t.arith); len(t.fuOps) != nF || (nF > 0 && cap(t.fuOps[0]) != nA) {
+		t.fuOps = grid[cdfg.NodeID](nF, nA)
 	}
 	if len(t.outNode) != nO {
 		t.outNode = make([]cdfg.NodeID, nO)
@@ -352,10 +363,10 @@ func (t *Tx) Commit() {
 	t.dirtyList = t.dirtyList[:0]
 }
 
-// Rollback rejects the move: cost entries overwritten by DeltaCost are
-// restored from the journal and the binding mutations are unwound in
-// reverse order, re-adjusting the use counts and occupancy
-// symmetrically.
+// Rollback rejects the move: cost entries overwritten by DeltaCost or
+// SwapUnits are restored from the journal and the binding mutations
+// are unwound in reverse order, re-adjusting the use counts and
+// occupancy symmetrically.
 func (t *Tx) Rollback() {
 	t.inMove = false
 	for i := len(t.costUndo) - 1; i >= 0; i-- {
@@ -382,6 +393,8 @@ func (t *Tx) revert(u *undoRec) {
 		t.rebindOp(op, b.OpFU[op], u.b)
 	case undoSwap:
 		b.OpSwap[u.a] = !b.OpSwap[u.a]
+	case undoSwapUnits:
+		t.swapUnits(u.a, u.b)
 	case undoSegReg:
 		v, k := lifetime.ValueID(u.a), u.b
 		t.moveSeg(v, k, b.SegReg[v][k], u.c)
@@ -552,8 +565,8 @@ func (t *Tx) SetOpFU(op cdfg.NodeID, f int) {
 	t.markBirth(b.A.ValueOf[op])
 }
 
-// rebindOp moves op from unit old to unit f, keeping the use counts and
-// the FU occupancy current.
+// rebindOp moves op from unit old to unit f, keeping the use counts,
+// the FU occupancy and the units' operator lists current.
 func (t *Tx) rebindOp(op cdfg.NodeID, old, f int) {
 	if old >= 0 {
 		t.decArith(old)
@@ -564,9 +577,94 @@ func (t *Tx) rebindOp(op cdfg.NodeID, old, f int) {
 	if t.b.A.Sched.G.Nodes[op].Op.IsArith() {
 		t.claimOp(op, old, -1)
 		t.claimOp(op, f, 1)
+		if old >= 0 {
+			i, _ := slices.BinarySearch(t.fuOps[old], op)
+			t.fuOps[old] = slices.Delete(t.fuOps[old], i, i+1)
+		}
+		if f >= 0 {
+			i, _ := slices.BinarySearch(t.fuOps[f], op)
+			t.fuOps[f] = slices.Insert(t.fuOps[f], i, op)
+		}
 	}
 	t.b.OpFU[op] = f
 }
+
+// SwapUnits exchanges the complete bindings of two units of one class
+// (move F1): their operators and pass-throughs trade units, and so do
+// their occupancy rows, use counts, operator lists and input-port cost
+// entries. It journals one undo record and marks no sink dirty, because
+// the exchange is a pure relabeling that keeps every sink's fanin:
+//
+//   - each unit's input ports see the other's events in the same order,
+//     since operands come from registers, constants or inputs;
+//   - a register sink's FU sources map one to one, so its distinct
+//     sources and its per-step conflicts stay as they were;
+//   - output ports read no unit;
+//   - the used-unit count and area stay, as both units weigh the same.
+//
+// Pass-capability depends on the class alone, so the swap leaves every
+// pass-through exactly as legal as it was. The one case needing replay
+// is a port an earlier mutation of the same move left dirty while its
+// counterpart on the other unit is clean: the stale entry moves with
+// the trade, so both are marked.
+func (t *Tx) SwapUnits(f1, f2 int) {
+	if f1 == f2 {
+		return
+	}
+	u1, u2 := &t.b.HW.FUs[f1], &t.b.HW.FUs[f2]
+	if u1.Class != u2.Class || u1.CanPass != u2.CanPass {
+		panic(fmt.Sprintf("binding: SwapUnits of unlike units %s and %s", u1.Name, u2.Name))
+	}
+	t.record(undoRec{op: undoSwapUnits, a: f1, b: f2})
+	for p := 0; p < 2; p++ {
+		i1, i2 := 2*f1+p, 2*f2+p
+		if t.dirty[i1] != t.dirty[i2] {
+			t.markIdx(i1)
+			t.markIdx(i2)
+		}
+		if c1, c2 := t.ct.Get(i1), t.ct.Get(i2); c1 != c2 {
+			t.costUndo = append(t.costUndo, costRec{idx: i1, old: c1}, costRec{idx: i2, old: c2})
+			t.ct.Set(i1, c2)
+			t.ct.Set(i2, c1)
+		}
+	}
+	t.swapUnits(f1, f2)
+}
+
+// swapUnits relabels units f1 and f2 throughout the binding and trades
+// their per-unit transaction state; applied twice it is the identity,
+// so it also undoes SwapUnits.
+func (t *Tx) swapUnits(f1, f2 int) {
+	b := t.b
+	for _, op := range t.fuOps[f1] {
+		b.OpFU[op] = f2
+	}
+	for _, op := range t.fuOps[f2] {
+		b.OpFU[op] = f1
+	}
+	for n, s := t.fuPass[f1]+t.fuPass[f2], 0; n > 0; s++ {
+		for i := range b.Pass[s] {
+			switch p := &b.Pass[s][i]; p.FU {
+			case f1:
+				p.FU, n = f2, n-1
+			case f2:
+				p.FU, n = f1, n-1
+			}
+		}
+	}
+	t.fuOps[f1], t.fuOps[f2] = t.fuOps[f2], t.fuOps[f1]
+	t.fuArith[f1], t.fuArith[f2] = t.fuArith[f2], t.fuArith[f1]
+	t.fuPass[f1], t.fuPass[f2] = t.fuPass[f2], t.fuPass[f1]
+	swapRows(t.fuocc.Issue, f1, f2)
+	swapRows(t.fuocc.WriteEdge, f1, f2)
+	swapRows(t.fuocc.PassAt, f1, f2)
+	swapRows(t.issueN, f1, f2)
+	swapRows(t.writeN, f1, f2)
+	swapRows(t.passN, f1, f2)
+}
+
+// swapRows exchanges two rows of a table.
+func swapRows[T any](g [][]T, i, j int) { g[i], g[j] = g[j], g[i] }
 
 // FlipSwap reverses the operand order of commutative node op (move F3).
 func (t *Tx) FlipSwap(op cdfg.NodeID) {
@@ -759,6 +857,23 @@ func (t *Tx) CheckOccupancy() error {
 	return nil
 }
 
+// CheckSinks compares every cost-table entry with its sink's
+// contribution in ic, the interconnect a full Eval of the binding's
+// current state built: max(fanin − 1, 0). Two entries that traded
+// places keep the total, so a check of totals alone misses them; this
+// one names the first wrong sink. It holds only while no dirty sink
+// awaits replay: after DeltaCost, a Commit following it, a Rollback or
+// a Reset.
+func (t *Tx) CheckSinks(ic *datapath.Interconnect) error {
+	for idx := 0; idx < t.ct.Len(); idx++ {
+		sink := t.ct.SinkOf(idx)
+		if got, want := t.ct.Get(idx), max(ic.FaninOf(sink)-1, 0); got != want {
+			return fmt.Errorf("binding: cost entry of %v is %d, full evaluation gives %d", sink, got, want)
+		}
+	}
+	return nil
+}
+
 // --- incremental cost ---
 
 // Cost assembles the current cost from the incrementally maintained
@@ -874,10 +989,7 @@ func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 	g := b.A.Sched.G
 	s := b.A.Sched
 	f, port := sink.Index, sink.Port
-	for _, i := range t.arith {
-		if b.OpFU[i] != f {
-			continue
-		}
+	for _, i := range t.fuOps[f] {
 		n := &g.Nodes[i]
 		argPort := port
 		if b.OpSwap[i] {

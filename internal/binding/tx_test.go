@@ -3,6 +3,7 @@ package binding
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"salsa/internal/cdfg"
@@ -131,7 +132,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 
 	// The walk must actually have exercised every mutator and every
 	// outcome; a degenerate seed would silently gut the test.
-	for _, kind := range []string{"setopfu", "flipswap", "setsegreg", "addcopy", "removecopy", "setpass", "unbindpass"} {
+	for _, kind := range []string{"setopfu", "flipswap", "setsegreg", "addcopy", "removecopy", "setpass", "unbindpass", "swapunits"} {
 		if applied[kind] == 0 {
 			t.Errorf("random walk never applied %s (tally %v)", kind, applied)
 		}
@@ -161,23 +162,37 @@ func TestTxOccupancyOracle(t *testing.T) {
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
 			g, steps, pipelined, extra := build()
-			a, lim, err := lifetime.MinFUAnalysis(g, cdfg.DefaultDelays(pipelined), steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var inputs []string
-			for i := range g.Nodes {
-				if g.Nodes[i].Op == cdfg.Input {
-					inputs = append(inputs, g.Nodes[i].Name)
-				}
-			}
-			b := firstFit(t, a, datapath.NewHardware(lim, a.MinRegs+extra, inputs, true))
-			_, outcomes := txWalk(t, b, uint64(len(name))*7919, 300)
+			b := firstFitOf(t, g, steps, pipelined, extra)
+			applied, outcomes := txWalk(t, b, uint64(len(name))*7919, 300)
 			if outcomes["commit"] == 0 || outcomes["rollback"] == 0 {
 				t.Errorf("walk never committed or rolled back a legal move (tally %v)", outcomes)
 			}
+			pair := false
+			for c := sched.Class(0); c < sched.NumClasses; c++ {
+				pair = pair || len(b.HW.FUsOfClass(c)) > 1
+			}
+			if pair && applied["swapunits"] == 0 {
+				t.Errorf("walk never swapped two units (tally %v)", applied)
+			}
 		})
 	}
+}
+
+// firstFitOf schedules g in steps with the fewest units and builds the
+// first-fit binding over extra registers beyond the minimum.
+func firstFitOf(t *testing.T, g *cdfg.Graph, steps int, pipelined bool, extra int) *Binding {
+	t.Helper()
+	a, lim, err := lifetime.MinFUAnalysis(g, cdfg.DefaultDelays(pipelined), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inputs []string
+	for i := range g.Nodes {
+		if g.Nodes[i].Op == cdfg.Input {
+			inputs = append(inputs, g.Nodes[i].Name)
+		}
+	}
+	return firstFit(t, a, datapath.NewHardware(lim, a.MinRegs+extra, inputs, true))
 }
 
 // firstFit builds a legal binding: operators on the lowest free unit of
@@ -236,6 +251,20 @@ func assertOccupancy(t *testing.T, where string, tx *Tx) {
 	}
 }
 
+// assertSinks fails the test when a cost-table entry differs from its
+// sink's contribution in a full evaluation (CheckSinks). The binding
+// must evaluate and no dirty sink may await replay.
+func assertSinks(t *testing.T, where string, tx *Tx) {
+	t.Helper()
+	ic, _, err := tx.B().Eval()
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if err := tx.CheckSinks(ic); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+}
+
 // txWalk drives a seeded random walk of Tx mutations over b, checking
 // the delta, rollback and occupancy contracts at every step, and
 // returns the tallies of applied mutators and move outcomes.
@@ -268,7 +297,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 	// One random mutation; returns the kind applied (for the coverage
 	// tally) or "" when the pick was a no-op on the current state.
 	mutate := func() string {
-		switch rng.intn(8) {
+		switch rng.intn(9) {
 		case 0:
 			tx.SetOpFU(arith[rng.intn(len(arith))], rng.intn(nF))
 			return "setopfu"
@@ -308,6 +337,17 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 				return "unbindpass"
 			}
 			return ""
+		case 7:
+			fus := b.HW.FUsOfClass(sched.Class(rng.intn(int(sched.NumClasses))))
+			if len(fus) < 2 {
+				return ""
+			}
+			i, j := rng.intn(len(fus)), rng.intn(len(fus)-1)
+			if j >= i {
+				j++
+			}
+			tx.SwapUnits(fus[i], fus[j])
+			return "swapunits"
 		default:
 			if tx.PrunePass() > 0 {
 				return "prunepass"
@@ -341,6 +381,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
 			assertOccupancy(t, fmt.Sprintf("step %d illegal-move rollback", step), tx)
+			assertSinks(t, fmt.Sprintf("step %d illegal-move rollback", step), tx)
 			if got := tx.Cost(); got != preCost {
 				t.Fatalf("step %d: cost after illegal-move rollback %+v, want %+v", step, got, preCost)
 			}
@@ -357,15 +398,19 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
 			assertOccupancy(t, fmt.Sprintf("step %d unevaluable rollback", step), tx)
+			assertSinks(t, fmt.Sprintf("step %d unevaluable rollback", step), tx)
 			outcomes["unevaluable"]++
 			continue
 		}
-		_, want, eerr := b.Eval()
+		ic, want, eerr := b.Eval()
 		if eerr != nil {
 			t.Fatalf("step %d: DeltaCost succeeded but full Eval fails: %v", step, eerr)
 		}
 		if delta != want {
 			t.Fatalf("step %d: DeltaCost %+v diverges from full Eval %+v", step, delta, want)
+		}
+		if err := tx.CheckSinks(ic); err != nil {
+			t.Fatalf("step %d after DeltaCost: %v", step, err)
 		}
 
 		if rng.intn(2) == 0 {
@@ -375,6 +420,9 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 				t.Fatalf("step %d: cost after commit %+v, want %+v", step, got, want)
 			}
 			assertOccupancy(t, fmt.Sprintf("step %d commit", step), tx)
+			if err := tx.CheckSinks(ic); err != nil {
+				t.Fatalf("step %d commit: %v", step, err)
+			}
 			outcomes["commit"]++
 		} else {
 			tx.Rollback()
@@ -383,6 +431,7 @@ func txWalk(t *testing.T, b *Binding, seed uint64, steps int) (applied, outcomes
 				t.Fatalf("step %d: cost after rollback %+v, want %+v", step, got, preCost)
 			}
 			assertOccupancy(t, fmt.Sprintf("step %d rollback", step), tx)
+			assertSinks(t, fmt.Sprintf("step %d rollback", step), tx)
 			outcomes["rollback"]++
 		}
 	}
@@ -462,5 +511,118 @@ func TestTxPrunePassRollsBack(t *testing.T) {
 	}
 	if err := b.Check(); err != nil {
 		t.Fatalf("binding illegal after rollback: %v", err)
+	}
+}
+
+// TestTxSwapUnitsReplaysNothing pins the F1 swap's exactness argument:
+// a lone SwapUnits on a clean table marks no sink dirty, yet Cost and
+// every cost-table entry equal a full evaluation of the relabeled
+// binding, and Rollback restores binding, occupancy and entries.
+func TestTxSwapUnitsReplaysNothing(t *testing.T) {
+	b := firstFitOf(t, workloads.EWF(), 19, false, 1)
+	tx, err := NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bind one pass-through so the swap also relabels pass bindings.
+	ts := b.Transfers()
+	occ, err := tx.FUOcc()
+	if err != nil {
+		t.Fatal(err)
+	}
+bind:
+	for _, tk := range ts {
+		for f := range b.HW.FUs {
+			if b.FUPassFree(occ, f, b.transferStep(tk), tk) {
+				tx.Begin()
+				tx.SetPass(tk, f)
+				if _, err := tx.DeltaCost(); err != nil {
+					t.Fatal(err)
+				}
+				tx.Commit()
+				break bind
+			}
+		}
+	}
+	if b.NumPass() != 1 || b.Check() != nil {
+		t.Fatalf("fixture drift: no legal pass-through to bind (%d transfers)", len(ts))
+	}
+
+	swaps := 0
+	for c := sched.Class(0); c < sched.NumClasses; c++ {
+		fus := b.HW.FUsOfClass(c)
+		for i := range fus {
+			for j := i + 1; j < len(fus); j++ {
+				pre := takeSnapshot(b)
+				where := fmt.Sprintf("swap %s/%s", b.HW.FUs[fus[i]].Name, b.HW.FUs[fus[j]].Name)
+				tx.Begin()
+				tx.SwapUnits(fus[i], fus[j])
+				if len(tx.dirtyList) != 0 {
+					t.Fatalf("%s marked %d sinks dirty, want none", where, len(tx.dirtyList))
+				}
+				if err := b.Check(); err != nil {
+					t.Fatalf("%s left an illegal binding: %v", where, err)
+				}
+				ic, want, err := b.Eval()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := tx.Cost(); got != want {
+					t.Fatalf("%s: Cost %+v, full evaluation %+v", where, got, want)
+				}
+				if err := tx.CheckSinks(ic); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				assertOccupancy(t, where, tx)
+				tx.Rollback()
+				assertRestored(t, swaps, b, pre)
+				assertOccupancy(t, where+" rollback", tx)
+				assertSinks(t, where+" rollback", tx)
+				swaps++
+			}
+		}
+	}
+	if swaps == 0 {
+		t.Fatal("fixture drift: no class has two units")
+	}
+}
+
+// TestCheckSinksCatchesTradedEntries: two unequal FU-port entries that
+// trade places keep the total, so Cost still equals a full evaluation,
+// but the per-sink check fails and names the first wrong sink.
+func TestCheckSinksCatchesTradedEntries(t *testing.T) {
+	b := firstFitOf(t, workloads.EWF(), 19, false, 1)
+	tx, err := NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, want, err := b.Eval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.CheckSinks(ic); err != nil {
+		t.Fatalf("clean table: %v", err)
+	}
+	i, j := -1, -1
+	for idx := 1; idx < 2*tx.ct.NumFUs && j < 0; idx++ {
+		if tx.ct.Get(idx) != tx.ct.Get(0) {
+			i, j = 0, idx
+		}
+	}
+	if j < 0 {
+		t.Fatal("fixture drift: every FU port has the same entry")
+	}
+	ci, cj := tx.ct.Get(i), tx.ct.Get(j)
+	tx.ct.Set(i, cj)
+	tx.ct.Set(j, ci)
+	if got := tx.Cost(); got != want {
+		t.Fatalf("traded entries changed Cost to %+v, want %+v", got, want)
+	}
+	err = tx.CheckSinks(ic)
+	if err == nil {
+		t.Fatal("CheckSinks passed a table with two traded entries")
+	}
+	if name := tx.ct.SinkOf(i).String(); !strings.Contains(err.Error(), name) {
+		t.Fatalf("CheckSinks error %q does not name %s", err, name)
 	}
 }

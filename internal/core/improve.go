@@ -95,7 +95,7 @@ search:
 			if opts.Paranoid {
 				// On every evaluated candidate, the incrementally
 				// maintained cost must equal a from-scratch evaluation.
-				if perr := checkDelta(cur, cost, err); perr != nil {
+				if perr := checkDelta(tx, cost, err); perr != nil {
 					return nil, fmt.Errorf("core: move %v: %w", kind, perr)
 				}
 			}
@@ -213,10 +213,11 @@ func checkOcc(tx *binding.Tx, kind moveKind) error {
 }
 
 // checkDelta is the Paranoid cross-check of one delta-evaluated
-// candidate against a full evaluation of the same binding: both must
-// fail, or both succeed with identical costs.
-func checkDelta(b *binding.Binding, delta binding.Cost, derr error) error {
-	_, full, err := b.Eval()
+// candidate against a full evaluation of the transaction's binding:
+// both must fail, or both succeed with identical costs and with every
+// cost-table entry equal to its sink's contribution in the evaluation.
+func checkDelta(tx *binding.Tx, delta binding.Cost, derr error) error {
+	ic, full, err := tx.B().Eval()
 	switch {
 	case derr != nil && err == nil:
 		return fmt.Errorf("delta evaluation failed (%v) but full evaluation succeeds", derr)
@@ -224,6 +225,8 @@ func checkDelta(b *binding.Binding, delta binding.Cost, derr error) error {
 		return fmt.Errorf("delta evaluation succeeded but full evaluation fails: %w", err)
 	case derr == nil && delta != full:
 		return fmt.Errorf("delta cost %+v != full evaluation %+v", delta, full)
+	case derr == nil:
+		return tx.CheckSinks(ic)
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ func applyChecked(t *testing.T, tx *binding.Tx, mv *mover, kind moveKind) bool {
 	if err != nil {
 		t.Fatalf("%s produced an unevaluable binding: %v", kind, err)
 	}
-	if err := checkDelta(tx.B(), delta, nil); err != nil {
+	if err := checkDelta(tx, delta, nil); err != nil {
 		t.Fatalf("%s: %v", kind, err)
 	}
 	return true

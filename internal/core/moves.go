@@ -151,6 +151,11 @@ func (m *mover) apply(tx *binding.Tx, kind moveKind) bool {
 }
 
 // fuExchange (F1) swaps the complete bindings of two same-class FUs.
+// The swap needs no PrunePass: pass-capability depends on the class
+// alone, so PrunePass would remove after the swap exactly what it would
+// remove before it. That is nothing, because a move starts from an
+// accepted state, and Check — which Paranoid runs after every
+// acceptance — rejects exactly what PrunePass removes.
 func (m *mover) fuExchange(tx *binding.Tx) bool {
 	b := tx.B()
 	c := sched.Class(m.rng.Intn(int(sched.NumClasses)))
@@ -163,30 +168,7 @@ func (m *mover) fuExchange(tx *binding.Tx) bool {
 	if j >= i {
 		j++
 	}
-	f1, f2 := fus[i], fus[j]
-	for o := range b.OpFU {
-		switch b.OpFU[o] {
-		case f1:
-			tx.SetOpFU(cdfg.NodeID(o), f2)
-		case f2:
-			tx.SetOpFU(cdfg.NodeID(o), f1)
-		}
-	}
-	if b.NumPass() > 0 {
-		for _, v := range m.valueIDs {
-			for k := 0; k < b.A.Values[v].Len; k++ {
-				for _, p := range b.PassesAt(v, k) {
-					switch p.FU {
-					case f1:
-						tx.SetPass(binding.TransferKey{V: v, K: k, ToReg: p.Reg}, f2)
-					case f2:
-						tx.SetPass(binding.TransferKey{V: v, K: k, ToReg: p.Reg}, f1)
-					}
-				}
-			}
-		}
-	}
-	tx.PrunePass()
+	tx.SwapUnits(fus[i], fus[j])
 	return true
 }
 

@@ -35,7 +35,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 	try := func() bool {
 		candCost, err := tx.DeltaCost()
 		if opts.Paranoid && paranoidErr == nil {
-			paranoidErr = checkDelta(best, candCost, err)
+			paranoidErr = checkDelta(tx, candCost, err)
 		}
 		ok := err == nil && candCost.Total < bestCost.Total
 		if ok {

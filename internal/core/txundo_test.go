@@ -54,10 +54,11 @@ func txUndoCases(t *testing.T) map[string]func(*testing.T) (*lifetime.Analysis, 
 // property, tabled over every move kind on every case: applying a move
 // through a binding.Tx and rolling it back must restore the binding to
 // exactly its pre-move state (reflect.DeepEqual against a clone taken
-// before the move), and while the move is applied its delta cost must
-// equal a from-scratch evaluation. Aborted moves (the mover mutated,
-// hit an illegality, and returned false) must roll back just as
-// exactly — that is the path a search rejection takes.
+// before the move) and every cost-table entry to its sink's full
+// evaluation, and while the move is applied its delta cost must equal
+// a from-scratch evaluation. Aborted moves (the mover mutated, hit an
+// illegality, and returned false) must roll back just as exactly —
+// that is the path a search rejection takes.
 func TestTxApplyUndoRestoresBinding(t *testing.T) {
 	for name, build := range txUndoCases(t) {
 		t.Run(name, func(t *testing.T) {
@@ -119,6 +120,13 @@ func TestTxApplyUndoRestoresBinding(t *testing.T) {
 					}
 					if got := tx.Cost(); got != preCost {
 						t.Fatalf("%s: rollback left cost table at %+v, want %+v", kind, got, preCost)
+					}
+					ic, _, err := cur.Eval()
+					if err != nil {
+						t.Fatalf("%s: rolled-back binding unevaluable: %v", kind, err)
+					}
+					if err := tx.CheckSinks(ic); err != nil {
+						t.Fatalf("%s: rollback (applied=%v): %v", kind, applied, err)
 					}
 					if applied && fired[kind]%4 == 0 {
 						// Walk deeper so later applies see varied states.

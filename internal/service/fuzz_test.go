@@ -1,0 +1,78 @@
+package service
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"math/big"
+	"regexp"
+	"strings"
+	"testing"
+
+	"salsa/internal/clock"
+)
+
+// jobIDForm is the job-ID grammar: "j", decimal digits, "-", then one
+// or more lowercase hex digits.
+var jobIDForm = regexp.MustCompile(`^j([0-9]+)-([0-9a-f]+)$`)
+
+// wantJobID is the reference for ValidJobID and ContentKeyedJobID: id
+// is valid when it matches jobIDForm and its number fits an int, and
+// content-keyed when its hex part is as long as a SHA-256 in hex.
+func wantJobID(id string) (valid, keyed bool) {
+	m := jobIDForm.FindStringSubmatch(id)
+	if m == nil {
+		return false, false
+	}
+	if n, _ := new(big.Int).SetString(m[1], 10); n.Cmp(big.NewInt(math.MaxInt)) > 0 {
+		return false, false
+	}
+	return true, len(m[2]) == 2*sha256.Size
+}
+
+// FuzzJobID checks the job-ID predicates against the grammar on any
+// string, and that every ID the registry issues is valid and
+// content-keyed, also after a restore has moved its sequence to the
+// fuzzed ID's number.
+func FuzzJobID(f *testing.F) {
+	for _, id := range []string{
+		// Issued and older-form IDs from the service and router tests.
+		"j7-3c62da355d7c", "j2-0123456789ab", "j1-deadbeef", "j1-abc",
+		"j1-" + strings.Repeat("de", 32),
+		// Malformed ones from the same tests, router shard prefix
+		// stripped where they had one.
+		"", "j1", "j1-", "j-1-ab", "j+1-ab", "jx-ab", "x1-ab", "j1-AB",
+		"j1-ab/../metrics", "../metrics", "nonsense", "not-a-job",
+		"j1-DEADBEEF", "..%2Fmetrics", "..%2F..%2Fdebug%2Fvars",
+		"j1-ab%2F..%2F..%2Fmetrics", "s0-j1-abc",
+		// The edges of the number.
+		"j0-0", "j007-ab", fmt.Sprintf("j%d-ab", math.MaxInt),
+		fmt.Sprintf("j%d0-ab", math.MaxInt), "j18446744073709551616-ab",
+	} {
+		f.Add(id)
+	}
+	f.Fuzz(func(t *testing.T, id string) {
+		valid, keyed := wantJobID(id)
+		if got := ValidJobID(id); got != valid {
+			t.Errorf("ValidJobID(%q) = %t, want %t", id, got, valid)
+		}
+		if got := ContentKeyedJobID(id); got != keyed {
+			t.Errorf("ContentKeyedJobID(%q) = %t, want %t", id, got, keyed)
+		}
+
+		r := newJobRegistry(2, clock.NewVirtual())
+		if _, ok := r.restore(id); !ok {
+			t.Fatalf("restore(%q) refused by an empty registry", id)
+		}
+		j, err := r.create(id)
+		if err != nil {
+			return // a full registry or an exhausted sequence issues nothing
+		}
+		if !ValidJobID(j.id) || !ContentKeyedJobID(j.id) {
+			t.Fatalf("create issued %q, not a valid content-keyed ID", j.id)
+		}
+		if want := fmt.Sprintf("%x", sha256.Sum256([]byte(id))); !strings.HasSuffix(j.id, "-"+want) {
+			t.Fatalf("create issued %q, want the suffix -%s", j.id, want)
+		}
+	})
+}

@@ -3,7 +3,9 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -233,6 +235,11 @@ func (r *jobRegistry) create(key string) (*job, error) {
 	defer r.mu.Unlock()
 	if len(r.jobs) >= r.maxJobs {
 		return nil, fmt.Errorf("job registry full (%d jobs)", r.maxJobs)
+	}
+	if r.seq == math.MaxInt {
+		// A restored ID can carry the largest number; the next one
+		// would wrap negative and be no job ID at all.
+		return nil, errors.New("job sequence exhausted")
 	}
 	r.seq++
 	sum := sha256.Sum256([]byte(key))
