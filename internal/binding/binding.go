@@ -280,6 +280,21 @@ func (b *Binding) HeldIn(v lifetime.ValueID, k, r int) bool {
 	return false
 }
 
+// holdCount returns how many holder entries of value v at chain
+// position k name register r: at most one in a legal binding.
+func (b *Binding) holdCount(v lifetime.ValueID, k, r int) int {
+	n := 0
+	if b.SegReg[v][k] == r {
+		n++
+	}
+	for _, c := range b.CopiesAt(v, k) {
+		if c == r {
+			n++
+		}
+	}
+	return n
+}
+
 // RegOccupancy builds the register×step table of occupying values
 // (NoValue when free). It errors if two values claim the same register
 // in the same step.
@@ -510,13 +525,32 @@ func (b *Binding) Transfers() []TransferKey { return b.AppendTransfers(nil) }
 // caller can reuse one buffer across moves.
 func (b *Binding) AppendTransfers(dst []TransferKey) []TransferKey {
 	for i := range b.A.Values {
-		v := &b.A.Values[i]
-		for k := 1; k < v.Len; k++ {
-			for h := 0; h < b.numHolders(v.ID, k); h++ {
-				if r := b.holder(v.ID, k, h); !b.HeldIn(v.ID, k-1, r) {
-					dst = append(dst, TransferKey{v.ID, k, r})
-				}
-			}
+		for k := 1; k < b.A.Values[i].Len; k++ {
+			dst = b.appendTransfersAt(dst, lifetime.ValueID(i), k)
+		}
+	}
+	return dst
+}
+
+// numTransfersAt counts the transfers into value v's chain position k:
+// appendTransfersAt's entries, none at position 0.
+func (b *Binding) numTransfersAt(v lifetime.ValueID, k int) int {
+	n := 0
+	for h := 0; k > 0 && h < b.numHolders(v, k); h++ {
+		if !b.HeldIn(v, k-1, b.holder(v, k, h)) {
+			n++
+		}
+	}
+	return n
+}
+
+// appendTransfersAt appends the transfers into value v's chain position
+// k ≥ 1 in holder order: one per holder entry that did not hold the
+// value at k-1.
+func (b *Binding) appendTransfersAt(dst []TransferKey, v lifetime.ValueID, k int) []TransferKey {
+	for h := 0; h < b.numHolders(v, k); h++ {
+		if r := b.holder(v, k, h); !b.HeldIn(v, k-1, r) {
+			dst = append(dst, TransferKey{v, k, r})
 		}
 	}
 	return dst

@@ -70,17 +70,58 @@ type Tx struct {
 	regBad, regClash             int
 	fuBad, issueClash, passClash int
 
-	// arith lists the arithmetic nodes in node order; outNode inverts
-	// the binding's output port index.
-	arith   []cdfg.NodeID
-	outNode []cdfg.NodeID
 	// fuOps lists, per FU, the arithmetic nodes bound to it in node
 	// order. The rows are carved from one backing array with room for
 	// every arithmetic node, so rebinding never reallocates them.
 	fuOps [][]cdfg.NodeID
 
-	passTmp []passEv
-	segTmp  []segPos
+	// Read tables, built once per analysis (an): arith lists the
+	// arithmetic nodes in node order, opReads resolves each one's two
+	// operand reads (indexed by node and argument), outReads each output
+	// port's read, births each value's birth write, and segs names each
+	// segment Seg(v, k).
+	an       *lifetime.Analysis
+	arith    []cdfg.NodeID
+	opReads  [][2]slotRead
+	outReads []slotRead
+	births   []birthWrite
+	segs     []segRef
+
+	// Segment indexes, kept current by every mutator and by revert
+	// through claimSeg and claimPass. regSegs[r] holds the segments
+	// register r holds (primary or copy); xferN counts each segment's
+	// incoming transfers — its entries in Binding.AppendTransfers — and
+	// xferSegs holds the segments with any; passSegs holds the segments
+	// carrying pass bindings.
+	regSegs  []bitset
+	xferN    []int
+	xferSegs bitset
+	passSegs bitset
+}
+
+// slotRead is one operand or output read at step, resolved once per
+// analysis: chain position k of value v, whose holder the replay picks,
+// or, when v is NoValue, the fixed source src (a constant or an
+// external input) or the error err that resolving the read reports.
+type slotRead struct {
+	v    lifetime.ValueID
+	k    int
+	step int
+	src  datapath.Source
+	err  error
+}
+
+// birthWrite is one value's birth write: its step and the external
+// input loading it, or -1 when its producer's unit does.
+type birthWrite struct {
+	step, input int
+}
+
+// segRef names one segment: its value, chain position and storage step.
+type segRef struct {
+	v    lifetime.ValueID
+	k    int
+	step int
 }
 
 type undoOp int
@@ -110,18 +151,6 @@ type undoRec struct {
 type costRec struct {
 	idx int
 	old int
-}
-
-type passEv struct {
-	tk  TransferKey
-	pos int
-}
-
-// segPos is one (value, chain position) pair held by a register,
-// recovered from the occupancy table during register-sink replay.
-type segPos struct {
-	v lifetime.ValueID
-	k int
 }
 
 // NewTx builds a transaction over b, evaluating it once to seed the
@@ -233,28 +262,89 @@ func (t *Tx) ensureShape() {
 		t.writeN = grid[int32](nF, T)
 		t.passN = grid[int32](nF, T)
 	}
-	g := b.A.Sched.G
-	t.arith = slices.Grow(t.arith[:0], len(g.Nodes))
-	for i := range g.Nodes {
-		if g.Nodes[i].Op.IsArith() {
-			t.arith = append(t.arith, cdfg.NodeID(i))
-		}
+	if t.an != b.A {
+		t.buildReads()
 	}
 	if nA := len(t.arith); len(t.fuOps) != nF || (nF > 0 && cap(t.fuOps[0]) != nA) {
 		t.fuOps = grid[cdfg.NodeID](nF, nA)
 	}
-	if len(t.outNode) != nO {
-		t.outNode = make([]cdfg.NodeID, nO)
+	if nS := len(t.segs); len(t.regSegs) != nR || len(t.xferN) != nS {
+		t.regSegs = newBitsets(nR, nS)
+		t.xferN = make([]int, nS)
+		sets := newBitsets(2, nS)
+		t.xferSegs, t.passSegs = sets[0], sets[1]
 	}
+}
+
+// buildReads builds the read tables of the binding's analysis. Each
+// read resolves as Eval's operandSource does, short of picking the
+// holder, which depends on the binding.
+func (t *Tx) buildReads() {
+	b := t.b
+	a := b.A
+	g, s := a.Sched.G, a.Sched
+	t.an = a
+	t.arith = t.arith[:0]
+	t.opReads = make([][2]slotRead, len(g.Nodes))
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; n.Op.IsArith() {
+			t.arith = append(t.arith, cdfg.NodeID(i))
+			for arg := range t.opReads[i] {
+				t.opReads[i][arg] = t.resolveRead(n.Args[arg], s.Start[i])
+			}
+		}
+	}
+	t.outReads = make([]slotRead, b.numOutputs)
 	for n, idx := range b.outputIndex {
 		if idx >= 0 {
-			t.outNode[idx] = cdfg.NodeID(n)
+			step := s.Start[n]
+			if g.Cyclic {
+				step %= s.Steps
+			}
+			t.outReads[idx] = t.resolveRead(g.Nodes[n].Args[0], step)
+		}
+	}
+	t.births = make([]birthWrite, len(a.Values))
+	t.segs = make([]segRef, 0, b.NumSegs())
+	for i := range a.Values {
+		v := &a.Values[i]
+		t.births[i] = birthWrite{step: a.WriteStep(v), input: -1}
+		if g.Nodes[v.Producer].Op == cdfg.Input {
+			t.births[i].input = b.inputIndex[v.Producer]
+		}
+		for k := 0; k < v.Len; k++ {
+			t.segs = append(t.segs, segRef{v: v.ID, k: k, step: v.StepAt(k, a.StorageSteps)})
 		}
 	}
 }
 
-// seedOcc rebuilds the occupancy tables and conflict counters from the
-// binding, claim by claim.
+// resolveRead resolves a read of node arg at step: a constant, an
+// external input, or a chain position of a storage value.
+func (t *Tx) resolveRead(arg cdfg.NodeID, step int) slotRead {
+	b := t.b
+	an := &b.A.Sched.G.Nodes[arg]
+	rd := slotRead{v: lifetime.NoValue, step: step}
+	switch vid := b.A.ValueOf[arg]; {
+	case an.Op == cdfg.Const:
+		rd.src = datapath.Source{Kind: datapath.SrcConst, Index: int(arg)}
+	case an.Op == cdfg.Input && vid == lifetime.NoValue:
+		rd.src = datapath.Source{Kind: datapath.SrcInput, Index: b.inputIndex[arg]}
+	case vid == lifetime.NoValue:
+		rd.err = fmt.Errorf("binding: node %s is not a storage value", an.Name)
+	default:
+		v := &b.A.Values[vid]
+		k, ok := v.LiveAt(step, b.A.StorageSteps)
+		if !ok {
+			rd.err = fmt.Errorf("binding: %s read at step %d outside live range", v.Name, step)
+			break
+		}
+		rd.v, rd.k = vid, k
+	}
+	return rd
+}
+
+// seedOcc rebuilds the occupancy tables, conflict counters and segment
+// indexes from the binding, claim by claim.
 func (t *Tx) seedOcc() {
 	b := t.b
 	for r := range t.occ {
@@ -269,18 +359,22 @@ func (t *Tx) seedOcc() {
 			t.fuocc.PassAt[f][s], t.passN[f][s] = NoTransfer, 0
 		}
 	}
+	for r := range t.regSegs {
+		clear(t.regSegs[r])
+	}
+	clear(t.passSegs)
 	t.regBad, t.regClash = 0, 0
 	t.fuBad, t.issueClash, t.passClash = 0, 0, 0
-	for v := range b.A.Values {
-		vid := lifetime.ValueID(v)
-		for k := 0; k < b.A.Values[v].Len; k++ {
-			t.claimSeg(vid, k, b.SegReg[v][k], 1)
-			for _, c := range b.CopiesAt(vid, k) {
-				t.claimSeg(vid, k, c, 1)
-			}
-			for _, p := range b.PassesAt(vid, k) {
-				t.claimPass(TransferKey{vid, k, p.Reg}, p.FU, 1)
-			}
+	for s := range t.segs {
+		v, k := t.segs[s].v, t.segs[s].k
+		t.claimReg(s, b.SegReg[v][k], 1, true)
+		for _, c := range b.Copies[s] {
+			t.claimReg(s, c, 1, true)
+		}
+		t.xferN[s] = b.numTransfersAt(v, k)
+		t.xferSegs.put(s, t.xferN[s] > 0)
+		for _, p := range b.Pass[s] {
+			t.claimPass(TransferKey{v, k, p.Reg}, p.FU, 1)
 		}
 	}
 	for _, op := range t.arith {
@@ -300,15 +394,48 @@ func claimCell(n *int32, d int32) int {
 }
 
 // claimSeg adds (d = +1) or withdraws (d = -1) the claim of value v's
-// chain position k on register r.
+// chain position k on register r, once the binding shows the change,
+// and keeps the segment indexes current. A register holds a segment
+// while any of the segment's holder entries names it, which the
+// binding's short holder list tells, so no per-(register, segment)
+// claim count is stored.
 func (t *Tx) claimSeg(v lifetime.ValueID, k, r int, d int32) {
+	b := t.b
+	s := b.Seg(v, k)
+	// The entry is a transfer unless r held the previous position.
+	if k > 0 && !b.HeldIn(v, k-1, r) {
+		t.addXfers(s, int(d))
+	}
+	// When r starts or stops holding (v, k), the entries of (v, k+1)
+	// naming r stop or start being transfers.
+	n := b.holdCount(v, k, r)
+	if held, was := n > 0, n > int(d); held != was && k+1 < b.A.Values[v].Len {
+		next := b.holdCount(v, k+1, r)
+		if held {
+			next = -next
+		}
+		t.addXfers(s+1, next)
+	}
+	t.claimReg(s, r, d, n > 0)
+}
+
+// claimReg applies segment s's claim change on register r to the
+// register occupancy and sets r's bit for s to held.
+func (t *Tx) claimReg(s, r int, d int32, held bool) {
 	if r < 0 || r >= len(t.occ) {
 		t.regBad += int(d)
 		return
 	}
-	s := t.b.A.Values[v].StepAt(k, t.b.A.StorageSteps)
-	t.regClash += claimCell(&t.occN[r][s], d)
-	t.occ[r][s] += lifetime.ValueID(d) * (v + 1)
+	sg := &t.segs[s]
+	t.regClash += claimCell(&t.occN[r][sg.step], d)
+	t.occ[r][sg.step] += lifetime.ValueID(d) * (sg.v + 1)
+	t.regSegs[r].put(s, held)
+}
+
+// addXfers adds n to segment s's incoming-transfer count.
+func (t *Tx) addXfers(s, n int) {
+	t.xferN[s] += n
+	t.xferSegs.put(s, t.xferN[s] > 0)
 }
 
 // claimOp adds or withdraws arithmetic node op's claims on unit f: its
@@ -332,7 +459,11 @@ func (t *Tx) claimOp(op cdfg.NodeID, f int, d int32) {
 }
 
 // claimPass adds or withdraws the claim of a pass-through of tk on f.
+// The binding must already show the change, from which the segment's
+// pass bit is re-derived.
 func (t *Tx) claimPass(tk TransferKey, f int, d int32) {
+	s := t.b.Seg(tk.V, tk.K)
+	t.passSegs.put(s, len(t.b.Pass[s]) > 0)
 	step, ok := t.b.passStep(tk, f)
 	if !ok {
 		return
@@ -642,7 +773,7 @@ func (t *Tx) swapUnits(f1, f2 int) {
 	for _, op := range t.fuOps[f2] {
 		b.OpFU[op] = f1
 	}
-	for n, s := t.fuPass[f1]+t.fuPass[f2], 0; n > 0; s++ {
+	for n, s := t.fuPass[f1]+t.fuPass[f2], t.passSegs.next(0); n > 0; s = t.passSegs.next(s + 1) {
 		for i := range b.Pass[s] {
 			switch p := &b.Pass[s][i]; p.FU {
 			case f1:
@@ -697,9 +828,9 @@ func (t *Tx) moveSeg(v lifetime.ValueID, k, from, to int) {
 	if to >= 0 {
 		t.incReg(to)
 	}
+	t.b.SegReg[v][k] = to
 	t.claimSeg(v, k, from, -1)
 	t.claimSeg(v, k, to, 1)
-	t.b.SegReg[v][k] = to
 }
 
 // AddCopy stores a copy of (v, k) in register r (move R5).
@@ -739,6 +870,7 @@ func (t *Tx) SetPass(tk TransferKey, f int) {
 	if existed && old == f {
 		return
 	}
+	b.SetPass(tk, f)
 	if existed {
 		t.record(undoRec{op: undoSetPass, a: old, tk: tk})
 		t.decPass(old)
@@ -747,7 +879,6 @@ func (t *Tx) SetPass(tk TransferKey, f int) {
 	} else {
 		t.record(undoRec{op: undoNewPass, tk: tk})
 	}
-	b.SetPass(tk, f)
 	t.incPass(f)
 	t.claimPass(tk, f, 1)
 	t.markIdx(2 * f)
@@ -771,7 +902,8 @@ func (t *Tx) UnbindPass(tk TransferKey) bool {
 
 // PrunePass removes pass-through bindings whose transfer no longer
 // exists or whose FU is no longer free — the transactional counterpart
-// of Binding.PrunePass, with undo logging and dirty marking.
+// of Binding.PrunePass, with undo logging and dirty marking. It visits
+// only the segments carrying pass bindings.
 func (t *Tx) PrunePass() int {
 	b := t.b
 	if b.nPass == 0 {
@@ -783,23 +915,45 @@ func (t *Tx) PrunePass() int {
 		return 0
 	}
 	n := 0
-	for v := range b.A.Values {
-		vid := lifetime.ValueID(v)
-		for k := 0; k < b.A.Values[v].Len; k++ {
-			ps := b.PassesAt(vid, k)
-			for i := 0; i < len(ps); {
-				tk := TransferKey{vid, k, ps[i].Reg}
-				if b.isTransfer(tk) && b.FUPassFree(occ, ps[i].FU, b.transferStep(tk), tk) {
-					i++
-					continue
-				}
-				t.UnbindPass(tk)
-				ps = b.PassesAt(vid, k)
-				n++
+	for s := t.passSegs.next(0); s >= 0; s = t.passSegs.next(s + 1) {
+		sg := &t.segs[s]
+		for i := 0; i < len(b.Pass[s]); {
+			p := b.Pass[s][i]
+			tk := TransferKey{sg.v, sg.k, p.Reg}
+			if b.isTransfer(tk) && b.FUPassFree(occ, p.FU, b.transferStep(tk), tk) {
+				i++
+				continue
 			}
+			t.UnbindPass(tk)
+			n++
 		}
 	}
 	return n
+}
+
+// AppendTransfers appends Binding.AppendTransfers' list to dst and
+// returns it, visiting only the segments with incoming transfers.
+func (t *Tx) AppendTransfers(dst []TransferKey) []TransferKey {
+	b := t.b
+	for s := t.xferSegs.next(0); s >= 0; s = t.xferSegs.next(s + 1) {
+		dst = b.appendTransfersAt(dst, t.segs[s].v, t.segs[s].k)
+	}
+	return dst
+}
+
+// NthPass returns the i-th pass-through binding in ascending
+// transfer-key order, the order the dense layout stores them in, and
+// whether there is one. It visits only the segments carrying pass
+// bindings.
+func (t *Tx) NthPass(i int) (TransferKey, bool) {
+	for s := t.passSegs.next(0); s >= 0; s = t.passSegs.next(s + 1) {
+		ps := t.b.Pass[s]
+		if i < len(ps) {
+			return TransferKey{t.segs[s].v, t.segs[s].k, ps[i].Reg}, true
+		}
+		i -= len(ps)
+	}
+	return NoTransfer, false
 }
 
 // --- occupancy ---
@@ -835,9 +989,11 @@ func (t *Tx) FUOcc() (*FUOccupancy, error) {
 
 // CheckOccupancy compares the transaction's occupancy with the
 // from-scratch RegOccupancy and FUOccupancy of its binding: both must
-// report a conflict, or both succeed with equal tables. A claim left
-// stale by a mutator or revert shows nowhere else, since it only
-// changes which candidates the movers draw.
+// report a conflict, or both succeed with equal tables. It then
+// rebuilds the segment indexes from the binding and names the first
+// entry where the kept copy differs. A claim or index entry left stale
+// by a mutator or revert shows nowhere else, since it only changes
+// which candidates the movers draw.
 func (t *Tx) CheckOccupancy() error {
 	want, werr := t.b.RegOccupancy()
 	got, gerr := t.Occ()
@@ -853,6 +1009,33 @@ func (t *Tx) CheckOccupancy() error {
 	case fwerr == nil && !(gridEqual(fgot.Issue, fwant.Issue) &&
 		gridEqual(fgot.WriteEdge, fwant.WriteEdge) && gridEqual(fgot.PassAt, fwant.PassAt)):
 		return errors.New("binding: FU occupancy differs from a rebuild")
+	}
+	return t.checkSegIndexes()
+}
+
+// checkSegIndexes compares each segment's entries in the segment
+// indexes with a rebuild from the binding.
+func (t *Tx) checkSegIndexes() error {
+	b := t.b
+	for s, sg := range t.segs {
+		name := func() string {
+			return fmt.Sprintf("segment %d (%s at position %d)", s, b.A.Values[sg.v].Name, sg.k)
+		}
+		for r, held := range t.regSegs {
+			if got, want := held.has(s), b.HeldIn(sg.v, sg.k, r); got != want {
+				return fmt.Errorf("binding: register index of R%d has %s: %t, a rebuild gives %t", r, name(), got, want)
+			}
+		}
+		n := b.numTransfersAt(sg.v, sg.k)
+		if t.xferN[s] != n {
+			return fmt.Errorf("binding: transfer count of %s is %d, a rebuild gives %d", name(), t.xferN[s], n)
+		}
+		if got := t.xferSegs.has(s); got != (n > 0) {
+			return fmt.Errorf("binding: transfer index has %s: %t, a rebuild gives %t", name(), got, n > 0)
+		}
+		if got, want := t.passSegs.has(s), len(b.Pass[s]) > 0; got != want {
+			return fmt.Errorf("binding: pass index has %s: %t, a rebuild gives %t", name(), got, want)
+		}
 	}
 	return nil
 }
@@ -918,18 +1101,9 @@ func (t *Tx) replaySink(idx int) (int, error) {
 	case datapath.SinkFUPort:
 		err = t.replayFUPort(sink, ns)
 	case datapath.SinkReg:
-		// The occupancy table inverts HeldIn: one pass over this
-		// register's column recovers every (value, position) it holds.
-		// Under a register conflict, which full Eval does not detect,
-		// the column cannot list both claimants, so replay through
-		// HeldIn instead.
-		if t.OccLegal() == nil {
-			err = t.replayRegOcc(sink, ns)
-		} else {
-			err = t.replayReg(sink, ns)
-		}
+		err = t.replayRegSegs(sink, ns)
 	case datapath.SinkOutput:
-		err = t.replayOutput(sink, ns)
+		err = t.addRead(sink, &t.outReads[sink.Index], ns)
 	}
 	if err != nil {
 		return 0, err
@@ -953,256 +1127,119 @@ func (t *Tx) pickHolderScratch(v lifetime.ValueID, k int, ns *datapath.NetScratc
 	return primary
 }
 
-// operandSrc mirrors Eval's operandSource with scratch-net resolution.
-func (t *Tx) operandSrc(arg cdfg.NodeID, step int, ns *datapath.NetScratch) (datapath.Source, error) {
-	b := t.b
-	g := b.A.Sched.G
-	an := &g.Nodes[arg]
-	switch {
-	case an.Op == cdfg.Const:
-		return datapath.Source{Kind: datapath.SrcConst, Index: int(arg)}, nil
-	case an.Op == cdfg.Input && b.A.ValueOf[arg] == lifetime.NoValue:
-		return datapath.Source{Kind: datapath.SrcInput, Index: b.inputIndex[arg]}, nil
-	default:
-		vid := b.A.ValueOf[arg]
-		if vid == lifetime.NoValue {
-			return datapath.Source{}, fmt.Errorf("binding: node %s is not a storage value", an.Name)
-		}
-		v := &b.A.Values[vid]
-		k, ok := v.LiveAt(step, b.A.StorageSteps)
-		if !ok {
-			return datapath.Source{}, fmt.Errorf("binding: %s read at step %d outside live range", v.Name, step)
-		}
-		r := t.pickHolderScratch(vid, k, ns)
+// addRead replays one read from the read tables, mirroring Eval's
+// operandSource with scratch-net holder resolution.
+func (t *Tx) addRead(sink datapath.Sink, rd *slotRead, ns *datapath.NetScratch) error {
+	src := rd.src
+	if rd.v != lifetime.NoValue {
+		r := t.pickHolderScratch(rd.v, rd.k, ns)
 		if r < 0 {
-			return datapath.Source{}, fmt.Errorf("binding: value %s has unassigned segment %d", v.Name, k)
+			return fmt.Errorf("binding: value %s has unassigned segment %d", t.b.A.Values[rd.v].Name, rd.k)
 		}
-		return datapath.Source{Kind: datapath.SrcReg, Index: r}, nil
+		src = datapath.Source{Kind: datapath.SrcReg, Index: r}
+	} else if rd.err != nil {
+		return rd.err
 	}
+	return ns.Add(sink, src, rd.step)
 }
 
 // replayFUPort replays one FU input port: operand reads of the ops
 // bound to the unit in node order (Eval's first phase), then — on port
-// 0 — pass-through reads in Eval's value/position order.
+// 0 — pass-through reads in Eval's segment order.
 func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 	b := t.b
-	g := b.A.Sched.G
-	s := b.A.Sched
 	f, port := sink.Index, sink.Port
 	for _, i := range t.fuOps[f] {
-		n := &g.Nodes[i]
-		argPort := port
+		arg := port
 		if b.OpSwap[i] {
-			argPort = 1 - port
+			arg = 1 - port
 		}
-		step := s.Start[i]
-		src, err := t.operandSrc(n.Args[argPort], step, ns)
-		if err != nil {
-			return err
-		}
-		if err := ns.Add(sink, src, step); err != nil {
+		if err := t.addRead(sink, &t.opReads[i][arg], ns); err != nil {
 			return err
 		}
 	}
 	if port != 0 || b.nPass == 0 {
 		return nil
 	}
-	// Pass-through input reads. Eval visits them value-ascending, chain
-	// position ascending, holder position ascending; collect the unit's
-	// live transfers and sort them into that order before replaying.
-	// Stale entries whose transfer no longer exists are skipped exactly
-	// as Eval's holder walk never reaches them. Without a pass conflict
-	// the unit's PassAt row lists every live one (a real transfer's step
-	// always lies within the FU tables); otherwise walk all bindings.
-	t.passTmp = t.passTmp[:0]
-	if t.passClash == 0 {
-		for _, tk := range t.fuocc.PassAt[f] {
-			if tk != NoTransfer && b.isTransfer(tk) {
-				t.passTmp = append(t.passTmp, passEv{tk: tk, pos: t.holderPos(tk)})
-			}
-		}
-	} else {
-		for v := range b.A.Values {
-			vid := lifetime.ValueID(v)
-			for k := 0; k < b.A.Values[v].Len; k++ {
-				for _, p := range b.PassesAt(vid, k) {
-					if tk := (TransferKey{vid, k, p.Reg}); p.FU == f && b.isTransfer(tk) {
-						t.passTmp = append(t.passTmp, passEv{tk: tk, pos: t.holderPos(tk)})
-					}
-				}
-			}
-		}
-	}
-	sortPassEvs(t.passTmp)
-	for _, pe := range t.passTmp {
-		v := &b.A.Values[pe.tk.V]
-		tstep := v.StepAt(pe.tk.K-1, b.A.StorageSteps)
-		from := t.pickHolderScratch(pe.tk.V, pe.tk.K-1, ns)
-		if from < 0 {
-			return fmt.Errorf("binding: value %s has unassigned segment %d", v.Name, pe.tk.K-1)
-		}
-		if err := ns.Add(sink, datapath.Source{Kind: datapath.SrcReg, Index: from}, tstep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// holderPos returns the position of tk.ToReg in HoldersAt(tk.V, tk.K):
-// 0 for the primary register, 1+i for the i-th copy.
-func (t *Tx) holderPos(tk TransferKey) int {
-	if t.b.SegReg[tk.V][tk.K] == tk.ToReg {
-		return 0
-	}
-	for i, c := range t.b.CopiesAt(tk.V, tk.K) {
-		if c == tk.ToReg {
-			return i + 1
-		}
-	}
-	return 1 << 30
-}
-
-func sortPassEvs(evs []passEv) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && lessPassEv(evs[j], evs[j-1]); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}
-
-func lessPassEv(a, b passEv) bool {
-	if a.tk.V != b.tk.V {
-		return a.tk.V < b.tk.V
-	}
-	if a.tk.K != b.tk.K {
-		return a.tk.K < b.tk.K
-	}
-	return a.pos < b.pos
-}
-
-// replayOutput replays one external output port's single read.
-func (t *Tx) replayOutput(sink datapath.Sink, ns *datapath.NetScratch) error {
-	b := t.b
-	g := b.A.Sched.G
-	s := b.A.Sched
-	n := t.outNode[sink.Index]
-	step := s.Start[n]
-	if g.Cyclic {
-		step %= s.Steps
-	}
-	src, err := t.operandSrc(g.Nodes[n].Args[0], step, ns)
-	if err != nil {
-		return err
-	}
-	return ns.Add(sink, src, step)
-}
-
-// replayReg replays one register's write events: for each value in ID
-// order, the birth write when the register holds chain position 0, then
-// the incoming transfer at each later position it holds without having
-// held the previous one — exactly Eval's third phase restricted to this
-// sink.
-func (t *Tx) replayReg(sink datapath.Sink, ns *datapath.NetScratch) error {
-	b := t.b
-	r := sink.Index
-	for i := range b.A.Values {
-		v := &b.A.Values[i]
-		vid := v.ID
-		if b.HeldIn(vid, 0, r) {
-			if err := t.emitBirth(sink, v, ns); err != nil {
-				return err
-			}
-		}
-		for k := 1; k < v.Len; k++ {
-			if !b.HeldIn(vid, k, r) || b.HeldIn(vid, k-1, r) {
+	// Pass-through input reads. Every read into one segment happens in
+	// the same step and resolves its source by the same query, so the
+	// first decides and the rest add nothing: replay one read per
+	// segment with a live transfer through f. Stale entries whose
+	// transfer no longer exists are skipped exactly as Eval's holder
+	// walk never reaches them.
+	for s := t.passSegs.next(0); s >= 0; s = t.passSegs.next(s + 1) {
+		sg := &t.segs[s]
+		for _, p := range b.Pass[s] {
+			if p.FU != f || !b.isTransfer(TransferKey{sg.v, sg.k, p.Reg}) {
 				continue
 			}
-			if err := t.emitTransfer(sink, v, k, r, ns); err != nil {
+			from := t.pickHolderScratch(sg.v, sg.k-1, ns)
+			if from < 0 {
+				return fmt.Errorf("binding: value %s has unassigned segment %d", b.A.Values[sg.v].Name, sg.k-1)
+			}
+			if err := ns.Add(sink, datapath.Source{Kind: datapath.SrcReg, Index: from}, t.segs[s-1].step); err != nil {
 				return err
 			}
+			break
 		}
 	}
 	return nil
 }
 
-// replayRegOcc is replayReg driven by the occupancy table: the
-// register's column lists exactly the (value, position) pairs HeldIn
-// would report, so sorting them into (value, position) order and
-// checking adjacency for the held-previous-position test reproduces
-// the HeldIn scan without any map probes. Requires a conflict-free
-// register occupancy.
-func (t *Tx) replayRegOcc(sink datapath.Sink, ns *datapath.NetScratch) error {
-	b := t.b
-	ss := b.A.StorageSteps
-	col := t.occ[sink.Index]
-	t.segTmp = t.segTmp[:0]
-	for step, vid := range col {
-		if vid == lifetime.NoValue {
-			continue
+// replayRegSegs replays one register's write events — Eval's third phase
+// restricted to this sink. The register's segment bits list the
+// segments it holds in Eval's (value, position) order; each is a birth
+// write at position 0, and otherwise an incoming transfer unless the
+// register held the previous position too, which is the previous bit.
+// Conflicting claims have bits like any other, so this holds for every
+// state, legal or not.
+func (t *Tx) replayRegSegs(sink datapath.Sink, ns *datapath.NetScratch) error {
+	held := t.regSegs[sink.Index]
+	for s := held.next(0); s >= 0; s = held.next(s + 1) {
+		var err error
+		switch {
+		case t.segs[s].k == 0:
+			err = t.emitBirth(sink, t.segs[s].v, ns)
+		case !held.has(s - 1):
+			err = t.emitTransfer(sink, s, ns)
 		}
-		k := step - b.A.Values[vid].Birth
-		if k < 0 {
-			k += ss
-		}
-		t.segTmp = append(t.segTmp, segPos{v: vid, k: k})
-	}
-	sortSegPos(t.segTmp)
-	for i, sp := range t.segTmp {
-		v := &b.A.Values[sp.v]
-		if sp.k == 0 {
-			if err := t.emitBirth(sink, v, ns); err != nil {
-				return err
-			}
-			continue
-		}
-		// Held at k-1 too ⇔ the sorted list's previous entry is (v, k-1).
-		if i > 0 && t.segTmp[i-1].v == sp.v && t.segTmp[i-1].k == sp.k-1 {
-			continue
-		}
-		if err := t.emitTransfer(sink, v, sp.k, sink.Index, ns); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func sortSegPos(sp []segPos) {
-	for i := 1; i < len(sp); i++ {
-		for j := i; j > 0 && (sp[j].v < sp[j-1].v ||
-			(sp[j].v == sp[j-1].v && sp[j].k < sp[j-1].k)); j-- {
-			sp[j], sp[j-1] = sp[j-1], sp[j]
-		}
-	}
 }
 
 // emitBirth adds value v's producer write into register sink.
-func (t *Tx) emitBirth(sink datapath.Sink, v *lifetime.Value, ns *datapath.NetScratch) error {
-	b := t.b
-	var src datapath.Source
-	if pn := &b.A.Sched.G.Nodes[v.Producer]; pn.Op == cdfg.Input {
-		src = datapath.Source{Kind: datapath.SrcInput, Index: b.inputIndex[v.Producer]}
-	} else {
-		pf := b.OpFU[v.Producer]
+func (t *Tx) emitBirth(sink datapath.Sink, v lifetime.ValueID, ns *datapath.NetScratch) error {
+	bw := t.births[v]
+	src := datapath.Source{Kind: datapath.SrcInput, Index: bw.input}
+	if bw.input < 0 {
+		b := t.b
+		pf := b.OpFU[b.A.Values[v].Producer]
 		if pf < 0 {
-			return fmt.Errorf("binding: producer of %s unbound", v.Name)
+			return fmt.Errorf("binding: producer of %s unbound", b.A.Values[v].Name)
 		}
 		src = datapath.Source{Kind: datapath.SrcFU, Index: pf}
 	}
-	return ns.Add(sink, src, b.A.WriteStep(v))
+	return ns.Add(sink, src, bw.step)
 }
 
-// emitTransfer adds the transfer write of (v, k) into register r: from
-// the bound pass-through FU when one exists, else directly from a
-// holder of the previous position picked as Eval would.
-func (t *Tx) emitTransfer(sink datapath.Sink, v *lifetime.Value, k, r int, ns *datapath.NetScratch) error {
+// emitTransfer adds the transfer write into segment s of register
+// sink: from the bound pass-through FU when one exists, else directly
+// from a holder of the previous position picked as Eval would.
+func (t *Tx) emitTransfer(sink datapath.Sink, s int, ns *datapath.NetScratch) error {
 	b := t.b
-	tstep := v.StepAt(k-1, b.A.StorageSteps)
-	if f, viaPass := b.PassOf(TransferKey{v.ID, k, r}); viaPass {
-		return ns.Add(sink, datapath.Source{Kind: datapath.SrcFU, Index: f}, tstep)
+	sg := &t.segs[s]
+	tstep := t.segs[s-1].step
+	for _, p := range b.Pass[s] {
+		if p.Reg == sink.Index {
+			return ns.Add(sink, datapath.Source{Kind: datapath.SrcFU, Index: p.FU}, tstep)
+		}
 	}
-	from := t.pickHolderScratch(v.ID, k-1, ns)
+	from := t.pickHolderScratch(sg.v, sg.k-1, ns)
 	if from < 0 {
-		return fmt.Errorf("binding: value %s has unassigned segment %d", v.Name, k-1)
+		return fmt.Errorf("binding: value %s has unassigned segment %d", b.A.Values[sg.v].Name, sg.k-1)
 	}
 	return ns.Add(sink, datapath.Source{Kind: datapath.SrcReg, Index: from}, tstep)
 }

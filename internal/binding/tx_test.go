@@ -3,6 +3,7 @@ package binding
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,11 +244,25 @@ func firstFit(t *testing.T, a *lifetime.Analysis, hw *datapath.Hardware) *Bindin
 }
 
 // assertOccupancy fails the test when the transaction's incrementally
-// kept occupancy differs from a from-scratch rebuild (CheckOccupancy).
+// kept occupancy or segment indexes differ from a from-scratch rebuild
+// (CheckOccupancy), or when the transfer list and pass draws the
+// indexes serve differ from the binding's own.
 func assertOccupancy(t *testing.T, where string, tx *Tx) {
 	t.Helper()
 	if err := tx.CheckOccupancy(); err != nil {
 		t.Fatalf("%s: %v", where, err)
+	}
+	b := tx.B()
+	if got, want := tx.AppendTransfers(nil), b.Transfers(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Tx.AppendTransfers %v, Binding.Transfers %v", where, got, want)
+	}
+	for i, pb := range b.Passes() {
+		if tk, ok := tx.NthPass(i); !ok || tk != pb.TransferKey {
+			t.Fatalf("%s: NthPass(%d) = %v, %t, want %v", where, i, tk, ok, pb.TransferKey)
+		}
+	}
+	if tk, ok := tx.NthPass(b.NumPass()); ok {
+		t.Fatalf("%s: NthPass past the last binding returned %v", where, tk)
 	}
 }
 
@@ -624,5 +639,170 @@ func TestCheckSinksCatchesTradedEntries(t *testing.T) {
 	}
 	if name := tx.ct.SinkOf(i).String(); !strings.Contains(err.Error(), name) {
 		t.Fatalf("CheckSinks error %q does not name %s", err, name)
+	}
+}
+
+// TestTxRegisterConflictMatchesFullEval pins register replay on states
+// whose only illegality is a register conflict: a segment moved or
+// copied into a register another value holds at that step, or copied
+// into its own primary. Check rejects such a state, but full Eval does
+// not look for it, so the search never evaluates one. The transaction
+// must still agree with a full Eval on it: DeltaCost, every cost-table
+// entry, and a Reset onto the state.
+func TestTxRegisterConflictMatchesFullEval(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		g     func() *cdfg.Graph
+		steps int
+	}{{"ewf", workloads.EWF, 19}, {"dct", workloads.DCT, 12}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := firstFitOf(t, tc.g(), tc.steps, false, 1)
+			tx, err := NewTx(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := b.A
+			rng := &walkRNG{x: 20261017}
+			evaluated := 0
+			for step := 0; step < 200; step++ {
+				pre := takeSnapshot(b)
+				preCost := tx.Cost()
+				occ, err := b.RegOccupancy()
+				if err != nil {
+					t.Fatalf("step %d: walk left a conflict behind: %v", step, err)
+				}
+				tx.Begin()
+				for n := 1 + rng.intn(2); n > 0; n-- {
+					v := lifetime.ValueID(rng.intn(len(a.Values)))
+					k := rng.intn(a.Values[v].Len)
+					if rng.intn(3) == 0 {
+						tx.AddCopy(v, k, b.SegReg[v][k]) // stored twice
+						continue
+					}
+					r := rng.intn(len(b.HW.Regs))
+					if h := occ[r][a.Values[v].StepAt(k, a.StorageSteps)]; h == lifetime.NoValue || h == v {
+						continue // no other value there: no conflict
+					}
+					if rng.intn(2) == 0 {
+						tx.SetSegReg(v, k, r)
+					} else {
+						tx.AddCopy(v, k, r)
+					}
+				}
+				where := fmt.Sprintf("step %d", step)
+				if _, err := b.RegOccupancy(); err == nil {
+					tx.Rollback()
+					continue
+				}
+				if _, err := b.FUOccupancy(); err != nil {
+					t.Fatalf("%s: FU occupancy broke: %v", where, err)
+				}
+				assertOccupancy(t, where, tx)
+
+				ic, want, eerr := b.Eval()
+				delta, derr := tx.DeltaCost()
+				if (eerr == nil) != (derr == nil) {
+					t.Fatalf("%s: DeltaCost error %v, full Eval error %v", where, derr, eerr)
+				}
+				rtx, rerr := NewTx(b)
+				if (eerr == nil) != (rerr == nil) {
+					t.Fatalf("%s: Reset error %v, full Eval error %v", where, rerr, eerr)
+				}
+				if eerr == nil {
+					evaluated++
+					if delta != want {
+						t.Fatalf("%s: DeltaCost %+v, full Eval %+v", where, delta, want)
+					}
+					if err := tx.CheckSinks(ic); err != nil {
+						t.Fatalf("%s after DeltaCost: %v", where, err)
+					}
+					if got := rtx.Cost(); got != want {
+						t.Fatalf("%s: Reset cost %+v, full Eval %+v", where, got, want)
+					}
+					if err := rtx.CheckSinks(ic); err != nil {
+						t.Fatalf("%s after Reset: %v", where, err)
+					}
+					assertOccupancy(t, where+" Reset", rtx)
+				}
+				tx.Rollback()
+				assertRestored(t, step, b, pre)
+				assertOccupancy(t, where+" rollback", tx)
+				assertSinks(t, where+" rollback", tx)
+				if got := tx.Cost(); got != preCost {
+					t.Fatalf("%s: cost after rollback %+v, want %+v", where, got, preCost)
+				}
+			}
+			if evaluated < 20 {
+				t.Fatalf("only %d conflicted states evaluated; the test pins nothing", evaluated)
+			}
+		})
+	}
+}
+
+// TestCheckOccupancyCatchesStaleIndexes corrupts one entry of each
+// segment index in turn — a register's segment bit, a segment's
+// transfer count, its transfer bit and its pass bit — and expects
+// CheckOccupancy to name the entry. A stale index changes only which
+// candidates the movers draw, so no cost check would see it.
+func TestCheckOccupancyCatchesStaleIndexes(t *testing.T) {
+	b := firstFitOf(t, workloads.EWF(), 19, false, 1)
+	tx, err := NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bind one legal pass-through, so its segment is in every index.
+	occ, err := tx.FUOcc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tk TransferKey
+bind:
+	for _, tk = range tx.AppendTransfers(nil) {
+		for f := range b.HW.FUs {
+			if b.FUPassFree(occ, f, b.transferStep(tk), tk) {
+				tx.Begin()
+				tx.SetPass(tk, f)
+				if _, err := tx.DeltaCost(); err != nil {
+					t.Fatal(err)
+				}
+				tx.Commit()
+				break bind
+			}
+		}
+	}
+	if b.NumPass() != 1 || b.Check() != nil {
+		t.Fatal("fixture drift: no legal pass-through to bind")
+	}
+	assertOccupancy(t, "clean", tx)
+
+	s, r := b.Seg(tk.V, tk.K), tk.ToReg
+	name := fmt.Sprintf("segment %d (%s at position %d)", s, b.A.Values[tk.V].Name, tk.K)
+	flip := func(set bitset, i int) func() {
+		return func() { set.put(i, !set.has(i)) }
+	}
+	for _, tc := range []struct {
+		index   string
+		corrupt func()
+		want    string
+	}{
+		{"register", flip(tx.regSegs[r], s), fmt.Sprintf("register index of R%d has %s", r, name)},
+		{"register (other)", flip(tx.regSegs[(r+1)%len(b.HW.Regs)], s), fmt.Sprintf("register index of R%d has %s", (r+1)%len(b.HW.Regs), name)},
+		{"transfer count", func() { tx.xferN[s]++ }, "transfer count of " + name},
+		{"transfer", flip(tx.xferSegs, s), "transfer index has " + name},
+		{"pass", flip(tx.passSegs, s), "pass index has " + name},
+	} {
+		saved := fmt.Sprint(tx.regSegs, tx.xferN, tx.xferSegs, tx.passSegs)
+		tc.corrupt()
+		err := tx.CheckOccupancy()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s index corrupted: CheckOccupancy = %v, want an error naming %q", tc.index, err, tc.want)
+		}
+		if err := tx.Reset(b); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(tx.regSegs, tx.xferN, tx.xferSegs, tx.passSegs); got != saved {
+			t.Fatalf("Reset after corrupting the %s index did not rebuild the indexes", tc.index)
+		}
+		assertOccupancy(t, tc.index+" rebuilt", tx)
 	}
 }

@@ -443,7 +443,7 @@ func TestPolishSuffixMovesAvailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, after, _, err := polish(b, before, SALSAOptions(1))
+	pb, after, _, err := polish(b, before, SALSAOptions(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

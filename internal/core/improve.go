@@ -159,7 +159,7 @@ search:
 		}
 	}
 
-	res, err := Finalize(best, bestCost, opts)
+	res, err := finalize(best, bestCost, opts, tx)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,13 @@ search:
 // truncated at a trial boundary (see internal/engine) and obtain the
 // same bytes a live truncation at that boundary would have produced.
 func Finalize(best *binding.Binding, bestCost binding.Cost, opts Options) (*Result, error) {
-	best, bestCost, bestIC, err := polish(best, bestCost, opts)
+	return finalize(best, bestCost, opts, nil)
+}
+
+// finalize is Finalize polishing through tx, the search's transaction,
+// so the polish reuses its tables; nil makes a new one.
+func finalize(best *binding.Binding, bestCost binding.Cost, opts Options, tx *binding.Tx) (*Result, error) {
+	best, bestCost, bestIC, err := polish(best, bestCost, opts, tx)
 	if err != nil {
 		return nil, err
 	}

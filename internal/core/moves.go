@@ -232,7 +232,7 @@ func (m *mover) operandReverse(tx *binding.Tx) bool {
 // pass-capable FU.
 func (m *mover) bindPass(tx *binding.Tx) bool {
 	b := tx.B()
-	m.tkBuf = b.AppendTransfers(m.tkBuf[:0])
+	m.tkBuf = tx.AppendTransfers(m.tkBuf[:0])
 	transfers := m.tkBuf
 	if len(transfers) == 0 {
 		return false
@@ -270,20 +270,9 @@ func (m *mover) unbindPass(tx *binding.Tx) bool {
 	if b.NumPass() == 0 {
 		return false
 	}
-	// Draw the i-th binding in ascending transfer-key order, the order
-	// the dense layout stores them in.
-	i := m.rng.Intn(b.NumPass())
-	for _, v := range m.valueIDs {
-		for k := 0; k < b.A.Values[v].Len; k++ {
-			ps := b.PassesAt(v, k)
-			if i < len(ps) {
-				tx.UnbindPass(binding.TransferKey{V: v, K: k, ToReg: ps[i].Reg})
-				return true
-			}
-			i -= len(ps)
-		}
-	}
-	return false
+	// Draw the i-th binding in ascending transfer-key order.
+	tk, ok := tx.NthPass(m.rng.Intn(b.NumPass()))
+	return ok && tx.UnbindPass(tk)
 }
 
 // segExchange (R1) swaps the registers of two segments in one step.

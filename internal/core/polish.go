@@ -19,10 +19,16 @@ import (
 //
 // Candidates run as transactions on a private working clone: each one
 // is applied in place, costed from its dirty sinks, and rolled back
-// unless it improves.
-func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Binding, binding.Cost, *datapath.Interconnect, error) {
+// unless it improves. A non-nil tx is reset onto the clone, so the
+// search's transaction serves its polish; nil makes a new one.
+func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx) (*binding.Binding, binding.Cost, *datapath.Interconnect, error) {
 	best := b.Clone()
-	tx, err := binding.NewTx(best)
+	var err error
+	if tx == nil {
+		tx, err = binding.NewTx(best)
+	} else {
+		err = tx.Reset(best)
+	}
 	if err != nil {
 		return b, cost, nil, nil
 	}
@@ -52,6 +58,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 
 	g := best.A.Sched.G
 	var copies []int
+	var transfers []binding.TransferKey
 	for sweep := 0; sweep < 20; sweep++ {
 		improved := false
 
@@ -174,7 +181,8 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 		if opts.EnablePass {
 			occ, err := best.FUOccupancy()
 			if err == nil {
-				for _, tk := range best.Transfers() {
+				transfers = tx.AppendTransfers(transfers[:0])
+				for _, tk := range transfers {
 					if _, bound := best.PassOf(tk); bound {
 						continue
 					}

@@ -258,3 +258,46 @@ func TestPropertyMergedMuxesCoverAllMultiSourceSinks(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNetScratchMatchesInterconnect replays random use sequences into
+// one sink of a fresh Interconnect and into a reused NetScratch: both
+// must reject the same use with the same error, and otherwise agree on
+// every Has probe and on the sink's multiplexer cost. The scratch is
+// reused across sequences, so no need of an earlier sequence may leak
+// into a later one, also when the generation stamp wraps.
+func TestNetScratchMatchesInterconnect(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sink := Sink{Kind: SinkReg, Index: 1}
+	var ns NetScratch
+	ns.Reset()
+	if err := ns.Add(sink, Source{Kind: SrcReg, Index: 0}, 3); err != nil {
+		t.Fatal(err)
+	}
+	ns.gen = ^uint32(0) // the next Reset wraps the stamp back to the first one
+	ns.Reset()
+	if err := ns.Add(sink, Source{Kind: SrcReg, Index: 2}, 3); err != nil {
+		t.Fatalf("a need from before the stamp wrapped leaked: %v", err)
+	}
+	for seq := 0; seq < 500; seq++ {
+		ns.Reset()
+		ic := NewInterconnectSized(2, 3, 1, 12)
+		for use := 0; use < 1+rng.Intn(8); use++ {
+			src := Source{Kind: SourceKind(rng.Intn(4)), Index: rng.Intn(3)}
+			step := rng.Intn(12)
+			if got, want := ns.Has(src), ic.HasSource(sink, src); got != want {
+				t.Fatalf("seq %d use %d: Has(%v) = %t, Interconnect %t", seq, use, src, got, want)
+			}
+			gerr := ns.Add(sink, src, step)
+			werr := ic.AddUse(Use{Src: src, Sink: sink, Step: step})
+			if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+				t.Fatalf("seq %d use %d: Add error %v, AddUse error %v", seq, use, gerr, werr)
+			}
+			if gerr != nil {
+				break
+			}
+			if got, want := ns.MuxCost(), ic.MuxCost(); got != want {
+				t.Fatalf("seq %d use %d: MuxCost %d, Interconnect %d", seq, use, got, want)
+			}
+		}
+	}
+}

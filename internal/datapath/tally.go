@@ -101,17 +101,30 @@ func (ct *CostTable) Zero() {
 // step, and constant sources are need-tracked but cost-free. The
 // transaction layer replays one sink's uses through it to recompute
 // that sink's CostTable entry.
+//
+// The need table is indexed by step and stamped with a generation that
+// Reset advances, so Add finds a step's need in O(1) and Reset clears
+// nothing. Reset starts every sink, the first one included.
 type NetScratch struct {
-	srcs     []Source
-	needStep []int
-	needSrc  []Source
+	srcs []Source
+	// paid counts the non-constant sources in srcs.
+	paid int
+	// needSrc[t] is the source required at step t when needGen[t]
+	// equals gen.
+	gen     uint32
+	needGen []uint32
+	needSrc []Source
 }
 
 // Reset clears the scratch for the next sink, keeping capacity.
 func (ns *NetScratch) Reset() {
-	ns.srcs = ns.srcs[:0]
-	ns.needStep = ns.needStep[:0]
-	ns.needSrc = ns.needSrc[:0]
+	ns.srcs, ns.paid = ns.srcs[:0], 0
+	ns.gen++
+	if ns.gen == 0 {
+		// The stamp wrapped: entries of an old generation could alias.
+		clear(ns.needGen)
+		ns.gen = 1
+	}
 }
 
 // Has reports whether the source is already part of the fanin — the
@@ -127,21 +140,27 @@ func (ns *NetScratch) Has(src Source) bool {
 
 // Add records one use of src at step, mirroring Interconnect.AddUse's
 // conflict rule: a sink that would need two different sources in the
-// same step is a binding bug.
+// same step is a binding bug. Steps are non-negative, as Interconnect's
+// need table requires too.
 func (ns *NetScratch) Add(sink Sink, src Source, step int) error {
-	for i, t := range ns.needStep {
-		if t == step {
-			if ns.needSrc[i] != src {
-				return fmt.Errorf("datapath: sink %v needs both %v and %v at step %d", sink, ns.needSrc[i], src, step)
-			}
-			// Same source again in the same step: nothing new.
-			return nil
-		}
+	if step >= len(ns.needGen) {
+		n := max(2*len(ns.needGen), step+1)
+		ns.needGen = append(ns.needGen, make([]uint32, n-len(ns.needGen))...)
+		ns.needSrc = append(ns.needSrc, make([]Source, n-len(ns.needSrc))...)
 	}
-	ns.needStep = append(ns.needStep, step)
-	ns.needSrc = append(ns.needSrc, src)
+	if ns.needGen[step] == ns.gen {
+		if prev := ns.needSrc[step]; prev != src {
+			return fmt.Errorf("datapath: sink %v needs both %v and %v at step %d", sink, prev, src, step)
+		}
+		// Same source again in the same step: nothing new.
+		return nil
+	}
+	ns.needGen[step], ns.needSrc[step] = ns.gen, src
 	if !ns.Has(src) {
 		ns.srcs = append(ns.srcs, src)
+		if src.Kind != SrcConst {
+			ns.paid++
+		}
 	}
 	return nil
 }
@@ -149,15 +168,4 @@ func (ns *NetScratch) Add(sink Sink, src Source, step int) error {
 // MuxCost returns the sink's equivalent 2-to-1 multiplexer
 // contribution: cost-bearing (non-constant) fanin minus one, clamped
 // at zero.
-func (ns *NetScratch) MuxCost() int {
-	k := 0
-	for _, s := range ns.srcs {
-		if s.Kind != SrcConst {
-			k++
-		}
-	}
-	if k <= 1 {
-		return 0
-	}
-	return k - 1
-}
+func (ns *NetScratch) MuxCost() int { return max(ns.paid-1, 0) }

@@ -161,7 +161,12 @@ func (s *Server) parseRequest(ar *AllocateRequest) (*allocSpec, error) {
 	}
 	timeout := s.cfg.DefaultTimeout
 	if ar.TimeoutMS > 0 {
-		timeout = time.Duration(ar.TimeoutMS) * time.Millisecond
+		// Clamp in milliseconds: converting a huge timeout_ms to a
+		// Duration first would wrap it.
+		timeout = s.cfg.MaxTimeout
+		if ar.TimeoutMS <= s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(ar.TimeoutMS) * time.Millisecond
+		}
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout

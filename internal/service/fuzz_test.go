@@ -2,9 +2,12 @@ package service
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/big"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -73,6 +76,73 @@ func FuzzJobID(f *testing.F) {
 		}
 		if want := fmt.Sprintf("%x", sha256.Sum256([]byte(id))); !strings.HasSuffix(j.id, "-"+want) {
 			t.Fatalf("create issued %q, want the suffix -%s", j.id, want)
+		}
+	})
+}
+
+// FuzzAllocateRequest decodes arbitrary bytes as a request body and
+// runs the request parsing the router and the backend share. Nothing
+// may panic; an accepted request respects the caps and gets a deadline
+// in (0, MaxTimeout]; and the router's ContentKey agrees with the
+// backend's parseRequest, both on whether the request is valid and on
+// its key.
+func FuzzAllocateRequest(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no corpus graphs (%v)", err)
+	}
+	for i, path := range files {
+		graph, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, ar := range []AllocateRequest{
+			{Graph: graph},
+			{Graph: graph, Seed: int64(i + 1), Restarts: 2, TimeoutMS: 250},
+			// The largest timeout_ms that converted to a Duration without
+			// wrapping past zero, and the smallest that did.
+			{Graph: graph, TimeoutMS: 9223372036854775},
+			{Graph: graph, TimeoutMS: 9223372036854776},
+			{Graph: graph, Mode: "traditional", Steps: MaxSteps, ExtraRegisters: MaxExtraRegisters, Restarts: MaxRestarts},
+		} {
+			body, err := json.Marshal(ar)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(body)
+		}
+	}
+	f.Add([]byte(`{"graph": {"name": "x", "nodes": []}, "restarts": -1, "timeout_ms": -5}`))
+
+	s := &Server{cfg: Config{}.withDefaults()}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var ar AllocateRequest
+		if json.Unmarshal(body, &ar) != nil {
+			return
+		}
+		_, key, kerr := ar.ContentKey()
+		spec, perr := s.parseRequest(&ar)
+		if (kerr == nil) != (perr == nil) {
+			t.Fatalf("ContentKey error %v, parseRequest error %v", kerr, perr)
+		}
+		if perr != nil {
+			return
+		}
+		if spec.key != key {
+			t.Fatalf("parseRequest key %q, ContentKey key %q", spec.key, key)
+		}
+		req := spec.req
+		switch {
+		case req.Restarts < 1 || req.Restarts > MaxRestarts:
+			t.Fatalf("accepted restarts %d outside [1, %d]", req.Restarts, MaxRestarts)
+		case req.Params.ExtraRegisters < 0 || req.Params.ExtraRegisters > MaxExtraRegisters:
+			t.Fatalf("accepted extra_registers %d outside [0, %d]", req.Params.ExtraRegisters, MaxExtraRegisters)
+		case req.Params.Steps < 0 || req.Params.Steps > MaxSteps:
+			t.Fatalf("accepted steps %d outside [0, %d]", req.Params.Steps, MaxSteps)
+		case req.Mode != "salsa" && req.Mode != "traditional":
+			t.Fatalf("accepted mode %q", req.Mode)
+		case spec.timeout <= 0 || spec.timeout > s.cfg.MaxTimeout:
+			t.Fatalf("timeout_ms %d parsed to %v, want it in (0, %v]", ar.TimeoutMS, spec.timeout, s.cfg.MaxTimeout)
 		}
 	})
 }

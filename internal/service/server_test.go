@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -264,6 +265,24 @@ func TestShortDeadlinePartial(t *testing.T) {
 		}
 	}
 	t.Fatal("every deadline in the ladder fired before any allocation existed")
+}
+
+// TestHugeTimeoutClamps: a timeout_ms too large to convert to a
+// Duration clamps to MaxTimeout like any other value above it, so the
+// search runs to completion instead of under a wrapped deadline.
+func TestHugeTimeoutClamps(t *testing.T) {
+	e := newTestServer(t, Config{})
+	for _, timeoutMS := range []int64{9223372036854775, 9223372036854776, math.MaxInt64} {
+		body := allocBody(t, workloads.EWF(), func(ar *AllocateRequest) { ar.TimeoutMS = timeoutMS })
+		status, _, out := e.post(t, "/allocate", body)
+		if status != http.StatusOK {
+			t.Fatalf("timeout_ms=%d: status %d, want 200 (body %s)", timeoutMS, status, out)
+		}
+		if rj := decodeResult(t, out); rj.Partial || rj.Stop == "cancelled" || rj.MovesTried == 0 {
+			t.Fatalf("timeout_ms=%d: partial=%t stop=%q after %d moves, want a complete search",
+				timeoutMS, rj.Partial, rj.Stop, rj.MovesTried)
+		}
+	}
 }
 
 // TestQueueOverflow: with one engine slot and a one-deep queue, a third
