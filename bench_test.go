@@ -34,6 +34,7 @@ import (
 	"salsa/internal/dpsim"
 	"salsa/internal/engine"
 	"salsa/internal/experiments"
+	"salsa/internal/journal"
 	"salsa/internal/lifetime"
 	"salsa/internal/match"
 	"salsa/internal/place"
@@ -501,11 +502,9 @@ func BenchmarkMatchingAllocateEWF(b *testing.B) {
 	}
 }
 
-// BenchmarkServeCachedAllocate measures salsad's cache-hit path: one
-// POST /allocate through the service handler, cycling over the testdata
-// corpus × search seeds 1–2 (the hot set of salsabench's warm-repeat),
-// every request a byte-identical repeat of a prewarmed one.
-func BenchmarkServeCachedAllocate(b *testing.B) {
+// hotSetBodies renders the hot set of salsabench's warm-repeat: one
+// request per testdata corpus graph × search seeds 1–2.
+func hotSetBodies(b *testing.B) [][]byte {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil || len(files) == 0 {
 		b.Fatalf("corpus: %v (%d files)", err, len(files))
@@ -524,22 +523,70 @@ func BenchmarkServeCachedAllocate(b *testing.B) {
 			bodies = append(bodies, body)
 		}
 	}
+	return bodies
+}
+
+// serveHTTP sends one request through h and returns the recorded
+// response.
+func serveHTTP(h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// BenchmarkServeCachedAllocate measures salsad's cache-hit path: one
+// POST /allocate through the service handler, cycling over the
+// warm-repeat hot set, every request a byte-identical repeat of a
+// prewarmed one.
+func BenchmarkServeCachedAllocate(b *testing.B) {
+	bodies := hotSetBodies(b)
 	h := service.New(service.Config{}).Handler()
-	serve := func(body []byte) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/allocate", bytes.NewReader(body)))
-		return rec
-	}
 	for _, body := range bodies {
-		if rec := serve(body); rec.Code != http.StatusOK {
+		if rec := serveHTTP(h, http.MethodPost, "/allocate", body); rec.Code != http.StatusOK {
 			b.Fatalf("prewarm: status %d: %s", rec.Code, rec.Body)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rec := serve(bodies[i%len(bodies)]); rec.Header().Get("X-Salsa-Cache") != "hit" {
+		if rec := serveHTTP(h, http.MethodPost, "/allocate", bodies[i%len(bodies)]); rec.Header().Get("X-Salsa-Cache") != "hit" {
 			b.Fatalf("request %d: status %d cache %q, want a hit", i, rec.Code, rec.Header().Get("X-Salsa-Cache"))
+		}
+	}
+}
+
+// BenchmarkServeCachedJob measures a cache-served async job on a
+// journaled salsad: one POST /jobs plus one GET /jobs/{id} through the
+// service handler, cycling over the warm-repeat hot set, with the
+// journal in a temporary directory. Every submission's acceptance and
+// result are fsynced before its 202, so the op includes that sync.
+func BenchmarkServeCachedJob(b *testing.B) {
+	bodies := hotSetBodies(b)
+	jrn, err := journal.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer jrn.Close()
+	h := service.New(service.Config{Journal: jrn}).Handler()
+	for _, body := range bodies {
+		if rec := serveHTTP(h, http.MethodPost, "/allocate", body); rec.Code != http.StatusOK {
+			b.Fatalf("prewarm: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := serveHTTP(h, http.MethodPost, "/jobs", bodies[i%len(bodies)])
+		var sub struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &sub); rec.Code != http.StatusAccepted || err != nil {
+			b.Fatalf("submit %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		var st service.JobStatus
+		rec = serveHTTP(h, http.MethodGet, "/jobs/"+sub.ID, nil)
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); rec.Code != http.StatusOK || err != nil || st.State != "done" {
+			b.Fatalf("poll %s: status %d: %s", sub.ID, rec.Code, rec.Body)
 		}
 	}
 }

@@ -226,8 +226,9 @@ func (c *Client) DoJob(ctx context.Context, ar *service.AllocateRequest) (*Resul
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			// pollJob only fails permanently (e.g. the job vanished);
-			// transient trouble is absorbed inside the poll loop.
+			// pollJob only fails permanently (e.g. the job vanished,
+			// or finished and was retired: 410); transient trouble is
+			// absorbed inside the poll loop.
 			lastErr = err
 			continue
 		}

@@ -254,6 +254,32 @@ func TestDoJobResubmitsOnRetryableTerminalFailure(t *testing.T) {
 	}
 }
 
+// TestDoJobResubmitsRetiredJob: a job retired before its first poll
+// answers 410 Gone, and DoJob resubmits the request (idempotent by
+// content address) instead of failing.
+func TestDoJobResubmitsRetiredJob(t *testing.T) {
+	done, err := json.Marshal(service.JobStatus{ID: "j9-abc", State: "done",
+		HTTPStatus: 200, Result: json.RawMessage(okBody(t))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &scriptDoer{steps: []scriptStep{
+		{status: 202, body: `{"id":"j1-abc","status_url":"/jobs/j1-abc"}`},
+		{status: 410, body: `{"error":"job j1-abc finished and was retired; resubmit the request"}`},
+		{status: 202, body: `{"id":"j9-abc","status_url":"/jobs/j9-abc"}`},
+		{status: 200, body: string(done)},
+	}}
+	c := newTestClient(d, &recordClock{})
+	res, err := c.DoJob(context.Background(), &service.AllocateRequest{Graph: json.RawMessage(`{}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"/jobs", "/jobs/j1-abc", "/jobs", "/jobs/j9-abc"}
+	if fmt.Sprint(d.paths) != fmt.Sprint(want) || res.Attempts != 4 {
+		t.Fatalf("paths = %v in %d attempts, want %v", d.paths, res.Attempts, want)
+	}
+}
+
 func TestBackoffDeterministicAndCapped(t *testing.T) {
 	mk := func() *Client {
 		return New(Config{BaseURL: "x", Seed: 7,

@@ -565,7 +565,11 @@ func (r *Router) handleSubmitJob(w http.ResponseWriter, req *http.Request) {
 // byte-identically. Another member's answer is trusted only for a
 // content-keyed job ID (service.ContentKeyedJobID), which proves its
 // job is the same request; for an older-form ID it counts as a 404.
-// The terminal answers are deliberately split:
+// A 410 Gone (the shard retired the finished job) is the pinned
+// shard's answer like any other and is passed through, so a poll for
+// a retired job starts no sweep. From another member it counts as a
+// 404: that member numbers its own jobs, so its 410 says nothing about
+// this one. The terminal answers are deliberately split:
 //
 //   - 503 + Retry-After ("keep polling") while any member that might
 //     hold the journal is unreachable — a restart may yet recover the
@@ -624,7 +628,7 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 			allAnswered = false
 			continue
 		}
-		if sres.Status != http.StatusNotFound {
+		if sres.Status != http.StatusNotFound && sres.Status != http.StatusGone {
 			if !service.ContentKeyedJobID(m[2]) {
 				// An older-form ID is unique only within one process:
 				// this member's job may be another request's, so its

@@ -401,6 +401,74 @@ func TestRouterJobStatusErrors(t *testing.T) {
 	}
 }
 
+// TestRouterRetiredJob: a backend answers 410 Gone for a finished job
+// it has retired, and the router passes the pinned shard's 410
+// through: one routed request, no proof-of-loss sweep, no job counted
+// lost. From a member other than the pin, a 410 disclaims the job as a
+// 404 does (that member's counter numbers its own jobs), so a job no
+// member holds is still proven lost.
+func TestRouterRetiredJob(t *testing.T) {
+	// One more job than a service keeps finished, so the first retires.
+	const submissions = 1024 + 1
+	tc := newTestCluster(t, 2, Config{ProxyAttempts: 1})
+	body := allocBody(t, workloads.Figure1(), 3)
+	// Fill the owner's cache, so that every job finishes before its 202.
+	postAllocate(t, tc.front.URL, body)
+	var first string
+	for i := 0; i < submissions; i++ {
+		resp, err := http.Post(tc.front.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sub struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("submission %d: status %d, %v", i+1, resp.StatusCode, err)
+		}
+		if i == 0 {
+			first = sub.ID
+		}
+	}
+	poll := func(id string) int {
+		t.Helper()
+		resp, err := http.Get(tc.front.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	before := tc.router.MetricsSnapshot()
+	if status := poll(first); status != http.StatusGone {
+		t.Fatalf("retired job %s: status %d, want 410", first, status)
+	}
+	m := tc.router.MetricsSnapshot()
+	if routed := m["routed_total"] - before["routed_total"]; routed != 1 || m["failover_total"] != 0 || m["jobs_lost_total"] != 0 {
+		t.Errorf("retired job: %d routed requests, failovers %d, jobs lost %d; want 1, 0 and 0",
+			routed, m["failover_total"], m["jobs_lost_total"])
+	}
+
+	// The same backend ID pinned to the other shard, which never held
+	// it: the pin answers 404 and the sweep's 410 disclaims.
+	pin, backendID, _ := strings.Cut(first, "-")
+	other := "s0"
+	if pin == "s0" {
+		other = "s1"
+	}
+	if status := poll(other + "-" + backendID); status != http.StatusNotFound {
+		t.Errorf("job pinned to a shard that never held it: status %d, want 404", status)
+	}
+	if m := tc.router.MetricsSnapshot(); m["failover_total"] != 0 || m["jobs_lost_total"] != 1 {
+		t.Errorf("410 from a member other than the pin: failovers %d, jobs lost %d; want 0 and 1",
+			m["failover_total"], m["jobs_lost_total"])
+	}
+}
+
 // keyedJobID is a content-keyed job ID of the form the service issues.
 var keyedJobID = "j1-" + strings.Repeat("de", 32)
 

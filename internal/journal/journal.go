@@ -17,7 +17,9 @@
 // records are fsynced before the server acknowledges the transition;
 // Progress records ride along unsynced, so a crash may lose trailing
 // checkpoints but never an acceptance or an outcome that a client was
-// told about.
+// told about. AppendAll writes several records in one write and one
+// fsync: a job whose result is already known is accepted and finished
+// at the cost of a single sync.
 //
 // Each process boot appends to its own segment file; replay reads every
 // segment in name order and keeps the longest valid prefix of each,
@@ -134,17 +136,20 @@ const (
 	maxFrame = 16 << 20
 )
 
-// encodeFrame renders one record as a wire frame.
-func encodeFrame(rec Record) []byte {
-	body := make([]byte, 0, 3+len(rec.ID)+len(rec.Payload))
-	body = append(body, byte(rec.Kind))
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(rec.ID)))
-	body = append(body, rec.ID...)
-	body = append(body, rec.Payload...)
-	frame := make([]byte, 0, headerLen+len(body))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
-	return append(frame, body...)
+// frameLen is the length of rec's wire frame.
+func frameLen(rec Record) int { return headerLen + 3 + len(rec.ID) + len(rec.Payload) }
+
+// appendFrame appends rec's wire frame to dst.
+func appendFrame(dst []byte, rec Record) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen(rec)-headerLen))
+	dst = append(dst, 0, 0, 0, 0) // the CRC, once the body is in place
+	dst = append(dst, byte(rec.Kind))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.ID)))
+	dst = append(dst, rec.ID...)
+	dst = append(dst, rec.Payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(dst[start+headerLen:]))
+	return dst
 }
 
 // decodePrefix parses the longest valid frame prefix of one segment's
@@ -243,30 +248,33 @@ var ErrKilled = errors.New("journal: killed")
 // Hooks installs test-only crash instrumentation. Always nil in
 // production.
 type Hooks struct {
-	// Crash, when non-nil, is consulted before each append with the
-	// journal's 0-based append index, the record, and the encoded frame
-	// length. Returning n >= 0 simulates dying n bytes into that write:
-	// only frame[:n] reaches the file, nothing is fsynced, the journal
-	// is marked killed, and Append returns ErrKilled. Returning a
-	// negative value lets the append proceed. The hook runs under the
-	// journal's lock and must not call back into the journal.
+	// Crash, when non-nil, is consulted once per record before a write,
+	// with the record's 0-based append index (the records of one
+	// AppendAll take consecutive indexes), the record, and its encoded
+	// frame length. Returning n >= 0 simulates dying n bytes into that
+	// record's frame: the write's earlier frames and frame[:n] reach
+	// the file, nothing is fsynced, the journal is marked killed, and
+	// the append returns ErrKilled. Returning a negative value lets the
+	// record through. The hook runs under the journal's lock and must
+	// not call back into the journal.
 	Crash func(appendIndex int, rec Record, frameLen int) int
 }
 
 // Journal is one shard's open write-ahead log: the replayed state of
-// every segment in its directory plus an append handle on a fresh
-// segment for this process's own records.
+// every segment in its directory, held until TakeStates hands it over,
+// plus an append handle on a fresh segment for this process's own
+// records.
 type Journal struct {
-	dir    string
-	states []*JobState // immutable after Open
-	hooks  *Hooks      // immutable after Open
+	dir   string
+	hooks *Hooks // immutable after Open
 
 	mu      sync.Mutex
-	f       *os.File // guarded by mu; nil after Close
-	size    int64    // guarded by mu; bytes written to the new segment
-	synced  int64    // guarded by mu; bytes known fsynced
-	appends int      // guarded by mu; records appended this process
-	killed  bool     // guarded by mu
+	states  []*JobState // guarded by mu; nil once taken
+	f       *os.File    // guarded by mu; nil after Close
+	size    int64       // guarded by mu; bytes written to the new segment
+	synced  int64       // guarded by mu; bytes known fsynced
+	appends int         // guarded by mu; records appended this process
+	killed  bool        // guarded by mu
 }
 
 // Open replays every segment in dir (creating it if needed) and opens
@@ -317,17 +325,38 @@ func OpenWithHooks(dir string, hooks *Hooks) (*Journal, error) {
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// States returns the replayed job states in first-acceptance order.
-// The slice is fixed at Open; callers must not mutate it.
-func (j *Journal) States() []*JobState { return j.states }
+// TakeStates returns the job states replayed at Open, in
+// first-acceptance order, and drops the journal's reference to them,
+// so that a state the caller lets go of (a retired job's request and
+// body) can be collected. Later calls return nil.
+func (j *Journal) TakeStates() []*JobState {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	states := j.states
+	j.states = nil
+	return states
+}
 
-// Append writes one record to the current segment. With sync set, the
-// write is fsynced before Append returns — the discipline for Accepted
-// and Result records, whose acknowledgement promises durability; an
-// unsynced append (Progress) also flushes any earlier unsynced bytes
-// the next time a synced append follows it.
-func (j *Journal) Append(rec Record, sync bool) error {
-	frame := encodeFrame(rec)
+// Append writes one record to the current segment: AppendAll of that
+// record alone.
+func (j *Journal) Append(rec Record, sync bool) error { return j.AppendAll([]Record{rec}, sync) }
+
+// AppendAll writes recs to the current segment in one write. With sync
+// set, the write is fsynced before AppendAll returns — the discipline
+// for Accepted and Result records, whose acknowledgement promises
+// durability; an unsynced append (Progress) also flushes any earlier
+// unsynced bytes the next time a synced append follows it. A crash
+// partway through the write leaves a prefix of its frames, the last
+// possibly torn, which replay cuts back to the whole ones.
+func (j *Journal) AppendAll(recs []Record, sync bool) error {
+	n := 0
+	for _, rec := range recs {
+		n += frameLen(rec)
+	}
+	buf := make([]byte, 0, n)
+	for _, rec := range recs {
+		buf = appendFrame(buf, rec)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.killed {
@@ -337,22 +366,25 @@ func (j *Journal) Append(rec Record, sync bool) error {
 		return errors.New("journal: closed")
 	}
 	idx := j.appends
-	j.appends++
+	j.appends += len(recs)
 	if j.hooks != nil && j.hooks.Crash != nil {
-		if n := j.hooks.Crash(idx, rec, len(frame)); n >= 0 {
-			if n > len(frame) {
-				n = len(frame)
+		off := 0
+		for i, rec := range recs {
+			fl := frameLen(rec)
+			if cut := j.hooks.Crash(idx+i, rec, fl); cut >= 0 {
+				written := off + min(cut, fl)
+				_, _ = j.f.Write(buf[:written])
+				j.size += int64(written)
+				j.killed = true
+				return ErrKilled
 			}
-			_, _ = j.f.Write(frame[:n])
-			j.size += int64(n)
-			j.killed = true
-			return ErrKilled
+			off += fl
 		}
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	j.size += int64(len(frame))
+	j.size += int64(len(buf))
 	if sync {
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("journal: %w", err)

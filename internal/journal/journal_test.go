@@ -3,10 +3,14 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // reopen closes j and replays its directory into a fresh journal — one
@@ -56,7 +60,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	for boot := 0; boot < 2; boot++ {
 		j = reopen(t, j)
-		states := j.States()
+		states := j.TakeStates()
 		if len(states) != 1 {
 			t.Fatalf("boot %d: %d states, want 1", boot, len(states))
 		}
@@ -88,8 +92,8 @@ type corruptCase struct {
 // them.
 func corruptionCases() []corruptCase {
 	// A reference two-record stream: job accepted, then finished.
-	acc := encodeFrame(Accepted("j1-ff", []byte(`{"seed":1}`), "k"))
-	res := encodeFrame(Result("j1-ff", 200, []byte(`{"ok":true}`), false, 10))
+	acc := appendFrame(nil, Accepted("j1-ff", []byte(`{"seed":1}`), "k"))
+	res := appendFrame(nil, Result("j1-ff", 200, []byte(`{"ok":true}`), false, 10))
 
 	corruptCRC := append(append([]byte(nil), acc...), res...)
 	corruptCRC[len(acc)+4] ^= 0xff // flip one CRC byte of the result frame
@@ -116,7 +120,7 @@ func corruptionCases() []corruptCase {
 		{"garbage only", []byte("not a journal at all"), 0, false, 0},
 		{"huge length prefix", hugeLen, 1, false, 0},
 		{"bad id length", append(badIDFrame, acc...), 0, false, 0},
-		{"duplicate terminal record", append(append(append([]byte(nil), acc...), res...), encodeFrame(dup)...), 1, true, 200},
+		{"duplicate terminal record", append(append(append([]byte(nil), acc...), res...), appendFrame(nil, dup)...), 1, true, 200},
 		{"intact", append(append([]byte(nil), acc...), res...), 1, true, 200},
 	}
 }
@@ -143,7 +147,7 @@ func TestReplayCorruption(t *testing.T) {
 				t.Fatalf("Open over corrupt segment: %v", err)
 			}
 			defer j.Close()
-			states := j.States()
+			states := j.TakeStates()
 			if len(states) != tc.want {
 				t.Fatalf("replayed %d states, want %d", len(states), tc.want)
 			}
@@ -164,11 +168,12 @@ func TestReplayCorruption(t *testing.T) {
 // FuzzReplay replays arbitrary bytes as a journal segment. Open must
 // succeed, every replayed job must have an Accepted record in the
 // segment's valid prefix, and that prefix must be exactly the frames
-// encodeFrame renders for the records decoded from it.
+// appendFrame renders for the records decoded from it.
 func FuzzReplay(f *testing.F) {
 	for _, tc := range corruptionCases() {
 		f.Add(tc.data)
 	}
+	f.Add(twoRecordWrite(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, err := Open(writeSegment(t, data))
 		if err != nil {
@@ -182,7 +187,7 @@ func FuzzReplay(f *testing.F) {
 			if rec.Kind == KindAccepted {
 				accepted[rec.ID] = true
 			}
-			frame := encodeFrame(rec)
+			frame := appendFrame(nil, rec)
 			if again := decodePrefix(frame); len(again) != 1 || again[0].Kind != rec.Kind ||
 				again[0].ID != rec.ID || !bytes.Equal(again[0].Payload, rec.Payload) {
 				t.Fatalf("record %+v does not round-trip through its frame: %+v", rec, again)
@@ -193,7 +198,7 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("re-encoding the %d replayed records does not reproduce the segment's prefix", len(recs))
 		}
 		seen := make(map[string]bool)
-		for _, st := range j.States() {
+		for _, st := range j.TakeStates() {
 			if !accepted[st.ID] {
 				t.Errorf("replayed job %q has no Accepted record", st.ID)
 			}
@@ -238,7 +243,7 @@ func TestKillTearsUnsyncedTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tear=%d: reopen: %v", tear, err)
 		}
-		states := nj.States()
+		states := nj.TakeStates()
 		if len(states) != 1 || states[0].ID != "j1-aa" || states[0].Terminal {
 			t.Fatalf("tear=%d: synced acceptance lost or terminal invented: %+v", tear, states)
 		}
@@ -247,10 +252,100 @@ func TestKillTearsUnsyncedTail(t *testing.T) {
 	}
 }
 
+// twoRecordWrite returns the segment one AppendAll of a job's Accepted
+// and Result records leaves on disk.
+func twoRecordWrite(tb testing.TB) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	j, err := Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := j.AppendAll([]Record{
+		Accepted("j1-cc", []byte(`{"seed":5}`), "k5"),
+		Result("j1-cc", 200, []byte(`{"ok":true}`), true, 0),
+	}, true); err != nil {
+		tb.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "seg-00000001.wal"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestAppendAllOneWrite: the records of one AppendAll replay like the
+// same records appended one by one, and take consecutive append
+// indexes.
+func TestAppendAllOneWrite(t *testing.T) {
+	data := twoRecordWrite(t)
+	want := append(appendFrame(nil, Accepted("j1-cc", []byte(`{"seed":5}`), "k5")),
+		appendFrame(nil, Result("j1-cc", 200, []byte(`{"ok":true}`), true, 0))...)
+	if !bytes.Equal(data, want) {
+		t.Fatalf("two-record write left %d bytes, want the two frames' %d", len(data), len(want))
+	}
+	var idxs []int
+	j, err := OpenWithHooks(t.TempDir(), &Hooks{Crash: func(idx int, _ Record, _ int) int {
+		idxs = append(idxs, idx)
+		return -1
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Append(Accepted("j1-dd", []byte(`{}`), "k"), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendAll([]Record{Result("j1-dd", 200, []byte(`{}`), false, 1), Accepted("j2-dd", []byte(`{}`), "k")}, true); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(idxs) != "[0 1 2]" {
+		t.Errorf("Crash consulted at append indexes %v, want [0 1 2]", idxs)
+	}
+}
+
 // TestCrashHookMidWrite: a Crash hook that dies partway into a frame
 // leaves a torn tail that replay absorbs, and the journal refuses
-// further work.
+// further work. Inside one two-record write, a crash in the first
+// frame leaves nothing and a crash in the second leaves the acceptance
+// alone.
 func TestCrashHookMidWrite(t *testing.T) {
+	for _, tc := range []struct {
+		crashAt int // append index whose frame the crash tears
+		want    int // replayed states
+	}{{0, 0}, {1, 1}} {
+		dir := t.TempDir()
+		j, err := OpenWithHooks(dir, &Hooks{Crash: func(idx int, _ Record, frameLen int) int {
+			if idx == tc.crashAt {
+				return frameLen / 2
+			}
+			return -1
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = j.AppendAll([]Record{
+			Accepted("j1-ee", []byte(`{"seed":6}`), "k6"),
+			Result("j1-ee", 200, []byte(`{}`), true, 0),
+		}, true)
+		if !errors.Is(err, ErrKilled) {
+			t.Fatalf("crash in frame %d of a two-record write: append = %v, want ErrKilled", tc.crashAt, err)
+		}
+		j.Close()
+		nj, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states := nj.TakeStates()
+		nj.Close()
+		if len(states) != tc.want || (tc.want == 1 && states[0].Terminal) {
+			t.Errorf("crash in frame %d of a two-record write: replayed %+v, want %d non-terminal states", tc.crashAt, states, tc.want)
+		}
+	}
+
 	dir := t.TempDir()
 	j, err := OpenWithHooks(dir, &Hooks{Crash: func(idx int, _ Record, frameLen int) int {
 		if idx == 1 {
@@ -276,7 +371,7 @@ func TestCrashHookMidWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nj.Close()
-	states := nj.States()
+	states := nj.TakeStates()
 	if len(states) != 1 || states[0].Terminal {
 		t.Fatalf("mid-write crash: want the acceptance alone, got %+v", states)
 	}
@@ -297,7 +392,7 @@ func TestOpenSegmentsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	j = reopen(t, j)
-	states := j.States()
+	states := j.TakeStates()
 	if len(states) != 2 {
 		t.Fatalf("%d states across segments, want 2", len(states))
 	}
@@ -306,5 +401,38 @@ func TestOpenSegmentsAccumulate(t *testing.T) {
 	}
 	if states[1].ID != "j2-s2" || states[1].Terminal {
 		t.Errorf("second boot's acceptance lost: %+v", states[1])
+	}
+}
+
+// TestTakeStatesReleases: once the states are taken, the journal holds
+// no reference to them, so a state the caller drops is collected
+// however long the journal stays open.
+func TestTakeStatesReleases(t *testing.T) {
+	j, err := Open(writeSegment(t, twoRecordWrite(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	states := j.TakeStates()
+	if len(states) != 1 || !states[0].Terminal {
+		t.Fatalf("replayed %+v, want one terminal state", states)
+	}
+	if again := j.TakeStates(); again != nil {
+		t.Fatalf("second TakeStates = %+v, want nil", again)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(states[0], func(*JobState) { close(collected) })
+	states = nil
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(j)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("a taken state was never collected: the journal still references it")
+		}
 	}
 }

@@ -44,9 +44,6 @@ type AllocateRequest struct {
 type allocSpec struct {
 	req     salsa.Request
 	timeout time.Duration
-	// wire is the raw request bytes as received — what the journal
-	// persists so a recovered job can be re-parsed and re-run exactly.
-	wire []byte
 	// fingerprint is the graph's content address (cdfg.Fingerprint).
 	fingerprint string
 	// key is the result-cache / singleflight key: fingerprint plus the

@@ -17,39 +17,83 @@ func digestHits(e *testServer) int64 {
 	return e.s.MetricsSnapshot()["body_digest_hits_total"]
 }
 
-// TestBodyTableServesRepeat: a byte-identical repeat of a body whose
-// result is cached is served from the body table — same bytes, same
-// hit header, no decode (the counter counts exactly the requests
-// served without one) and no engine run.
-func TestBodyTableServesRepeat(t *testing.T) {
-	e := newTestServer(t, Config{})
-	body := allocBody(t, workloads.Diffeq(), nil)
+// bodyEndpoints are the two endpoints the body table fronts. serve
+// posts body to one and returns the allocation's HTTP status and
+// body: /allocate's response, or the outcome a /jobs submission's poll
+// reports once the job is terminal (a rejected submission returns its
+// own status and body).
+var bodyEndpoints = []struct {
+	path  string
+	serve func(t *testing.T, e *testServer, body []byte) (int, []byte)
+}{
+	{"/allocate", func(t *testing.T, e *testServer, body []byte) (int, []byte) {
+		status, _, out := e.post(t, "/allocate", body)
+		return status, out
+	}},
+	{"/jobs", serveJob},
+}
 
-	status, hdr, first := e.post(t, "/allocate", body)
-	if status != http.StatusOK || hdr.Get("X-Salsa-Cache") != "miss" {
-		t.Fatalf("first request: status %d cache %q: %s", status, hdr.Get("X-Salsa-Cache"), first)
+// serveJob submits body as an async job and polls it to its terminal
+// state. A done job's result comes back with the trailing newline a
+// synchronous body carries, so the two compare byte for byte.
+func serveJob(t *testing.T, e *testServer, body []byte) (int, []byte) {
+	t.Helper()
+	status, _, out := e.post(t, "/jobs", body)
+	if status != http.StatusAccepted {
+		return status, out
 	}
-	if n := digestHits(e); n != 0 {
-		t.Errorf("first request counted %d body-digest hits, want 0", n)
+	id := submitResponseID(t, out)
+	var st JobStatus
+	waitFor(t, "job "+id+" terminal", func() bool {
+		st, _ = pollStatus(t, e, id)
+		return st.State == jobDone || st.State == jobFailed
+	})
+	if st.State != jobDone {
+		return st.HTTPStatus, errorBody(st.Error)
 	}
-	for i := 1; i <= 3; i++ {
-		status, hdr, again := e.post(t, "/allocate", body)
-		if status != http.StatusOK || hdr.Get("X-Salsa-Cache") != "hit" {
-			t.Fatalf("repeat %d: status %d cache %q", i, status, hdr.Get("X-Salsa-Cache"))
-		}
-		if !bytes.Equal(first, again) {
-			t.Fatalf("repeat %d body differs from the miss that filled the cache", i)
-		}
-		if n := digestHits(e); n != int64(i) {
-			t.Errorf("after repeat %d: %d body-digest hits, want %d", i, n, i)
-		}
-	}
-	m := e.s.MetricsSnapshot()
-	if m["cache_hits_total"] != 3 || m["engine_invocations_total"] != 1 {
-		t.Errorf("cache hits %d, engine runs %d; want 3 and 1", m["cache_hits_total"], m["engine_invocations_total"])
-	}
-	if n := e.s.bodies.Len(); n != 1 {
-		t.Errorf("body table holds %d entries, want 1", n)
+	return st.HTTPStatus, append(st.Result, '\n')
+}
+
+// TestBodyTableServesRepeat: a byte-identical repeat of a body whose
+// result is cached is served from the body table — same bytes, a cache
+// hit, no decode (the counter counts exactly the requests served
+// without one) and no engine run — on both endpoints. A job's polled
+// result equals the synchronous body.
+func TestBodyTableServesRepeat(t *testing.T) {
+	for _, ep := range bodyEndpoints {
+		t.Run(ep.path, func(t *testing.T) {
+			e := newTestServer(t, Config{})
+			body := allocBody(t, workloads.Diffeq(), nil)
+
+			status, first := ep.serve(t, e, body)
+			if m := e.s.MetricsSnapshot(); status != http.StatusOK || m["cache_misses_total"] != 1 {
+				t.Fatalf("first request: status %d, %d cache misses: %s", status, m["cache_misses_total"], first)
+			}
+			if n := digestHits(e); n != 0 {
+				t.Errorf("first request counted %d body-digest hits, want 0", n)
+			}
+			for i := 1; i <= 3; i++ {
+				status, again := ep.serve(t, e, body)
+				if m := e.s.MetricsSnapshot(); status != http.StatusOK || m["cache_hits_total"] != int64(i) {
+					t.Fatalf("repeat %d: status %d, %d cache hits", i, status, m["cache_hits_total"])
+				}
+				if !bytes.Equal(first, again) {
+					t.Fatalf("repeat %d body differs from the miss that filled the cache", i)
+				}
+				if n := digestHits(e); n != int64(i) {
+					t.Errorf("after repeat %d: %d body-digest hits, want %d", i, n, i)
+				}
+			}
+			if m := e.s.MetricsSnapshot(); m["engine_invocations_total"] != 1 {
+				t.Errorf("engine runs %d, want 1", m["engine_invocations_total"])
+			}
+			if n := e.s.bodies.Len(); n != 1 {
+				t.Errorf("body table holds %d entries, want 1", n)
+			}
+			if _, _, sync := e.post(t, "/allocate", body); !bytes.Equal(first, sync) {
+				t.Errorf("%s served\n%s\nbut /allocate serves\n%s", ep.path, first, sync)
+			}
+		})
 	}
 }
 
@@ -91,8 +135,8 @@ func TestBodyTableReencodedBody(t *testing.T) {
 }
 
 // TestBodyTableNeverRecordsRejects: a body answered 400 is answered 400
-// again on repeat and never enters the table, so a known digest always
-// names a body that decoded and validated.
+// again on repeat, on either endpoint, and never enters the table, so
+// a known digest always names a body that decoded and validated.
 func TestBodyTableNeverRecordsRejects(t *testing.T) {
 	e := newTestServer(t, Config{})
 	for _, tc := range []struct {
@@ -105,9 +149,11 @@ func TestBodyTableNeverRecordsRejects(t *testing.T) {
 		{"negative steps", allocBody(t, workloads.Figure1(), func(ar *AllocateRequest) { ar.Steps = -4 })},
 		{"negative extra_registers", allocBody(t, workloads.Figure1(), func(ar *AllocateRequest) { ar.ExtraRegisters = -3 })},
 	} {
-		for i := 0; i < 2; i++ {
-			if status, _, out := e.post(t, "/allocate", tc.body); status != http.StatusBadRequest {
-				t.Errorf("%s, attempt %d: status %d, want 400 (%s)", tc.name, i+1, status, out)
+		for _, ep := range bodyEndpoints {
+			for i := 0; i < 2; i++ {
+				if status, out := ep.serve(t, e, tc.body); status != http.StatusBadRequest {
+					t.Errorf("%s %s, attempt %d: status %d, want 400 (%s)", ep.path, tc.name, i+1, status, out)
+				}
 			}
 		}
 	}
@@ -115,35 +161,45 @@ func TestBodyTableNeverRecordsRejects(t *testing.T) {
 		t.Errorf("body table recorded %d rejected bodies, want 0", n)
 	}
 	m := e.s.MetricsSnapshot()
-	if m["body_digest_hits_total"] != 0 || m["engine_invocations_total"] != 0 {
-		t.Errorf("rejected bodies: %d body-digest hits, %d engine runs; want 0 and 0",
-			m["body_digest_hits_total"], m["engine_invocations_total"])
+	if m["body_digest_hits_total"] != 0 || m["engine_invocations_total"] != 0 || m["jobs_submitted_total"] != 0 {
+		t.Errorf("rejected bodies: %d body-digest hits, %d engine runs, %d jobs; want 0, 0 and 0",
+			m["body_digest_hits_total"], m["engine_invocations_total"], m["jobs_submitted_total"])
 	}
 }
 
 // TestBodyTableEvictedResult: a known digest whose result has left the
 // cache falls back to the decode and an engine run, and serves the
-// same bytes. The eviction goes through Hooks.EvictCache, which the
-// table's lookup honors like every other cache lookup.
+// same bytes, on both endpoints. The eviction goes through
+// Hooks.EvictCache, which the table's lookup honors like every other
+// cache lookup.
 func TestBodyTableEvictedResult(t *testing.T) {
-	var evict atomic.Bool
-	e := newTestServer(t, Config{Hooks: &Hooks{EvictCache: func(string) bool { return evict.Load() }}})
-	body := allocBody(t, workloads.Diffeq(), nil)
-	_, _, first := e.post(t, "/allocate", body)
+	for _, ep := range bodyEndpoints {
+		t.Run(ep.path, func(t *testing.T) {
+			var evict atomic.Bool
+			e := newTestServer(t, Config{Hooks: &Hooks{EvictCache: func(string) bool { return evict.Load() }}})
+			body := allocBody(t, workloads.Diffeq(), nil)
+			_, first := ep.serve(t, e, body)
 
-	evict.Store(true)
-	status, hdr, again := e.post(t, "/allocate", body)
-	evict.Store(false)
-	if status != http.StatusOK || hdr.Get("X-Salsa-Cache") != "miss" || !bytes.Equal(first, again) {
-		t.Fatalf("evicted repeat: status %d cache %q, identical %t; want a byte-identical miss",
-			status, hdr.Get("X-Salsa-Cache"), bytes.Equal(first, again))
-	}
-	m := e.s.MetricsSnapshot()
-	if m["engine_invocations_total"] != 2 || m["body_digest_hits_total"] != 0 {
-		t.Errorf("engine runs %d, body-digest hits %d; want 2 and 0", m["engine_invocations_total"], m["body_digest_hits_total"])
-	}
-	if _, hdr, _ := e.post(t, "/allocate", body); hdr.Get("X-Salsa-Cache") != "hit" || digestHits(e) != 1 {
-		t.Errorf("after the refill: cache %q, body-digest hits %d; want hit and 1", hdr.Get("X-Salsa-Cache"), digestHits(e))
+			evict.Store(true)
+			status, again := ep.serve(t, e, body)
+			evict.Store(false)
+			m := e.s.MetricsSnapshot()
+			if status != http.StatusOK || m["cache_misses_total"] != 2 || !bytes.Equal(first, again) {
+				t.Fatalf("evicted repeat: status %d, %d cache misses, identical %t; want a byte-identical second miss",
+					status, m["cache_misses_total"], bytes.Equal(first, again))
+			}
+			if m["engine_invocations_total"] != 2 || m["body_digest_hits_total"] != 0 {
+				t.Errorf("engine runs %d, body-digest hits %d; want 2 and 0", m["engine_invocations_total"], m["body_digest_hits_total"])
+			}
+			status, refilled := ep.serve(t, e, body)
+			if m := e.s.MetricsSnapshot(); status != http.StatusOK || m["cache_hits_total"] != 1 || digestHits(e) != 1 {
+				t.Errorf("after the refill: status %d, %d cache hits, %d body-digest hits; want 200, 1 and 1",
+					status, m["cache_hits_total"], digestHits(e))
+			}
+			if _, _, sync := e.post(t, "/allocate", body); !bytes.Equal(refilled, sync) || !bytes.Equal(first, sync) {
+				t.Errorf("%s results differ from the synchronous body", ep.path)
+			}
+		})
 	}
 }
 

@@ -63,7 +63,7 @@ func FuzzJobID(f *testing.F) {
 			t.Errorf("ContentKeyedJobID(%q) = %t, want %t", id, got, keyed)
 		}
 
-		r := newJobRegistry(2, clock.NewVirtual())
+		r := newJobRegistry(2, retainFinished, clock.NewVirtual())
 		if _, ok := r.restore(id); !ok {
 			t.Fatalf("restore(%q) refused by an empty registry", id)
 		}

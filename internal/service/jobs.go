@@ -210,19 +210,32 @@ func (j *job) statusJSON() JobStatus {
 	return st
 }
 
-// jobRegistry tracks async jobs by ID. Entries are kept for the
-// process lifetime, bounded by maxJobs: submissions beyond the bound
-// are rejected so the registry cannot grow without limit.
+// retainFinished is how many finished jobs the registry keeps for
+// polling: the most recently finished ones. An older finished job is
+// retired, and a poll for its ID answers 410 Gone.
+const retainFinished = 1024
+
+// jobRegistry tracks async jobs by ID. Live (queued or running) jobs
+// are bounded by maxJobs: submissions beyond the bound are rejected.
+// Finished jobs do not count toward it; the registry keeps the retain
+// most recently finished ones and retires older ones, so it cannot
+// grow without limit however many jobs finish.
 type jobRegistry struct {
-	mu      sync.Mutex
-	jobs    map[string]*job // guarded by mu
-	seq     int             // guarded by mu
-	maxJobs int             // immutable after construction
-	clk     clock.Clock     // immutable after construction
+	mu   sync.Mutex
+	jobs map[string]*job // guarded by mu; live and retained finished jobs
+	live int             // guarded by mu; jobs not yet finished
+	// done is a ring of the retained finished jobs' IDs; once it is
+	// full, done[next] is the oldest.
+	done    []string    // guarded by mu
+	next    int         // guarded by mu
+	seq     int         // guarded by mu
+	maxJobs int         // immutable after construction
+	retain  int         // immutable after construction; positive
+	clk     clock.Clock // immutable after construction
 }
 
-func newJobRegistry(maxJobs int, clk clock.Clock) *jobRegistry {
-	return &jobRegistry{jobs: make(map[string]*job), maxJobs: maxJobs, clk: clk}
+func newJobRegistry(maxJobs, retain int, clk clock.Clock) *jobRegistry {
+	return &jobRegistry{jobs: make(map[string]*job), maxJobs: maxJobs, retain: retain, clk: clk}
 }
 
 // create registers a fresh queued job for the request with the given
@@ -233,8 +246,8 @@ func newJobRegistry(maxJobs int, clk clock.Clock) *jobRegistry {
 func (r *jobRegistry) create(key string) (*job, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.jobs) >= r.maxJobs {
-		return nil, fmt.Errorf("job registry full (%d jobs)", r.maxJobs)
+	if r.live >= r.maxJobs {
+		return nil, fmt.Errorf("job registry full (%d live jobs)", r.maxJobs)
 	}
 	if r.seq == math.MaxInt {
 		// A restored ID can carry the largest number; the next one
@@ -242,6 +255,7 @@ func (r *jobRegistry) create(key string) (*job, error) {
 		return nil, errors.New("job sequence exhausted")
 	}
 	r.seq++
+	r.live++
 	sum := sha256.Sum256([]byte(key))
 	j := &job{id: fmt.Sprintf("j%d-%x", r.seq, sum), clk: r.clk, created: r.clk.Now(), state: jobQueued}
 	r.jobs[j.id] = j
@@ -249,14 +263,16 @@ func (r *jobRegistry) create(key string) (*job, error) {
 }
 
 // restore registers a journal-replayed job under its original ID (the
-// ID a client already holds and will poll). The sequence counter jumps
-// past the replayed ID's so fresh submissions cannot collide with
-// recovered ones. ok is false when the registry is full or the ID is
-// already present (a duplicate in a corrupt journal).
+// ID a client already holds and will poll) as a live job; a terminal
+// one is handed to finished once its outcome is restored. The sequence
+// counter jumps past the replayed ID's so fresh submissions cannot
+// collide with recovered ones. ok is false when the registry holds
+// maxJobs live jobs or the ID is already present (a duplicate in a
+// corrupt journal).
 func (r *jobRegistry) restore(id string) (*job, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.jobs) >= r.maxJobs {
+	if r.live >= r.maxJobs {
 		return nil, false
 	}
 	if _, exists := r.jobs[id]; exists {
@@ -265,18 +281,36 @@ func (r *jobRegistry) restore(id string) (*job, bool) {
 	if seq, _, ok := splitJobID(id); ok && seq > r.seq {
 		r.seq = seq
 	}
+	r.live++
 	j := &job{id: id, clk: r.clk, created: r.clk.Now(), state: jobQueued, recovered: true}
 	r.jobs[id] = j
 	return j, true
 }
 
-// remove deletes a job — the unwind when its acceptance could not be
-// journaled (the 202 was never sent) or its journal entry is not
+// finished moves j, which has just reached its terminal state, from
+// the live jobs to the retained finished ones, and retires the oldest
+// retained job when that makes more than retain of them.
+func (r *jobRegistry) finished(j *job) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.live--
+	if len(r.done) < r.retain {
+		r.done = append(r.done, j.id)
+		return
+	}
+	delete(r.jobs, r.done[r.next])
+	r.done[r.next] = j.id
+	r.next = (r.next + 1) % r.retain
+}
+
+// remove deletes a live job — the unwind when its acceptance could not
+// be journaled (the 202 was never sent) or its journal entry is not
 // replayable.
 func (r *jobRegistry) remove(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.jobs, id)
+	r.live--
 }
 
 // ValidJobID reports whether id has the form of a job ID a service
@@ -314,8 +348,19 @@ func splitJobID(id string) (seq int, sum string, ok bool) {
 	return int(n), sum, true
 }
 
-func (r *jobRegistry) get(id string) *job {
+// get returns the job registered under id. When there is none, gone
+// reports whether id names a job this registry issued or restored and
+// has since retired: a job ID whose sequence number is at or below the
+// counter. The test keeps no per-job state, so after a restart without
+// a journal, which restarts the counter, an earlier process's IDs up
+// to the new counter also read as gone; either way the client's cure
+// is to resubmit.
+func (r *jobRegistry) get(id string) (j *job, gone bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.jobs[id]
+	if j := r.jobs[id]; j != nil {
+		return j, false
+	}
+	seq, _, ok := splitJobID(id)
+	return nil, ok && seq > 0 && seq <= r.seq
 }

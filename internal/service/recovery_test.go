@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,7 +204,7 @@ func TestJobRecoverySurvivesUnjournaledServer(t *testing.T) {
 // sequence, but is not content-keyed. Both forms are valid job IDs;
 // nothing else is.
 func TestJobIDs(t *testing.T) {
-	r := newJobRegistry(8, clock.NewVirtual())
+	r := newJobRegistry(8, retainFinished, clock.NewVirtual())
 	const legacy = "j7-3c62da355d7c"
 	if _, ok := r.restore(legacy); !ok {
 		t.Fatalf("restore(%q) refused", legacy)
@@ -222,7 +226,7 @@ func TestJobIDs(t *testing.T) {
 	if strings.TrimPrefix(a.id, "j8-") == strings.TrimPrefix(b.id, "j9-") {
 		t.Errorf("different content keys share an ID suffix: %q, %q", a.id, b.id)
 	}
-	other := newJobRegistry(8, clock.NewVirtual())
+	other := newJobRegistry(8, retainFinished, clock.NewVirtual())
 	c, err := other.create("fp|mode=salsa seed=1")
 	if err != nil {
 		t.Fatal(err)
@@ -239,5 +243,148 @@ func TestJobIDs(t *testing.T) {
 		if ValidJobID(id) {
 			t.Errorf("ValidJobID(%q) = true", id)
 		}
+	}
+}
+
+// TestJobRecoveryCrashInCachedSubmit: a cache-served submission's
+// acceptance and result share one write. A crash inside it, in either
+// frame, costs the client its 202. A crash in the first frame leaves
+// no job; one in the second leaves the acceptance alone, and a reboot
+// re-runs it to the bytes the cache held. A write that completes makes
+// the 202'd job's result durable: after a kill, the reboot serves it
+// finished without an engine run.
+func TestJobRecoveryCrashInCachedSubmit(t *testing.T) {
+	body := allocBody(t, workloads.Figure1(), nil)
+	for frame := 0; frame <= 2; frame++ {
+		dir := t.TempDir()
+		var crashed atomic.Value
+		jrn, err := journal.OpenWithHooks(dir, &journal.Hooks{Crash: func(idx int, rec journal.Record, frameLen int) int {
+			if idx != frame {
+				return -1
+			}
+			crashed.Store(rec.ID)
+			return frameLen / 2
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { jrn.Close() })
+		e := newTestServer(t, Config{Journal: jrn})
+		_, _, sync := e.post(t, "/allocate", body)
+		status, _, out := e.post(t, "/jobs", body)
+		id, _ := crashed.Load().(string)
+		if frame == 2 {
+			if status != http.StatusAccepted || id != "" {
+				t.Fatalf("uncrashed write: submit answered %d (%s), crash hook fired %t; want a 202", status, out, id != "")
+			}
+			id = submitResponseID(t, out)
+			jrn.Kill(7)
+		} else if status != http.StatusServiceUnavailable || id == "" {
+			t.Fatalf("crash in frame %d: submit answered %d (%s), crash hook fired %t; want a crash and a 503",
+				frame, status, out, id != "")
+		}
+
+		e2 := newTestServer(t, Config{Journal: openJournal(t, dir)})
+		if n := e2.s.MetricsSnapshot()["jobs_recovered_total"]; n != min(int64(frame), 1) {
+			t.Fatalf("crash in frame %d: %d jobs recovered, want %d", frame, n, min(frame, 1))
+		}
+		if frame == 0 {
+			if status, _ := e2.get(t, "/jobs/"+id); status != http.StatusNotFound {
+				t.Errorf("crash in the acceptance's frame: job polls %d, want 404", status)
+			}
+			continue
+		}
+		var st JobStatus
+		waitFor(t, "recovered job terminal", func() bool {
+			st, _ = pollStatus(t, e2, id)
+			return st.State == jobDone || st.State == jobFailed
+		})
+		if st.State != jobDone || !st.Recovered || !bytes.Equal(append(st.Result, '\n'), sync) {
+			t.Errorf("frame %d: state %s, recovered %t, identical %t; want the cached bytes",
+				frame, st.State, st.Recovered, bytes.Equal(append(st.Result, '\n'), sync))
+		}
+		if runs, want := e2.s.MetricsSnapshot()["engine_invocations_total"], int64(2-frame); runs != want {
+			t.Errorf("frame %d: %d engine runs after the reboot, want %d", frame, runs, want)
+		}
+	}
+}
+
+// TestJobsRetireConcurrently: several clients submit and poll
+// cache-served jobs while older jobs retire around them. Every
+// submission is accepted, every poll serves the cached bytes or 410
+// Gone, and afterwards exactly the retained jobs answer 200.
+func TestJobsRetireConcurrently(t *testing.T) {
+	const clients, perClient, retain = 4, 25, 8
+	s := New(Config{Journal: openJournal(t, t.TempDir()), MaxJobs: clients})
+	s.jobs = newJobRegistry(clients, retain, s.clock)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	e := &testServer{s: s, ts: ts}
+	body := allocBody(t, workloads.Figure1(), nil)
+	_, _, want := e.post(t, "/allocate", body)
+
+	ids := make([][]string, clients)
+	errs := make(chan error, clients*perClient)
+	var wg sync.WaitGroup
+	for c := range ids {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var sub struct {
+					ID string `json:"id"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&sub)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted || err != nil {
+					errs <- fmt.Errorf("client %d submission %d: status %d, %v", c, i, resp.StatusCode, err)
+					return
+				}
+				ids[c] = append(ids[c], sub.ID)
+				resp, err = http.Get(ts.URL + "/jobs/" + sub.ID)
+				if err != nil {
+					errs <- err
+					return
+				}
+				var st JobStatus
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode == http.StatusGone:
+				case resp.StatusCode != http.StatusOK || err != nil:
+					errs <- fmt.Errorf("poll %s: status %d, %v", sub.ID, resp.StatusCode, err)
+				case st.State != jobDone || !bytes.Equal(append(st.Result, '\n'), want):
+					errs <- fmt.Errorf("poll %s: state %s, result differs from the synchronous body", sub.ID, st.State)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	served := 0
+	for _, cids := range ids {
+		for _, id := range cids {
+			switch status, _ := e.get(t, "/jobs/"+id); status {
+			case http.StatusOK:
+				served++
+			case http.StatusGone:
+			default:
+				t.Errorf("poll %s after the run: status %d, want 200 or 410", id, status)
+			}
+		}
+	}
+	if served != retain {
+		t.Errorf("%d jobs still served after the run, want the %d retained", served, retain)
+	}
+	if m := s.MetricsSnapshot(); m["jobs_finished_total"] != clients*perClient {
+		t.Errorf("%d jobs finished, want %d", m["jobs_finished_total"], clients*perClient)
 	}
 }

@@ -11,10 +11,10 @@
 //   - a content-addressed LRU result cache keyed by
 //     (cdfg.Fingerprint, normalized options) storing exact response
 //     bytes, so a hit is byte-identical to the miss that filled it;
-//   - a body table in front of the decode: a POST /allocate body
-//     byte-identical to one that already decoded and validated finds
-//     its content address by SHA-256 digest, and a cached result is
-//     served without decoding the body again;
+//   - a body table in front of the decode: a POST /allocate or
+//     POST /jobs body byte-identical to one that already decoded and
+//     validated finds its content address by SHA-256 digest, and a
+//     cached result is served without decoding the body again;
 //   - singleflight deduplication: identical requests in flight collapse
 //     to one engine run, followers share the leader's response bytes;
 //   - admission control: a bounded wait queue in front of a bounded
@@ -78,7 +78,9 @@ type Config struct {
 	// itself included, and at least 1. A lone run keeps every core, and
 	// concurrent runs share the cores instead of each taking them all.
 	EngineWorkers int
-	// MaxJobs bounds the async job registry; 0 selects 1024.
+	// MaxJobs bounds the live (queued or running) async jobs; 0 selects
+	// 1024. Finished jobs do not count toward it: the registry keeps
+	// the 1024 most recently finished ones and retires older ones.
 	MaxJobs int
 	// Journal, when non-nil, makes async jobs durable: acceptances and
 	// terminal outcomes are fsynced to it before they are acknowledged,
@@ -165,7 +167,7 @@ func New(cfg Config) *Server {
 		cache:   NewResultCache(cfg.CacheEntries),
 		bodies:  NewBodyTable(cfg.CacheEntries),
 		flight:  newFlightGroup(),
-		jobs:    newJobRegistry(cfg.MaxJobs, clk),
+		jobs:    newJobRegistry(cfg.MaxJobs, retainFinished, clk),
 		journal: cfg.Journal,
 		clock:   clk,
 		hooks:   cfg.Hooks,
@@ -182,8 +184,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// recoverJobs replays the journal at boot. Terminal jobs come back
-// byte-identical with elapsed_ms frozen at the original completion.
+// recoverJobs replays the journal at boot, taking its states so that
+// the journal keeps none of them. Terminal jobs come back
+// byte-identical with elapsed_ms frozen at the original completion,
+// and retire under the registry's usual rule, oldest first.
 // Non-terminal jobs — accepted and acknowledged, then orphaned by the
 // crash — are re-parsed from their journaled request bytes and
 // re-enqueued through the normal allocation path: determinism
@@ -193,7 +197,7 @@ func New(cfg Config) *Server {
 // different codebase) is dropped and counted in journal_errors_total
 // rather than resurrected wrong.
 func (s *Server) recoverJobs() {
-	for _, st := range s.journal.States() {
+	for _, st := range s.journal.TakeStates() {
 		j, ok := s.jobs.restore(st.ID)
 		if !ok {
 			s.metrics.journalErrors.Add(1)
@@ -201,6 +205,7 @@ func (s *Server) recoverJobs() {
 		}
 		if st.Terminal {
 			j.restoreTerminal(st.Status, st.Body, st.Merged, st.ElapsedMS)
+			s.jobs.finished(j)
 			s.metrics.jobsRecovered.Add(1)
 			continue
 		}
@@ -216,7 +221,6 @@ func (s *Server) recoverJobs() {
 			s.metrics.journalErrors.Add(1)
 			continue
 		}
-		spec.wire = st.Request
 		if len(st.Progress) > 0 {
 			j.restoreProgress(st.Progress)
 		}
@@ -365,7 +369,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, body []byte) *allocSpec {
 		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
 		return nil
 	}
-	spec.wire = body
 	return spec
 }
 
@@ -476,7 +479,10 @@ func (s *Server) serveHit(w http.ResponseWriter, body []byte) {
 
 // handleSubmitJob is the asynchronous submission endpoint: it answers
 // 202 with a job ID immediately and runs the allocation in the
-// background, exposing engine telemetry as progress on /jobs/{id}.
+// background, exposing engine telemetry as progress on /jobs/{id}. A
+// body the body table knows, whose result is cached, is accepted
+// without being decoded, and a job whose result is cached finishes
+// before its 202.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	s.metrics.allocRequests.Add(1)
 	if s.rejectDraining(w) {
@@ -486,11 +492,22 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec := s.decodeRequest(w, body)
-	if spec == nil {
-		return
+	var spec *allocSpec
+	var cached []byte
+	hit := false
+	digest, addr, known := s.bodies.Lookup(body)
+	if known {
+		cached, hit = s.cacheGet(addr.Key)
 	}
-	j, err := s.jobs.create(spec.key)
+	if !hit {
+		if spec = s.decodeRequest(w, body); spec == nil {
+			return
+		}
+		addr = ContentAddr{Fingerprint: spec.fingerprint, Key: spec.key}
+		s.bodies.Record(digest, addr)
+		cached, hit = s.cacheGet(addr.Key)
+	}
+	j, err := s.jobs.create(addr.Key)
 	if err != nil {
 		w.Header().Set("Retry-After", s.retryAfterHint())
 		writeJSON(w, http.StatusTooManyRequests, errorBody(err.Error()))
@@ -498,10 +515,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	// Durability before acknowledgement: the acceptance reaches disk
 	// before the 202 does the wire, so a crash can never forget a job a
-	// client was told about. An append failure unwinds the admission —
-	// the client retries against a shard whose disk works.
+	// client was told about. A cached result goes into the same write,
+	// so the job is finished at the cost of that one fsync. An append
+	// failure unwinds the admission — the client retries against a
+	// shard whose disk works.
+	now := s.clock.Now()
 	if s.journal != nil {
-		if jerr := s.journal.Append(journal.Accepted(j.id, spec.wire, spec.key), true); jerr != nil {
+		recs := []journal.Record{journal.Accepted(j.id, body, addr.Key)}
+		if hit {
+			recs = append(recs, journal.Result(j.id, http.StatusOK, cached, true, now.Sub(j.created).Milliseconds()))
+		}
+		if jerr := s.journal.AppendAll(recs, true); jerr != nil {
 			s.metrics.journalErrors.Add(1)
 			s.jobs.remove(j.id)
 			w.Header().Set("Retry-After", s.retryAfterHint())
@@ -510,7 +534,15 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.metrics.jobsSubmitted.Add(1)
-	s.startJob(j, spec)
+	if hit {
+		s.metrics.cacheHits.Add(1)
+		if spec == nil {
+			s.metrics.bodyDigestHits.Add(1)
+		}
+		s.completeJob(j, now, &outcome{status: http.StatusOK, body: cached}, true)
+	} else {
+		s.startJob(j, spec)
+	}
 	resp, merr := json.Marshal(map[string]string{"id": j.id, "status_url": "/jobs/" + j.id})
 	if merr != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody("encoding response: "+merr.Error()))
@@ -521,9 +553,9 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 
 // startJob runs one accepted job to its terminal state: from the cache
 // when possible, otherwise in a background goroutine through
-// singleflight and the engine. Shared by fresh submissions and
-// journal recovery, so a re-enqueued job takes exactly the path its
-// original submission did.
+// singleflight and the engine. Shared by fresh submissions that missed
+// the cache and by journal recovery, so a re-enqueued job takes the
+// path its original submission took.
 func (s *Server) startJob(j *job, spec *allocSpec) {
 	if body, ok := s.cacheGet(spec.key); ok {
 		s.metrics.cacheHits.Add(1)
@@ -579,7 +611,14 @@ func (s *Server) finishJob(j *job, out *outcome, merged bool) {
 			s.metrics.journalErrors.Add(1)
 		}
 	}
+	s.completeJob(j, now, out, merged)
+}
+
+// completeJob makes a journaled terminal outcome visible to polls and
+// hands the job to the registry's retention.
+func (s *Server) completeJob(j *job, now time.Time, out *outcome, merged bool) {
 	j.finishAt(now, out.status, out.body, merged)
+	s.jobs.finished(j)
 	s.metrics.jobsFinished.Add(1)
 }
 
@@ -606,10 +645,19 @@ func (s *Server) jobEvents(j *job) func(engine.Event) {
 }
 
 // handleJobStatus reports an async job's state, progress and result.
+// A job the registry has retired answers 410 Gone, which a cluster
+// router passes through, where a 404 would start its proof-of-loss
+// sweep.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.jobs.get(r.PathValue("id"))
+	id := r.PathValue("id")
+	j, gone := s.jobs.get(id)
+	if gone {
+		writeJSON(w, http.StatusGone, errorBody("job "+id+
+			" finished and was retired; resubmit the request (idempotent by content address)"))
+		return
+	}
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, errorBody("unknown job "+r.PathValue("id")))
+		writeJSON(w, http.StatusNotFound, errorBody("unknown job "+id))
 		return
 	}
 	body, err := json.Marshal(j.statusJSON())
