@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"salsa/internal/client"
 	"salsa/internal/clock"
+	"salsa/internal/metrics"
 	"salsa/internal/service"
 )
 
@@ -44,9 +46,6 @@ type Config struct {
 	// CacheEntries bounds the router's response cache and its body
 	// table; 0 selects 128, negative disables both.
 	CacheEntries int
-	// Replicas is the ring's virtual-node count per backend; 0 selects
-	// DefaultReplicas.
-	Replicas int
 	// MaxBodyBytes bounds proxied request bodies; 0 selects 4 MiB.
 	MaxBodyBytes int64
 	// ProxyAttempts is the per-backend retry budget of one proxied
@@ -97,11 +96,12 @@ func (c Config) withDefaults() Config {
 // and a body table, so any number of router instances can front the
 // same fleet.
 type Router struct {
-	cfg     Config
-	clock   clock.Clock
-	metrics *routerMetrics
-	cache   *service.ResultCache
-	bodies  *service.BodyTable
+	cfg      Config
+	clock    clock.Clock
+	metrics  *routerMetrics
+	registry *metrics.Registry
+	cache    *service.ResultCache
+	bodies   *service.BodyTable
 	// full is the ring over every configured backend, healthy or not —
 	// the reference a request's "natural" owner is computed against so
 	// re-homing is observable. Immutable after construction.
@@ -151,10 +151,10 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:     cfg,
 		clock:   cfg.Clock,
-		metrics: newRouterMetrics(),
+		metrics: &routerMetrics{},
 		cache:   service.NewResultCache(cfg.CacheEntries),
 		bodies:  service.NewBodyTable(cfg.CacheEntries),
-		full:    NewRing(backends, cfg.Replicas),
+		full:    NewRing(backends, 0),
 		clients: make(map[string]*client.Client, len(backends)),
 		index:   make(map[string]int, len(backends)),
 		byIndex: backends,
@@ -175,6 +175,9 @@ func New(cfg Config) (*Router, error) {
 		})
 	}
 	r.ring = r.full
+	r.metrics.BackendHealthy = r.backendHealth
+	r.metrics.CacheEntries = func() int64 { return int64(r.cache.Len()) }
+	r.registry = metrics.New(r.metrics, "salsa_router_")
 	return r, nil
 }
 
@@ -248,7 +251,7 @@ func (r *Router) setHealth(backend string, ok bool) {
 				live = append(live, b)
 			}
 		}
-		r.ring = NewRing(live, r.cfg.Replicas)
+		r.ring = NewRing(live, 0)
 	}
 }
 
@@ -270,14 +273,22 @@ func (r *Router) Healthy() []string {
 	return out
 }
 
-// MetricsSnapshot returns the router counters as a flat map for tests
-// and the simulation harness.
-func (r *Router) MetricsSnapshot() map[string]int64 {
-	m := r.metrics.snapshot()
-	m["cache_entries"] = int64(r.cache.Len())
-	m["healthy_backends"] = int64(len(r.Healthy()))
-	return m
+// backendHealth reports each configured backend's health by probe, 1
+// healthy and 0 not, in configured order.
+func (r *Router) backendHealth(emit func(backend string, v int64)) {
+	healthy := r.Healthy()
+	for _, b := range r.byIndex {
+		var v int64
+		if slices.Contains(healthy, b) {
+			v = 1
+		}
+		emit(b, v)
+	}
 }
+
+// MetricsSnapshot returns the router's metrics as a flat map for tests
+// and the simulation harness.
+func (r *Router) MetricsSnapshot() map[string]int64 { return r.registry.Snapshot() }
 
 // Handler returns the router's HTTP mux: the same surface a single
 // salsad serves, so clients cannot tell a router from a backend.
@@ -337,18 +348,18 @@ func (r *Router) sequence(ringKey string) (seq []string, rehomed bool) {
 func (r *Router) proxy(ctx context.Context, method, path string, body []byte, ringKey string) (*client.HTTPResult, string, error) {
 	seq, rehomed := r.sequence(ringKey)
 	if len(seq) == 0 {
-		r.metrics.noBackend.Add(1)
+		r.metrics.NoBackend.Add(1)
 		return nil, "", errNoBackend
 	}
 	if rehomed {
-		r.metrics.rehomed.Add(1)
+		r.metrics.Rehomed.Add(1)
 	}
 	var lastErr error
 	for i, b := range seq {
 		if i > 0 {
-			r.metrics.failovers.Add(1)
+			r.metrics.Failovers.Add(1)
 		}
-		r.metrics.routed.Add(1)
+		r.metrics.Routed.Add(1)
 		res, err := r.clients[b].Roundtrip(ctx, method, path, body)
 		if err != nil {
 			lastErr = err
@@ -360,7 +371,7 @@ func (r *Router) proxy(ctx context.Context, method, path string, body []byte, ri
 			lastErr = &client.HTTPError{Status: res.Status, Body: res.Body}
 			continue
 		}
-		r.metrics.served(b)
+		r.metrics.Served.Inc(b)
 		return res, b, nil
 	}
 	return nil, "", fmt.Errorf("all %d backends failed: %w", len(seq), lastErr)
@@ -435,7 +446,7 @@ func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, boo
 func (r *Router) contentKeyOf(w http.ResponseWriter, body []byte) (service.ContentAddr, bool) {
 	digest, addr, known := r.bodies.Lookup(body)
 	if known {
-		r.metrics.bodyDigestHits.Add(1)
+		r.metrics.BodyDigestHits.Add(1)
 		return addr, true
 	}
 	var ar service.AllocateRequest
@@ -457,7 +468,7 @@ func (r *Router) contentKeyOf(w http.ResponseWriter, body []byte) (service.Conte
 // fingerprint's shard, serving hot fingerprints from the router cache
 // without crossing the network at all.
 func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
-	r.metrics.requests.Add(1)
+	r.metrics.Requests.Add(1)
 	if r.rejectDraining(w) {
 		return
 	}
@@ -472,7 +483,7 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if cached, hit := r.cache.Get(addr.Key); hit {
-		r.metrics.cacheHits.Add(1)
+		r.metrics.CacheHits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Salsa-Cache", "hit")
 		w.Header().Set("X-Salsa-Shard", "router")
@@ -480,7 +491,7 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 		_, _ = w.Write(cached)
 		return
 	}
-	r.metrics.cacheMiss.Add(1)
+	r.metrics.CacheMisses.Add(1)
 	res, backend, err := r.proxy(req.Context(), http.MethodPost, "/allocate", body, addr.Fingerprint)
 	if err != nil {
 		writeUnavailable(w, "cluster: "+err.Error())
@@ -513,7 +524,7 @@ var jobID = regexp.MustCompile(`^s(\d+)-(.+)$`)
 // shard number, so every later poll routes back to the owning backend
 // without any router-side job state.
 func (r *Router) handleSubmitJob(w http.ResponseWriter, req *http.Request) {
-	r.metrics.requests.Add(1)
+	r.metrics.Requests.Add(1)
 	if r.rejectDraining(w) {
 		return
 	}
@@ -578,7 +589,7 @@ func (r *Router) handleSubmitJob(w http.ResponseWriter, req *http.Request) {
 //     and none knows the job: no replica of the data dir survives, and
 //     resubmitting (idempotent by content address) is the only cure.
 func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
-	r.metrics.requests.Add(1)
+	r.metrics.Requests.Add(1)
 	r.work.Add(1)
 	defer r.work.Done()
 	m := jobID.FindStringSubmatch(req.PathValue("id"))
@@ -592,10 +603,10 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	pinned := r.byIndex[idx]
-	r.metrics.routed.Add(1)
+	r.metrics.Routed.Add(1)
 	res, rerr := r.clients[pinned].Roundtrip(req.Context(), http.MethodGet, "/jobs/"+m[2], nil)
 	if rerr == nil && res.Status < http.StatusInternalServerError && res.Status != http.StatusNotFound {
-		r.metrics.served(pinned)
+		r.metrics.Served.Inc(pinned)
 		passthrough(w, res, pinned)
 		return
 	}
@@ -622,7 +633,7 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	for _, b := range candidates {
-		r.metrics.routed.Add(1)
+		r.metrics.Routed.Add(1)
 		sres, serr := r.clients[b].Roundtrip(req.Context(), http.MethodGet, "/jobs/"+m[2], nil)
 		if serr != nil || sres.Status >= http.StatusInternalServerError {
 			allAnswered = false
@@ -638,20 +649,20 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 			// A survivor adopted the journal (or the owner's data dir
 			// moved), or holds the same request under the same ID:
 			// content-keyed IDs make its result byte-identical.
-			r.metrics.failovers.Add(1)
-			r.metrics.served(b)
+			r.metrics.Failovers.Add(1)
+			r.metrics.Served.Inc(b)
 			passthrough(w, sres, b)
 			return
 		}
 	}
 	if allAnswered {
-		r.metrics.jobsLost.Add(1)
+		r.metrics.JobsLost.Add(1)
 		writeError(w, http.StatusNotFound, fmt.Sprintf(
 			"job %s is lost: shard %s is up without it and no other shard holds it — resubmit (idempotent by content address)",
 			req.PathValue("id"), pinned))
 		return
 	}
-	r.metrics.jobUnavailable.Add(1)
+	r.metrics.JobUnavailable.Add(1)
 	writeUnavailable(w, fmt.Sprintf(
 		"shard %s temporarily unreachable; a journaled job recovers when its shard rejoins — keep polling", pinned))
 }
@@ -684,38 +695,19 @@ func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // backend's /metrics output.
 var engineCounter = regexp.MustCompile(`(?m)^(salsa_engine_[a-z_]+) (\d+)$`)
 
-// handleMetrics renders the router's own counters, per-backend health
-// gauges, and a scrape-through of every backend's engine counters
-// re-labelled with backend=<url> — one scrape of the router sees the
-// whole fleet's engine activity without touching each backend.
+// handleMetrics renders the router's own metrics and a scrape-through
+// of every backend's engine counters re-labelled with backend=<url> —
+// one scrape of the router sees the whole fleet's engine activity
+// without touching each backend.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	r.metrics.requests.Add(1)
+	r.metrics.Requests.Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	r.metrics.writePrometheus(w)
-	fmt.Fprintf(w, "# HELP salsa_router_backend_healthy Backend health by probe (1 healthy, 0 not).\n# TYPE salsa_router_backend_healthy gauge\n")
-	healthy := make(map[string]bool)
-	for _, b := range r.Healthy() {
-		healthy[b] = true
-	}
-	for _, b := range r.byIndex {
-		v := 0
-		if healthy[b] {
-			v = 1
-		}
-		fmt.Fprintf(w, "salsa_router_backend_healthy{backend=%q} %d\n", b, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("salsa_router_cache_entries", "Router response-cache resident entries.", int64(r.cache.Len()))
+	r.registry.WritePrometheus(w)
 
 	// Scrape-through: engine counters from every live backend, once per
 	// family, one labelled sample per backend, in configured order.
 	emitted := map[string]bool{}
-	for _, b := range r.byIndex {
-		if !healthy[b] {
-			continue
-		}
+	for _, b := range r.Healthy() {
 		body, ok := r.scrapeBackend(req.Context(), b)
 		if !ok {
 			continue

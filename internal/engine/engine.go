@@ -110,9 +110,9 @@ func Run(ctx context.Context, a *lifetime.Analysis, hw *datapath.Hardware, jobs 
 		workers = len(jobs)
 	}
 
-	statRuns.Add(1)
-	statJobs.Add(int64(len(jobs)))
-	statWorkers.Add(int64(workers))
+	counters.Runs.Add(1)
+	counters.Jobs.Add(int64(len(jobs)))
+	counters.WorkersStarted.Add(int64(workers))
 
 	eng := &run{
 		jobs: jobs, cfg: cfg, start: start,
@@ -318,22 +318,22 @@ func (eng *run) resolve(idx int, out *outcome, st *Stats, winner **core.Result) 
 		if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
 			jr.Cancelled = true
 			st.Cancelled++
-			statJobsCancelled.Add(1)
+			counters.JobsCancelled.Add(1)
 		} else {
 			st.Failed++
-			statJobsFailed.Add(1)
+			counters.JobsFailed.Add(1)
 		}
 	case res.Stop == core.StopCancelled:
 		// Deadline hit mid-trial: keep the anytime best-so-far as is.
 		// Determinism is forfeited for this run by definition.
 		jr.Cancelled = true
 		st.Cancelled++
-		statJobsCancelled.Add(1)
+		counters.JobsCancelled.Add(1)
 	default:
 		if t := eng.canonicalStop(out.log); t >= 0 {
 			jr.Pruned = true
 			st.Pruned++
-			statJobsPruned.Add(1)
+			counters.JobsPruned.Add(1)
 			if t < len(out.log)-1 {
 				// The job overran its canonical boundary before the
 				// incumbent caught up with it; rebuild the canonical
@@ -342,7 +342,7 @@ func (eng *run) resolve(idx int, out *outcome, st *Stats, winner **core.Result) 
 				if err != nil {
 					jr.Err = err
 					st.Failed++
-					statJobsFailed.Add(1)
+					counters.JobsFailed.Add(1)
 					res = nil
 					break
 				}
@@ -362,12 +362,12 @@ func (eng *run) resolve(idx int, out *outcome, st *Stats, winner **core.Result) 
 		st.Trials += res.Trials
 		st.MovesTried += res.MovesTried
 		st.MovesAccepted += res.MovesAccepted
-		statTrials.Add(int64(res.Trials))
-		statMovesTried.Add(int64(res.MovesTried))
-		statMovesAccepted.Add(int64(res.MovesAccepted))
+		counters.Trials.Add(int64(res.Trials))
+		counters.MovesTried.Add(int64(res.MovesTried))
+		counters.MovesAccepted.Add(int64(res.MovesAccepted))
 		if int64(res.Cost.Total) < eng.incumbent.Load() {
 			eng.incumbent.Store(int64(res.Cost.Total))
-			statIncumbentUpdates.Add(1)
+			counters.IncumbentUpdates.Add(1)
 		}
 		if *winner == nil || res.Cost.Total < (*winner).Cost.Total ||
 			(res.Cost.Total == (*winner).Cost.Total && res.MergedMux < (*winner).MergedMux) {

@@ -117,7 +117,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		}
 		var base *snap
 		for _, workers := range []int{1, 2, 8} {
-			before := engine.Counters()
+			before := engine.Metrics().Snapshot()
 			res, st, err := engine.Run(context.Background(), tc.a, tc.hw, tc.jobs, engine.Config{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
@@ -162,7 +162,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // run sequentially within this package, so the deltas are exact.
 func assertCounterDeltas(t *testing.T, name string, workers int, before map[string]int64, st *engine.Stats) {
 	t.Helper()
-	after := engine.Counters()
+	after := engine.Metrics().Snapshot()
 	delta := func(counter string) int64 { return after[counter] - before[counter] }
 	exact := map[string]int64{
 		"salsa_engine_runs_total":           1,

@@ -1,55 +1,34 @@
 package engine
 
-import "expvar"
+import "salsa/internal/metrics"
 
-// Process-wide engine telemetry counters, published through expvar so
-// a serving layer (internal/service, cmd/salsad) can export them
-// without holding a reference to any particular engine run.
+// counters are the engine's process-wide telemetry, declared once for
+// the metrics registry and also published through expvar, so a serving
+// layer (internal/service, cmd/salsad) can export them without holding
+// a reference to any particular engine run.
 //
-// All counters are expvar.Ints — atomic adds, safe from any goroutine.
 // They are cumulative over the process lifetime and count *canonical*
 // search effort (the same numbers Stats reports): trial and move
 // counters are folded in on the reduction goroutine as each job
 // resolves, so the totals are independent of worker count and
 // completion order, exactly like Stats.
-var (
-	statRuns             = expvar.NewInt("salsa_engine_runs_total")
-	statJobs             = expvar.NewInt("salsa_engine_jobs_total")
-	statWorkers          = expvar.NewInt("salsa_engine_workers_started_total")
-	statTrials           = expvar.NewInt("salsa_engine_trials_total")
-	statMovesTried       = expvar.NewInt("salsa_engine_moves_tried_total")
-	statMovesAccepted    = expvar.NewInt("salsa_engine_moves_accepted_total")
-	statIncumbentUpdates = expvar.NewInt("salsa_engine_incumbent_updates_total")
-	statJobsPruned       = expvar.NewInt("salsa_engine_jobs_pruned_total")
-	statJobsCancelled    = expvar.NewInt("salsa_engine_jobs_cancelled_total")
-	statJobsFailed       = expvar.NewInt("salsa_engine_jobs_failed_total")
-)
-
-// CounterNames lists the expvar names of the engine's published
-// counters, in rendering order.
-func CounterNames() []string {
-	return []string{
-		"salsa_engine_runs_total",
-		"salsa_engine_jobs_total",
-		"salsa_engine_workers_started_total",
-		"salsa_engine_trials_total",
-		"salsa_engine_moves_tried_total",
-		"salsa_engine_moves_accepted_total",
-		"salsa_engine_incumbent_updates_total",
-		"salsa_engine_jobs_pruned_total",
-		"salsa_engine_jobs_cancelled_total",
-		"salsa_engine_jobs_failed_total",
-	}
+var counters struct {
+	Runs             metrics.Counter `metric:"salsa_engine_runs_total" help:"Engine counter (process-wide, see internal/engine)."`
+	Jobs             metrics.Counter `metric:"salsa_engine_jobs_total" help:"Engine counter (process-wide, see internal/engine)."`
+	WorkersStarted   metrics.Counter `metric:"salsa_engine_workers_started_total" help:"Engine counter (process-wide, see internal/engine)."`
+	Trials           metrics.Counter `metric:"salsa_engine_trials_total" help:"Engine counter (process-wide, see internal/engine)."`
+	MovesTried       metrics.Counter `metric:"salsa_engine_moves_tried_total" help:"Engine counter (process-wide, see internal/engine)."`
+	MovesAccepted    metrics.Counter `metric:"salsa_engine_moves_accepted_total" help:"Engine counter (process-wide, see internal/engine)."`
+	IncumbentUpdates metrics.Counter `metric:"salsa_engine_incumbent_updates_total" help:"Engine counter (process-wide, see internal/engine)."`
+	JobsPruned       metrics.Counter `metric:"salsa_engine_jobs_pruned_total" help:"Engine counter (process-wide, see internal/engine)."`
+	JobsCancelled    metrics.Counter `metric:"salsa_engine_jobs_cancelled_total" help:"Engine counter (process-wide, see internal/engine)."`
+	JobsFailed       metrics.Counter `metric:"salsa_engine_jobs_failed_total" help:"Engine counter (process-wide, see internal/engine)."`
 }
 
-// Counters snapshots the published engine counters by expvar name,
-// for tests and the service's /metrics rendering.
-func Counters() map[string]int64 {
-	out := make(map[string]int64)
-	for _, name := range CounterNames() {
-		if v, ok := expvar.Get(name).(*expvar.Int); ok {
-			out[name] = v.Value()
-		}
-	}
-	return out
-}
+var registry = metrics.New(&counters, "")
+
+func init() { registry.PublishExpvar() }
+
+// Metrics returns the registry of the engine's process-wide counters,
+// whose snapshot keys are the counters' full names.
+func Metrics() *metrics.Registry { return registry }

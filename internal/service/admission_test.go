@@ -71,7 +71,7 @@ func (h *admissionHarness) occupy(t *testing.T, seed int64) <-chan int {
 	t.Helper()
 	done := h.send(t, seed, 0)
 	waitFor(t, "the slot holder to start its run", func() bool {
-		return h.e.s.metrics.activeRuns.Load() == 1
+		return h.e.s.metrics.ActiveRuns.Load() == 1
 	})
 	return done
 }
@@ -98,7 +98,7 @@ func (h *admissionHarness) send(t *testing.T, seed int64, timeoutMS int64) <-cha
 func (h *admissionHarness) waitQueued(t *testing.T, n int) {
 	t.Helper()
 	waitFor(t, "admission queue to park waiters", func() bool {
-		return h.e.s.metrics.queueDepth.Load() == int64(n)
+		return h.e.s.metrics.QueueDepth.Load() == int64(n)
 	})
 }
 
@@ -198,7 +198,7 @@ func TestAdmissionBoundaries(t *testing.T) {
 					t.Errorf("filler %d finished %d, want 200", i, status)
 				}
 			}
-			if depth := h.e.s.metrics.queueDepth.Load(); depth != 0 {
+			if depth := h.e.s.metrics.QueueDepth.Load(); depth != 0 {
 				t.Errorf("queue depth %d after all requests finished, want 0", depth)
 			}
 		})
@@ -233,7 +233,7 @@ func TestQueueSlotFreedByTimedOutWaiter(t *testing.T) {
 		t.Fatalf("waiter status %d, want 408", status)
 	}
 	waitFor(t, "the timed-out waiter to leave the queue", func() bool {
-		return h.e.s.metrics.queueDepth.Load() == 0
+		return h.e.s.metrics.QueueDepth.Load() == 0
 	})
 
 	// Probe B arrives to the drained queue: admitted, and completes
@@ -293,23 +293,23 @@ func TestSemaphoreHandoffOrder(t *testing.T) {
 	waitFor(t, "request A to start", func() bool { return started() == 1 })
 	b := send(101)
 	waitFor(t, "request B to park on the semaphore", func() bool {
-		return e.s.metrics.queueDepth.Load() == 1
+		return e.s.metrics.QueueDepth.Load() == 1
 	})
 	c := send(102)
 	waitFor(t, "request C to park behind B", func() bool {
-		return e.s.metrics.queueDepth.Load() == 2
+		return e.s.metrics.QueueDepth.Load() == 2
 	})
 
 	// Release A's run: exactly one waiter (B — blocked channel sends
 	// hand off first-come-first-served) gets the slot; C stays parked.
 	step <- struct{}{}
 	waitFor(t, "the slot to hand off once", func() bool { return started() == 2 })
-	if active := e.s.metrics.activeRuns.Load(); active != 1 {
+	if active := e.s.metrics.ActiveRuns.Load(); active != 1 {
 		t.Errorf("active runs %d after first handoff, want 1 (mutual exclusion)", active)
 	}
 	step <- struct{}{}
 	waitFor(t, "the slot to hand off twice", func() bool { return started() == 3 })
-	if active := e.s.metrics.activeRuns.Load(); active != 1 {
+	if active := e.s.metrics.ActiveRuns.Load(); active != 1 {
 		t.Errorf("active runs %d after second handoff, want 1", active)
 	}
 	step <- struct{}{}
@@ -368,7 +368,7 @@ func TestEngineWorkerShare(t *testing.T) {
 			first := make(chan int, 1)
 			go func() { first <- post(1) }()
 			waitFor(t, "the first run to hold its slot", func() bool {
-				return e.s.metrics.activeRuns.Load() == 1
+				return e.s.metrics.ActiveRuns.Load() == 1
 			})
 			if status := post(2); status != http.StatusOK {
 				t.Fatalf("second run: status %d", status)

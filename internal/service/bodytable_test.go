@@ -129,7 +129,7 @@ func TestBodyTableReencodedBody(t *testing.T) {
 		t.Errorf("repeat of the re-encoded body: identical %t, body-digest hits %d; want true and 1",
 			bytes.Equal(first, out), digestHits(e))
 	}
-	if runs := e.s.metrics.engineRuns.Load(); runs != 1 {
+	if runs := e.s.metrics.EngineRuns.Load(); runs != 1 {
 		t.Errorf("engine runs %d, want 1", runs)
 	}
 }

@@ -130,7 +130,7 @@ func TestConcurrentCacheCoherence(t *testing.T) {
 	}
 	impatientWG.Wait()
 	waitFor(t, "abandonments to be counted", func() bool {
-		return e.s.metrics.flightAbandoned.Load() == impatient
+		return e.s.metrics.FlightAbandoned.Load() == impatient
 	})
 
 	// Release the leader; everyone still parked shares its outcome.
@@ -152,7 +152,7 @@ func TestConcurrentCacheCoherence(t *testing.T) {
 		}
 	}
 	waitFor(t, "all jobs to finish", func() bool {
-		return e.s.metrics.jobsFinished.Load() == asyncJobs
+		return e.s.metrics.JobsFinished.Load() == asyncJobs
 	})
 	var compactLeader bytes.Buffer
 	if cerr := json.Compact(&compactLeader, canonical.body); cerr != nil {

@@ -168,7 +168,7 @@ func TestAllocateAbandonedWaiterCachePopulated(t *testing.T) {
 	if rec.Code != http.StatusRequestTimeout {
 		t.Errorf("abandoned follower status %d, want 408; body %s", rec.Code, rec.Body.Bytes())
 	}
-	if n := e.s.metrics.flightAbandoned.Load(); n != 1 {
+	if n := e.s.metrics.FlightAbandoned.Load(); n != 1 {
 		t.Errorf("flightAbandoned %d, want 1", n)
 	}
 

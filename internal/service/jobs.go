@@ -108,15 +108,11 @@ func (j *job) setState(state string) {
 	j.mu.Unlock()
 }
 
-// finish records the terminal outcome. merged marks completion via a
-// cache hit or a shared singleflight run rather than an own engine run.
-func (j *job) finish(status int, body []byte, merged bool) {
-	j.finishAt(j.clk.Now(), status, body, merged)
-}
-
-// finishAt is finish with the completion instant supplied by the
-// caller, so the journaled elapsed time and the served elapsed time
-// come from one clock reading and can never disagree.
+// finishAt records the terminal outcome at now. merged marks
+// completion via a cache hit or a shared singleflight run rather than
+// an own engine run. The caller supplies now, so the journaled elapsed
+// time and the served elapsed time come from one clock reading and can
+// never disagree.
 func (j *job) finishAt(now time.Time, status int, body []byte, merged bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -53,6 +53,7 @@ import (
 	"salsa/internal/clock"
 	"salsa/internal/engine"
 	"salsa/internal/journal"
+	"salsa/internal/metrics"
 )
 
 // Config tunes one Server.
@@ -122,12 +123,13 @@ func (c Config) withDefaults() Config {
 // Server is one allocation service instance. Construct with New, mount
 // Handler on an http.Server, and call Drain on shutdown.
 type Server struct {
-	cfg     Config
-	metrics *metrics
-	cache   *ResultCache
-	bodies  *BodyTable
-	flight  *flightGroup
-	jobs    *jobRegistry
+	cfg      Config
+	metrics  *serverMetrics
+	registry *metrics.Registry
+	cache    *ResultCache
+	bodies   *BodyTable
+	flight   *flightGroup
+	jobs     *jobRegistry
 	// journal is Config.Journal (nil when durability is disabled).
 	journal *journal.Journal
 	// clock is the server's time source: the system clock in
@@ -163,7 +165,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		metrics: newMetrics(),
+		metrics: &serverMetrics{},
 		cache:   NewResultCache(cfg.CacheEntries),
 		bodies:  NewBodyTable(cfg.CacheEntries),
 		flight:  newFlightGroup(),
@@ -177,6 +179,8 @@ func New(cfg Config) *Server {
 	if cfg.Hooks != nil {
 		s.flight.fault = cfg.Hooks.FlightFault
 	}
+	s.metrics.CacheEntries = func() int64 { return int64(s.cache.Len()) }
+	s.registry = metrics.New(s.metrics, "salsa_")
 	publishExpvar(s)
 	if s.journal != nil {
 		s.recoverJobs()
@@ -200,31 +204,31 @@ func (s *Server) recoverJobs() {
 	for _, st := range s.journal.TakeStates() {
 		j, ok := s.jobs.restore(st.ID)
 		if !ok {
-			s.metrics.journalErrors.Add(1)
+			s.metrics.JournalErrors.Add(1)
 			continue
 		}
 		if st.Terminal {
 			j.restoreTerminal(st.Status, st.Body, st.Merged, st.ElapsedMS)
 			s.jobs.finished(j)
-			s.metrics.jobsRecovered.Add(1)
+			s.metrics.JobsRecovered.Add(1)
 			continue
 		}
 		var ar AllocateRequest
 		if err := json.Unmarshal(st.Request, &ar); err != nil {
 			s.jobs.remove(st.ID)
-			s.metrics.journalErrors.Add(1)
+			s.metrics.JournalErrors.Add(1)
 			continue
 		}
 		spec, err := s.parseRequest(&ar)
 		if err != nil || spec.key != st.Options {
 			s.jobs.remove(st.ID)
-			s.metrics.journalErrors.Add(1)
+			s.metrics.JournalErrors.Add(1)
 			continue
 		}
 		if len(st.Progress) > 0 {
 			j.restoreProgress(st.Progress)
 		}
-		s.metrics.jobsRecovered.Add(1)
+		s.metrics.JobsRecovered.Add(1)
 		s.startJob(j, spec)
 	}
 }
@@ -234,7 +238,7 @@ func (s *Server) recoverJobs() {
 // simulation harness and property tests reconcile observed responses
 // against it.
 func (s *Server) MetricsSnapshot() map[string]int64 {
-	return s.metrics.snapshot(s.cache.Len())
+	return s.registry.Snapshot()
 }
 
 // Handler returns the service's HTTP mux.
@@ -302,14 +306,14 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := s.clock.Now()
-		s.metrics.httpRequests.Add(1)
+		s.metrics.HTTPRequests.Add(1)
 		rec := &statusRecorder{ResponseWriter: w}
 		h(rec, r)
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		s.metrics.response(rec.status)
-		s.metrics.latency.observe(s.clock.Since(t0))
+		s.metrics.Responses.Inc(rec.status)
+		s.metrics.Latency.Observe(s.clock.Since(t0))
 	}
 }
 
@@ -394,7 +398,7 @@ func retryAfterSeconds(queued, maxConcurrent int) int {
 
 // retryAfterHint renders retryAfterSeconds for the current queue.
 func (s *Server) retryAfterHint() string {
-	return strconv.Itoa(retryAfterSeconds(int(s.metrics.queueDepth.Load()), s.cfg.MaxConcurrent))
+	return strconv.Itoa(retryAfterSeconds(int(s.metrics.QueueDepth.Load()), s.cfg.MaxConcurrent))
 }
 
 // cacheGet performs one result-cache lookup, honoring the simulation
@@ -421,7 +425,7 @@ func (s *Server) rejectDraining(w http.ResponseWriter) bool {
 // decoded; anything else is decoded, validated and then recorded in
 // the table.
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
-	s.metrics.allocRequests.Add(1)
+	s.metrics.AllocRequests.Add(1)
 	if s.rejectDraining(w) {
 		return
 	}
@@ -434,7 +438,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	digest, addr, known := s.bodies.Lookup(body)
 	if known {
 		if cached, hit := s.cacheGet(addr.Key); hit {
-			s.metrics.bodyDigestHits.Add(1)
+			s.metrics.BodyDigestHits.Add(1)
 			s.serveHit(w, cached)
 			return
 		}
@@ -448,7 +452,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		s.serveHit(w, cached)
 		return
 	}
-	s.metrics.cacheMisses.Add(1)
+	s.metrics.CacheMisses.Add(1)
 	w.Header().Set("X-Salsa-Cache", "miss")
 	out, shared, err := s.flight.do(r.Context(), spec.key, func() *outcome { return s.runAllocation(spec) })
 	if err != nil {
@@ -456,23 +460,23 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		// its own request context expired first. The leader keeps
 		// running (and still fills the cache); this caller alone gives
 		// up with 408.
-		s.metrics.flightAbandoned.Add(1)
+		s.metrics.FlightAbandoned.Add(1)
 		writeJSON(w, http.StatusRequestTimeout,
 			errorBody("request abandoned while waiting on an identical in-flight run: "+err.Error()))
 		return
 	}
 	if shared {
-		s.metrics.flightShared.Add(1)
+		s.metrics.FlightShared.Add(1)
 		w.Header().Set("X-Salsa-Flight", "shared")
 	} else {
-		s.metrics.flightLeads.Add(1)
+		s.metrics.FlightLeads.Add(1)
 	}
 	s.respond(w, out)
 }
 
 // serveHit answers a synchronous request from the result cache.
 func (s *Server) serveHit(w http.ResponseWriter, body []byte) {
-	s.metrics.cacheHits.Add(1)
+	s.metrics.CacheHits.Add(1)
 	w.Header().Set("X-Salsa-Cache", "hit")
 	writeJSON(w, http.StatusOK, body)
 }
@@ -484,10 +488,12 @@ func (s *Server) serveHit(w http.ResponseWriter, body []byte) {
 // without being decoded, and a job whose result is cached finishes
 // before its 202.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	s.metrics.allocRequests.Add(1)
+	s.metrics.AllocRequests.Add(1)
 	if s.rejectDraining(w) {
 		return
 	}
+	s.work.Add(1)
+	defer s.work.Done()
 	body, ok := s.readBody(w, r)
 	if !ok {
 		return
@@ -526,18 +532,18 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			recs = append(recs, journal.Result(j.id, http.StatusOK, cached, true, now.Sub(j.created).Milliseconds()))
 		}
 		if jerr := s.journal.AppendAll(recs, true); jerr != nil {
-			s.metrics.journalErrors.Add(1)
+			s.metrics.JournalErrors.Add(1)
 			s.jobs.remove(j.id)
 			w.Header().Set("Retry-After", s.retryAfterHint())
 			writeJSON(w, http.StatusServiceUnavailable, errorBody("journal write failed: "+jerr.Error()))
 			return
 		}
 	}
-	s.metrics.jobsSubmitted.Add(1)
+	s.metrics.JobsSubmitted.Add(1)
 	if hit {
-		s.metrics.cacheHits.Add(1)
+		s.metrics.CacheHits.Add(1)
 		if spec == nil {
-			s.metrics.bodyDigestHits.Add(1)
+			s.metrics.BodyDigestHits.Add(1)
 		}
 		s.completeJob(j, now, &outcome{status: http.StatusOK, body: cached}, true)
 	} else {
@@ -558,11 +564,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 // path its original submission took.
 func (s *Server) startJob(j *job, spec *allocSpec) {
 	if body, ok := s.cacheGet(spec.key); ok {
-		s.metrics.cacheHits.Add(1)
+		s.metrics.CacheHits.Add(1)
 		s.finishJob(j, &outcome{status: http.StatusOK, body: body}, true)
 		return
 	}
-	s.metrics.cacheMisses.Add(1)
+	s.metrics.CacheMisses.Add(1)
 	// Progress events only flow when this job leads its own engine
 	// run; a shared run completes the job without per-trial
 	// progress (Merged marks that).
@@ -581,15 +587,15 @@ func (s *Server) startJob(j *job, spec *allocSpec) {
 			// background context never expires on its own. The job
 			// fails the same way an abandoned synchronous waiter
 			// does.
-			s.metrics.flightAbandoned.Add(1)
+			s.metrics.FlightAbandoned.Add(1)
 			s.finishJob(j, &outcome{status: http.StatusRequestTimeout,
 				body: errorBody("job abandoned while waiting on an identical in-flight run: " + ferr.Error())}, false)
 			return
 		}
 		if shared {
-			s.metrics.flightShared.Add(1)
+			s.metrics.FlightShared.Add(1)
 		} else {
-			s.metrics.flightLeads.Add(1)
+			s.metrics.FlightLeads.Add(1)
 		}
 		s.finishJob(j, out, shared)
 	}()
@@ -608,7 +614,7 @@ func (s *Server) finishJob(j *job, out *outcome, merged bool) {
 			// The outcome still stands — recomputing it after a crash
 			// yields the same bytes — so serve it and count the append
 			// failure rather than failing a finished job.
-			s.metrics.journalErrors.Add(1)
+			s.metrics.JournalErrors.Add(1)
 		}
 	}
 	s.completeJob(j, now, out, merged)
@@ -619,7 +625,7 @@ func (s *Server) finishJob(j *job, out *outcome, merged bool) {
 func (s *Server) completeJob(j *job, now time.Time, out *outcome, merged bool) {
 	j.finishAt(now, out.status, out.body, merged)
 	s.jobs.finished(j)
-	s.metrics.jobsFinished.Add(1)
+	s.metrics.JobsFinished.Add(1)
 }
 
 // jobEvents wraps a job's engine-event callback with journal progress
@@ -639,7 +645,7 @@ func (s *Server) jobEvents(j *job) func(engine.Event) {
 			return
 		}
 		if jerr := s.journal.Append(journal.Progress(j.id, snap), false); jerr != nil && !errors.Is(jerr, journal.ErrKilled) {
-			s.metrics.journalErrors.Add(1)
+			s.metrics.JournalErrors.Add(1)
 		}
 	}
 }
@@ -682,7 +688,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.writePrometheus(w, s.cache.Len())
+	s.registry.WritePrometheus(w)
+	engine.Metrics().WritePrometheus(w)
 }
 
 // runAllocation is the singleflight leader's path: admission control,
@@ -692,9 +699,9 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 	// Admission: join the bounded wait queue, or shed load now. The
 	// queue-depth gauge doubles as the admission counter so the
 	// rejection decision and the metric can never disagree.
-	if depth := s.metrics.queueDepth.Add(1); depth > int64(s.cfg.MaxQueue) {
-		s.metrics.queueDepth.Add(-1)
-		s.metrics.queueRejected.Add(1)
+	if depth := s.metrics.QueueDepth.Add(1); depth > int64(s.cfg.MaxQueue) {
+		s.metrics.QueueDepth.Add(-1)
+		s.metrics.QueueRejected.Add(1)
 		return &outcome{
 			status:     http.StatusTooManyRequests,
 			body:       errorBody(fmt.Sprintf("admission queue full (%d waiting)", depth-1)),
@@ -711,12 +718,12 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		s.metrics.queueDepth.Add(-1)
-		s.metrics.timeoutsEmpty.Add(1)
+		s.metrics.QueueDepth.Add(-1)
+		s.metrics.TimeoutsEmpty.Add(1)
 		return &outcome{status: http.StatusRequestTimeout,
 			body: errorBody("deadline expired while queued for an engine slot; raise timeout_ms or retry later")}
 	}
-	s.metrics.queueDepth.Add(-1)
+	s.metrics.QueueDepth.Add(-1)
 	defer func() { <-s.sem }()
 	// Size the run to its share of the cores (see Config.EngineWorkers).
 	req := spec.req
@@ -724,9 +731,9 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 	if req.Engine.Workers <= 0 {
 		req.Engine.Workers = max(1, runtime.GOMAXPROCS(0)/len(s.sem))
 	}
-	s.metrics.activeRuns.Add(1)
-	defer s.metrics.activeRuns.Add(-1)
-	s.metrics.engineRuns.Add(1)
+	s.metrics.ActiveRuns.Add(1)
+	defer s.metrics.ActiveRuns.Add(-1)
+	s.metrics.EngineRuns.Add(1)
 	if s.runStarted != nil {
 		s.runStarted(spec)
 	}
@@ -740,7 +747,7 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 			// The deadline fired before any legal allocation existed:
 			// there is no incumbent to return. The client's deadline
 			// caused it, so this is a 4xx, not a server failure.
-			s.metrics.timeoutsEmpty.Add(1)
+			s.metrics.TimeoutsEmpty.Add(1)
 			return &outcome{status: http.StatusRequestTimeout,
 				body: errorBody("deadline expired before any allocation was found; raise timeout_ms")}
 		}
@@ -760,7 +767,7 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 	if rj.Partial {
 		// A truncated result is timing-dependent: correct to serve,
 		// wrong to cache under a deterministic content address.
-		s.metrics.partials.Add(1)
+		s.metrics.Partials.Add(1)
 	} else {
 		s.cache.Put(spec.key, body)
 	}

@@ -123,10 +123,10 @@ func TestAllocateAndCacheHit(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Errorf("cache hit body differs from original:\n first %s\nsecond %s", first, second)
 	}
-	if hits := e.s.metrics.cacheHits.Load(); hits != 1 {
+	if hits := e.s.metrics.CacheHits.Load(); hits != 1 {
 		t.Errorf("cache hits %d, want 1", hits)
 	}
-	if runs := e.s.metrics.engineRuns.Load(); runs != 1 {
+	if runs := e.s.metrics.EngineRuns.Load(); runs != 1 {
 		t.Errorf("engine runs %d, want 1", runs)
 	}
 }
@@ -192,7 +192,7 @@ func TestSingleflightCollapse(t *testing.T) {
 			t.Errorf("response %d differs from response 0", i)
 		}
 	}
-	if runs := e.s.metrics.engineRuns.Load(); runs != 1 {
+	if runs := e.s.metrics.EngineRuns.Load(); runs != 1 {
 		t.Errorf("engine runs %d, want exactly 1 (singleflight)", runs)
 	}
 }
@@ -253,7 +253,7 @@ func TestShortDeadlinePartial(t *testing.T) {
 			if err := res.Binding.Check(); err != nil {
 				t.Errorf("partial result binding fails legality check: %v", err)
 			}
-			if e.s.metrics.partials.Load() == 0 {
+			if e.s.metrics.Partials.Load() == 0 {
 				t.Error("partial counter not incremented")
 			}
 			if e.s.cache.Len() != 0 {
@@ -305,7 +305,7 @@ func TestQueueOverflow(t *testing.T) {
 		done <- status
 	}()
 	waitFor(t, "request A to hold the engine slot", func() bool {
-		return e.s.metrics.activeRuns.Load() == 1
+		return e.s.metrics.ActiveRuns.Load() == 1
 	})
 	// Request B: admitted, waiting for the slot.
 	go func() {
@@ -313,7 +313,7 @@ func TestQueueOverflow(t *testing.T) {
 		done <- status
 	}()
 	waitFor(t, "request B to join the queue", func() bool {
-		return e.s.metrics.queueDepth.Load() == 1
+		return e.s.metrics.QueueDepth.Load() == 1
 	})
 	// Request C: queue full -> 429 immediately.
 	status, hdr, body := e.post(t, "/allocate", distinct(103))
@@ -323,7 +323,7 @@ func TestQueueOverflow(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After header")
 	}
-	if rejected := e.s.metrics.queueRejected.Load(); rejected != 1 {
+	if rejected := e.s.metrics.QueueRejected.Load(); rejected != 1 {
 		t.Errorf("queue rejections %d, want 1", rejected)
 	}
 	// Release the gate: A and B complete normally.
@@ -360,7 +360,7 @@ func TestDrain(t *testing.T) {
 		inflight <- reply1{status, body}
 	}()
 	waitFor(t, "in-flight request to start", func() bool {
-		return e.s.metrics.activeRuns.Load() == 1
+		return e.s.metrics.ActiveRuns.Load() == 1
 	})
 
 	drained := make(chan error, 1)
@@ -398,20 +398,75 @@ func TestDrain(t *testing.T) {
 	// Reconciliation: every request the server counted got a response,
 	// and the allocation accounting is closed (hits+misses = allocation
 	// requests that passed parsing; each miss either led or shared).
-	m := e.s.metrics
-	_, counts := m.responses()
+	m := e.s.MetricsSnapshot()
 	var responses int64
-	for _, c := range counts {
-		responses += c
+	for k, c := range m {
+		if strings.HasPrefix(k, "responses_total_") {
+			responses += c
+		}
 	}
-	if got, want := m.httpRequests.Load(), responses; got != want {
+	if got, want := m["http_requests_total"], responses; got != want {
 		t.Errorf("requests %d != responses %d", got, want)
 	}
-	if got := m.cacheHits.Load() + m.cacheMisses.Load(); got != 1 {
+	if got := m["cache_hits_total"] + m["cache_misses_total"]; got != 1 {
 		t.Errorf("cache lookups %d, want 1 (drain-rejected request must not count)", got)
 	}
-	if m.queueDepth.Load() != 0 || m.activeRuns.Load() != 0 {
-		t.Errorf("gauges not drained: depth %d active %d", m.queueDepth.Load(), m.activeRuns.Load())
+	if m["queue_depth"] != 0 || m["active_runs"] != 0 {
+		t.Errorf("gauges not drained: depth %d active %d", m["queue_depth"], m["active_runs"])
+	}
+}
+
+// blockingBody is a request body whose first Read signals started and
+// then waits for release.
+type blockingBody struct {
+	started, release chan struct{}
+	once             sync.Once
+	r                io.Reader
+}
+
+func (b *blockingBody) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.started) })
+	<-b.release
+	return b.r.Read(p)
+}
+
+// TestDrainWaitsForInFlightRequest: a request that passed the drain
+// check and is still reading its body is in-flight work, so Drain does
+// not return before its handler answers.
+func TestDrainWaitsForInFlightRequest(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		want int
+	}{{"/allocate", http.StatusOK}, {"/jobs", http.StatusAccepted}} {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			s := New(Config{})
+			body := &blockingBody{started: make(chan struct{}), release: make(chan struct{}),
+				r: bytes.NewReader(allocBody(t, workloads.Figure1(), nil))}
+			rec := httptest.NewRecorder()
+			answered := make(chan struct{})
+			go func() {
+				defer close(answered)
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
+			}()
+			<-body.started
+
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			if err := s.Drain(ctx); err == nil {
+				t.Errorf("Drain returned while %s was still reading its body", tc.path)
+			}
+			close(body.release)
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if rec.Body.Len() == 0 {
+				t.Fatalf("Drain returned before %s answered", tc.path)
+			}
+			<-answered
+			if rec.Code != tc.want {
+				t.Errorf("%s: status %d, want %d (body %s)", tc.path, rec.Code, tc.want, rec.Body)
+			}
+		})
 	}
 }
 
@@ -552,7 +607,7 @@ func TestRequestCaps(t *testing.T) {
 			}
 		})
 	}
-	if m := e.s.metrics.snapshot(0); m["engine_invocations_total"] != 0 || m["jobs_submitted_total"] != 0 {
+	if m := e.s.MetricsSnapshot(); m["engine_invocations_total"] != 0 || m["jobs_submitted_total"] != 0 {
 		t.Errorf("out-of-bounds requests reached the engine (%d runs) or the job registry (%d jobs)",
 			m["engine_invocations_total"], m["jobs_submitted_total"])
 	}
@@ -664,7 +719,7 @@ func TestNormalizedCacheKey(t *testing.T) {
 			t.Errorf("request %d body differs despite identical normalized key", i)
 		}
 	}
-	if runs := e.s.metrics.engineRuns.Load(); runs != 1 {
+	if runs := e.s.metrics.EngineRuns.Load(); runs != 1 {
 		t.Errorf("engine runs %d, want 1", runs)
 	}
 	// A different seed is a different address.
