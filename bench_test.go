@@ -450,6 +450,42 @@ func BenchmarkAllocateParallel_DCT_WNumCPU(b *testing.B) {
 	benchAllocateParallel(b, workloads.DCT, 12, runtime.NumCPU())
 }
 
+// BenchmarkSearchCorpus_W1 runs the search a cold request pays for: one
+// op allocates every testdata/ corpus graph at seed 1000 with 3
+// restarts on one worker through salsa.Execute, so compile, search and
+// polish of each graph the service serves are timed together.
+func BenchmarkSearchCorpus_W1(b *testing.B) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("corpus: %v (%d files)", err, len(files))
+	}
+	graphs := make([]*cdfg.Graph, len(files))
+	for i, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if graphs[i], err = cdfg.ParseJSON(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var merged float64
+	for i := 0; i < b.N; i++ {
+		merged = 0
+		for _, g := range graphs {
+			req := salsa.Request{Graph: g, Seed: 1000, Restarts: 3, Engine: salsa.EngineConfig{Workers: 1}}
+			_, res, _, err := salsa.Execute(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			merged += float64(res.MergedMux)
+		}
+	}
+	b.ReportMetric(merged, "muxes")
+}
+
 // BenchmarkHungarian measures the matching core on a 40x40 instance.
 func BenchmarkHungarian40(b *testing.B) {
 	n := 40

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -89,5 +92,44 @@ func TestRunErrors(t *testing.T) {
 		if stderr.Len() == 0 {
 			t.Errorf("run(%v) failed without a diagnostic", args)
 		}
+	}
+}
+
+// TestCorpusDigestsGolden pins the exact allocation bytes of the corpus:
+// the SHA-256 of the -json document for each testdata/ graph at seeds
+// 1000-1003 with one worker. A search change that is meant to be
+// byte-identical must leave testdata/corpus_digests.golden untouched;
+// one that alters results rewrites it with -update and says why.
+func TestCorpusDigestsGolden(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 8 {
+		t.Fatalf("corpus has %d graphs, want 8", len(files))
+	}
+	var got bytes.Buffer
+	for _, f := range files {
+		for seed := 1000; seed <= 1003; seed++ {
+			var stdout, stderr bytes.Buffer
+			args := []string{"-cdfg", f, "-seed", strconv.Itoa(seed), "-workers", "1", "-json", "-verify=false"}
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%s seed %d: exit code %d, stderr: %s", f, seed, code, stderr.String())
+			}
+			fmt.Fprintf(&got, "%s %d %x\n", filepath.Base(f), seed, sha256.Sum256(stdout.Bytes()))
+		}
+	}
+	golden := filepath.Join("testdata", "corpus_digests.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("corpus allocations drifted from %s (rerun with -update if intended):\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }

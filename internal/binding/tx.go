@@ -79,13 +79,17 @@ type Tx struct {
 	// arithmetic nodes in node order, opReads resolves each one's two
 	// operand reads (indexed by node and argument), outReads each output
 	// port's read, births each value's birth write, and segs names each
-	// segment Seg(v, k).
+	// segment Seg(v, k). segReads lists the operand and output reads of
+	// every segment in rows: segment s's reads, in the order above, are
+	// segReads[readAt[s]:readAt[s+1]].
 	an       *lifetime.Analysis
 	arith    []cdfg.NodeID
 	opReads  [][2]slotRead
 	outReads []slotRead
 	births   []birthWrite
 	segs     []segRef
+	segReads []segRead
+	readAt   []int32
 
 	// Segment indexes, kept current by every mutator and by revert
 	// through claimSeg and claimPass. regSegs[r] holds the segments
@@ -122,6 +126,13 @@ type segRef struct {
 	v    lifetime.ValueID
 	k    int
 	step int
+}
+
+// segRead is one read of a segment: argument arg of arithmetic node op,
+// or output port arg when op is NoNode.
+type segRead struct {
+	op  cdfg.NodeID
+	arg int
 }
 
 type undoOp int
@@ -316,6 +327,39 @@ func (t *Tx) buildReads() {
 			t.segs = append(t.segs, segRef{v: v.ID, k: k, step: v.StepAt(k, a.StorageSteps)})
 		}
 	}
+
+	// Per-segment reads, as rows of one backing array. readAt[s+1]
+	// first counts segment s's reads, and a prefix sum turns the counts
+	// into row starts. Filling advances each readAt[s] to its row's
+	// end, which is where the next row starts, so a shift by one
+	// restores the starts.
+	visit := func(add func(seg int, r segRead)) {
+		for _, op := range t.arith {
+			for arg, rd := range t.opReads[op] {
+				if rd.v != lifetime.NoValue {
+					add(b.Seg(rd.v, rd.k), segRead{op: op, arg: arg})
+				}
+			}
+		}
+		for out, rd := range t.outReads {
+			if rd.v != lifetime.NoValue {
+				add(b.Seg(rd.v, rd.k), segRead{op: cdfg.NoNode, arg: out})
+			}
+		}
+	}
+	n := len(t.segs)
+	t.readAt = make([]int32, n+1)
+	visit(func(seg int, _ segRead) { t.readAt[seg+1]++ })
+	for seg := range n {
+		t.readAt[seg+1] += t.readAt[seg]
+	}
+	t.segReads = make([]segRead, t.readAt[n])
+	visit(func(seg int, r segRead) {
+		t.segReads[t.readAt[seg]] = r
+		t.readAt[seg]++
+	})
+	copy(t.readAt[1:], t.readAt[:n])
+	t.readAt[0] = 0
 }
 
 // resolveRead resolves a read of node arg at step: a constant, an
@@ -652,29 +696,43 @@ func (t *Tx) markBirth(v lifetime.ValueID) {
 	}
 }
 
-// markValue marks every sink whose event sequence can depend on value
-// v's holder sets: the FU ports and output ports reading it, every
-// register holding it (primary or copy, any position), and the input
-// ports of pass-through FUs carrying its transfers.
-func (t *Tx) markValue(v lifetime.ValueID) {
-	if v == lifetime.NoValue {
-		return
-	}
+// markSeg marks every sink whose event sequence can depend on the
+// holder set of segment (v, k), beyond the registers that joined or
+// left it, which the caller marks:
+//
+//   - the reads of (v, k): one FU input port per operand read, the
+//     argument flipped by OpSwap, and the output ports;
+//   - the registers holding (v, k+1): each receives a transfer into
+//     (v, k+1) unless it holds (v, k), and a direct transfer reads
+//     (v, k);
+//   - port 0 of the pass units on transfers into (v, k), which stay
+//     live only while their target holds (v, k), and into (v, k+1),
+//     which read (v, k).
+func (t *Tx) markSeg(v lifetime.ValueID, k int) {
 	b := t.b
-	val := &b.A.Values[v]
-	for _, rd := range val.Reads {
-		if rd.Port < 0 {
-			t.markIdx(2*t.ct.NumFUs + t.ct.NumRegs + b.outputIndex[rd.Consumer])
-		} else {
-			t.markFUPorts(b.OpFU[rd.Consumer])
+	s := b.Seg(v, k)
+	for _, rd := range t.segReads[t.readAt[s]:t.readAt[s+1]] {
+		if rd.op == cdfg.NoNode {
+			t.markIdx(2*t.ct.NumFUs + t.ct.NumRegs + rd.arg)
+			continue
+		}
+		if f := b.OpFU[rd.op]; f >= 0 {
+			port := rd.arg
+			if b.OpSwap[rd.op] {
+				port = 1 - port
+			}
+			t.markIdx(2*f + port)
 		}
 	}
-	for k := 0; k < val.Len; k++ {
-		t.markReg(b.SegReg[v][k])
-		for _, c := range b.CopiesAt(v, k) {
+	for _, p := range b.Pass[s] {
+		t.markIdx(2 * p.FU)
+	}
+	if k+1 < b.A.Values[v].Len {
+		t.markReg(b.SegReg[v][k+1])
+		for _, c := range b.Copies[s+1] {
 			t.markReg(c)
 		}
-		for _, p := range b.PassesAt(v, k) {
+		for _, p := range b.Pass[s+1] {
 			t.markIdx(2 * p.FU)
 		}
 	}
@@ -816,7 +874,7 @@ func (t *Tx) SetSegReg(v lifetime.ValueID, k, r int) {
 	t.moveSeg(v, k, old, r)
 	t.markReg(old)
 	t.markReg(r)
-	t.markValue(v)
+	t.markSeg(v, k)
 }
 
 // moveSeg moves the primary register of (v, k) from one register to
@@ -841,7 +899,7 @@ func (t *Tx) AddCopy(v lifetime.ValueID, k, r int) {
 	t.incReg(r)
 	t.claimSeg(v, k, r, 1)
 	t.markReg(r)
-	t.markValue(v)
+	t.markSeg(v, k)
 }
 
 // RemoveCopy deletes the copy of (v, k) in register r (move R6),
@@ -857,7 +915,7 @@ func (t *Tx) RemoveCopy(v lifetime.ValueID, k, r int) bool {
 		t.decReg(r)
 		t.claimSeg(v, k, r, -1)
 		t.markReg(r)
-		t.markValue(v)
+		t.markSeg(v, k)
 		return true
 	}
 	return false

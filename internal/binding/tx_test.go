@@ -806,3 +806,74 @@ bind:
 		assertOccupancy(t, tc.index+" rebuilt", tx)
 	}
 }
+
+// TestTxSegmentMoveMarksOnlyItsSegment pins the per-segment affected
+// set. Value v lives at three positions: position 0 is read by u on
+// ALU0, position 2 by w on ALU1, both with swapped operands so each
+// reads v through its second port, and the transfer into position 2
+// rides a pass-through on ALU1. A register change at position 0 must
+// dirty only the registers it moves between, the one port reading
+// position 0, and the register holding position 1, whose incoming
+// transfer reads position 0: w's ports, the pass unit and the register
+// holding position 2 stay clean. A change at position 1 dirties the
+// pass unit, which reads position 1, and the register holding position
+// 2; moving position 2 out of the pass target strands the pass-through,
+// so its unit's port 0 loses a read. Each replay must agree with a
+// full evaluation.
+func TestTxSegmentMoveMarksOnlyItsSegment(t *testing.T) {
+	fx, b := txFixture(t)
+	node := func(name string) cdfg.NodeID {
+		for i := range fx.g.Nodes {
+			if fx.g.Nodes[i].Name == name {
+				return cdfg.NodeID(i)
+			}
+		}
+		t.Fatalf("fixture has no node %s", name)
+		return cdfg.NoNode
+	}
+	v, u, w := fx.a.ValueOf[node("v")], fx.a.ValueOf[node("u")], fx.a.ValueOf[node("w")]
+	b.OpFU[node("v")], b.OpFU[node("u")], b.OpFU[node("w")] = 0, 0, 1
+	b.OpSwap[node("u")], b.OpSwap[node("w")] = true, true
+	b.SegReg[v] = []int{0, 1, 2}
+	b.SegReg[u][0], b.SegReg[w][0] = 3, 2
+	b.SetPass(TransferKey{V: v, K: 2, ToReg: 2}, 1)
+	if err := b.Check(); err != nil {
+		t.Fatalf("fixture binding illegal: %v", err)
+	}
+	tx, err := NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuIn := func(f, p int) datapath.Sink { return datapath.Sink{Kind: datapath.SinkFUPort, Index: f, Port: p} }
+	regIn := func(r int) datapath.Sink { return datapath.Sink{Kind: datapath.SinkReg, Index: r} }
+
+	for _, step := range []struct {
+		name   string
+		mutate func()
+		want   []datapath.Sink
+	}{
+		{"SetSegReg at position 0", func() { tx.SetSegReg(v, 0, 3) }, []datapath.Sink{fuIn(0, 1), regIn(0), regIn(1), regIn(3)}},
+		{"AddCopy at position 0", func() { tx.AddCopy(v, 0, 0) }, []datapath.Sink{fuIn(0, 1), regIn(0), regIn(1)}},
+		{"RemoveCopy at position 0", func() { tx.RemoveCopy(v, 0, 0) }, []datapath.Sink{fuIn(0, 1), regIn(0), regIn(1)}},
+		{"SetSegReg at position 1", func() { tx.SetSegReg(v, 1, 0) }, []datapath.Sink{fuIn(1, 0), regIn(0), regIn(1), regIn(2)}},
+		{"SetSegReg at position 2", func() { tx.SetSegReg(v, 2, 0) }, []datapath.Sink{fuIn(1, 0), fuIn(1, 1), regIn(0), regIn(2)}},
+	} {
+		tx.Begin()
+		step.mutate()
+		dirty := slices.Clone(tx.dirtyList)
+		slices.Sort(dirty)
+		var got []datapath.Sink
+		for _, idx := range dirty {
+			got = append(got, tx.ct.SinkOf(idx))
+		}
+		if !slices.Equal(got, step.want) {
+			t.Errorf("%s dirtied %v, want %v", step.name, got, step.want)
+		}
+		if _, err := tx.DeltaCost(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		tx.Commit()
+		assertSinks(t, step.name, tx)
+		assertOccupancy(t, step.name, tx)
+	}
+}

@@ -110,6 +110,7 @@ func TestMetricsGolden(t *testing.T) {
 
 	svc := newSalsad()
 	text := scriptedMix(t, svc.Handler())
+	assertFamiliesContiguous(t, "salsad", text)
 	fmt.Fprintf(&got, "== salsad /metrics\n%s== salsad MetricsSnapshot\n%s", maskEngine(text), formatSnapshot(svc.MetricsSnapshot()))
 
 	// /debug/vars carries the service snapshot and every engine
@@ -135,6 +136,7 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	text = scriptedMix(t, router.Handler())
+	assertFamiliesContiguous(t, "router", text)
 	fmt.Fprintf(&got, "== router /metrics\n%s== router MetricsSnapshot\n%s", maskEngine(text), formatSnapshot(router.MetricsSnapshot()))
 
 	path := filepath.Join("testdata", "metrics.golden")
@@ -153,4 +155,41 @@ func TestMetricsGolden(t *testing.T) {
 	if got.String() != string(want) {
 		t.Errorf("metrics differ from %s (run with -update after an intended change)\n got:\n%s\nwant:\n%s", path, got.String(), want)
 	}
+}
+
+// assertFamiliesContiguous fails the test when the lines of one metric
+// family (its HELP, its TYPE and its samples) are split by another
+// family's lines, which the Prometheus text format forbids.
+func assertFamiliesContiguous(t *testing.T, where, text string) {
+	t.Helper()
+	left := map[string]bool{}
+	cur := ""
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		fam := familyOf(line, cur)
+		if fam == cur {
+			continue
+		}
+		if left[fam] {
+			t.Errorf("%s /metrics: family %s resumes at %q after another family", where, fam, line)
+		}
+		left[cur] = true
+		cur = fam
+	}
+}
+
+// familyOf names the metric family a /metrics line belongs to. A
+// histogram's _bucket, _sum and _count samples belong to cur, the
+// family whose lines precede them.
+func familyOf(line, cur string) string {
+	if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && (f[1] == "HELP" || f[1] == "TYPE") {
+		return f[2]
+	}
+	name, _, _ := strings.Cut(line, " ")
+	name, _, _ = strings.Cut(name, "{")
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if cur != "" && name == cur+suffix {
+			return cur
+		}
+	}
+	return name
 }

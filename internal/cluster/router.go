@@ -692,8 +692,20 @@ func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // engineCounter matches one un-labelled engine counter sample in a
-// backend's /metrics output.
-var engineCounter = regexp.MustCompile(`(?m)^(salsa_engine_[a-z_]+) (\d+)$`)
+// backend's /metrics output, and engineHelp the HELP line of an engine
+// family.
+var (
+	engineCounter = regexp.MustCompile(`(?m)^(salsa_engine_[a-z_]+) (\d+)$`)
+	engineHelp    = regexp.MustCompile(`(?m)^# HELP (salsa_engine_[a-z_]+) (.*)$`)
+)
+
+// scrapedFamily is one engine counter family of the scrape-through:
+// the HELP text the first backend reporting it declared, if any, and
+// its samples, one per backend.
+type scrapedFamily struct {
+	name, help string
+	samples    strings.Builder
+}
 
 // handleMetrics renders the router's own metrics and a scrape-through
 // of every backend's engine counters re-labelled with backend=<url> —
@@ -704,22 +716,37 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	r.registry.WritePrometheus(w)
 
-	// Scrape-through: engine counters from every live backend, once per
-	// family, one labelled sample per backend, in configured order.
-	emitted := map[string]bool{}
+	// Scrape-through: engine counters from every live backend, each
+	// family once, in the order backends first report them, with one
+	// labelled sample per backend in configured order.
+	var fams []*scrapedFamily
+	byName := map[string]*scrapedFamily{}
 	for _, b := range r.Healthy() {
 		body, ok := r.scrapeBackend(req.Context(), b)
 		if !ok {
 			continue
 		}
-		for _, m := range engineCounter.FindAllStringSubmatch(string(body), -1) {
-			name, value := m[1], m[2]
-			if !emitted[name] {
-				emitted[name] = true
-				fmt.Fprintf(w, "# HELP %s Engine counter scraped through from the backend.\n# TYPE %s counter\n", name, name)
-			}
-			fmt.Fprintf(w, "%s{backend=%q} %s\n", name, b, value)
+		text := string(body)
+		help := map[string]string{}
+		for _, m := range engineHelp.FindAllStringSubmatch(text, -1) {
+			help[m[1]] = m[2]
 		}
+		for _, m := range engineCounter.FindAllStringSubmatch(text, -1) {
+			name, value := m[1], m[2]
+			f := byName[name]
+			if f == nil {
+				f = &scrapedFamily{name: name, help: help[name]}
+				byName[name] = f
+				fams = append(fams, f)
+			}
+			fmt.Fprintf(&f.samples, "%s{backend=%q} %s\n", name, b, value)
+		}
+	}
+	for _, f := range fams {
+		if f.help != "" {
+			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+		}
+		fmt.Fprintf(w, "# TYPE %s counter\n%s", f.name, f.samples.String())
 	}
 }
 

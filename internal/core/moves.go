@@ -434,7 +434,8 @@ func (m *mover) valueExchange(tx *binding.Tx) bool {
 }
 
 // valueMove (R4) reassigns all segments of one value to a single
-// register; rejected if the register is not free across the lifetime.
+// register; rejected, before anything mutates, if the register is not
+// free across the lifetime.
 func (m *mover) valueMove(tx *binding.Tx) bool {
 	if len(m.valueIDs) == 0 {
 		return false
@@ -443,16 +444,41 @@ func (m *mover) valueMove(tx *binding.Tx) bool {
 	v := m.valueIDs[m.rng.Intn(len(m.valueIDs))]
 	r := m.rng.Intn(len(b.HW.Regs))
 	val := &b.A.Values[v]
-	for k := 0; k < val.Len; k++ {
-		// Drop copies that would collide with the new primary.
-		tx.RemoveCopy(v, k, r)
-		tx.SetSegReg(v, k, r)
-	}
-	if tx.OccLegal() != nil {
+	occ, err := tx.Occ()
+	if err != nil || !regFreeFrom(occ, val, 0, r, b.A.StorageSteps) {
 		return false
 	}
+	moveTail(tx, val, 0, r)
 	tx.PrunePass()
 	return true
+}
+
+// regFreeFrom reports whether register r is free for value val from
+// chain position k to the end of its life: in the live occupancy occ,
+// each of those steps of r is empty or held by val already. From a
+// legal state this is exactly whether moveTail(val, k, r) leaves the
+// occupancy legal. The move withdraws claims, which frees cells, and
+// adds one claim of val on r at each of its steps from k; val's
+// positions occupy distinct steps, and val's own claim there is the
+// copy the move drops or the primary it keeps, so only another value's
+// claim conflicts.
+func regFreeFrom(occ [][]lifetime.ValueID, val *lifetime.Value, k, r, storageSteps int) bool {
+	for ; k < val.Len; k++ {
+		if h := occ[r][val.StepAt(k, storageSteps)]; h != lifetime.NoValue && h != val.ID {
+			return false
+		}
+	}
+	return true
+}
+
+// moveTail moves value val's chain positions k to the end of its life
+// to register r as their primary, first dropping val's own copies in r
+// that would collide with it.
+func moveTail(tx *binding.Tx, val *lifetime.Value, k, r int) {
+	for ; k < val.Len; k++ {
+		tx.RemoveCopy(val.ID, k, r)
+		tx.SetSegReg(val.ID, k, r)
+	}
 }
 
 // valueSplit (R5) stores a copy of one value segment in a free register.

@@ -62,70 +62,34 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 	for sweep := 0; sweep < 20; sweep++ {
 		improved := false
 
-		// Whole-value moves (R4 over every target register).
-		for v := range best.A.Values {
-			vid := best.A.Values[v].ID
-			for r := range best.HW.Regs {
-				if best.SegReg[v][0] == r {
-					continue
+		// Whole-value moves (R4 over every target register), then suffix
+		// moves (the extended model's cheapest value-migration primitive:
+		// one new transfer) over every split point and target register.
+		// Each candidate opens only when its target is free over the
+		// moved steps, a probe of the live occupancy, which always shows
+		// the current (committed or rolled-back) state.
+		if occ, err := tx.Occ(); err == nil {
+			tryTail := func(val *lifetime.Value, k, r int) {
+				if best.SegReg[val.ID][k] == r || !regFreeFrom(occ, val, k, r, best.A.StorageSteps) {
+					return
 				}
 				tx.Begin()
-				for k := range best.SegReg[v] {
-					tx.RemoveCopy(vid, k, r)
-					tx.SetSegReg(vid, k, r)
-				}
-				if tx.OccLegal() != nil {
-					tx.Rollback()
-					continue
-				}
+				moveTail(tx, val, k, r)
 				tx.PrunePass()
 				if try() {
 					improved = true
 				}
 			}
-		}
-
-		// Suffix moves (the extended model's cheapest value-migration
-		// primitive: one new transfer), over every split point and
-		// target register. The legality pre-probe reads the live
-		// occupancy before the candidate opens, so it always sees the
-		// current (committed or rolled-back) state.
-		if opts.EnableSegments {
-			occ, err := tx.Occ()
-			if err == nil {
+			for v := range best.A.Values {
+				for r := range best.HW.Regs {
+					tryTail(&best.A.Values[v], 0, r)
+				}
+			}
+			if opts.EnableSegments {
 				for v := range best.A.Values {
-					val := &best.A.Values[v]
-					for k := 1; k < val.Len; k++ {
+					for k := 1; k < best.A.Values[v].Len; k++ {
 						for r := range best.HW.Regs {
-							if best.SegReg[v][k] == r {
-								continue
-							}
-							// Target must be free (or already ours) over
-							// the whole suffix.
-							ok := true
-							for kk := k; kk < val.Len; kk++ {
-								t := val.StepAt(kk, best.A.StorageSteps)
-								if h := occ[r][t]; h != lifetime.NoValue && h != lifetime.ValueID(v) {
-									ok = false
-									break
-								}
-							}
-							if !ok {
-								continue
-							}
-							tx.Begin()
-							for kk := k; kk < val.Len; kk++ {
-								tx.RemoveCopy(val.ID, kk, r)
-								tx.SetSegReg(val.ID, kk, r)
-							}
-							if tx.OccLegal() != nil {
-								tx.Rollback()
-								continue
-							}
-							tx.PrunePass()
-							if try() {
-								improved = true
-							}
+							tryTail(&best.A.Values[v], k, r)
 						}
 					}
 				}

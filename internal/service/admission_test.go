@@ -254,6 +254,30 @@ func TestQueueSlotFreedByTimedOutWaiter(t *testing.T) {
 	}
 }
 
+// parkedForSlot counts the goroutines blocked in runAllocation's own
+// select, the wait for an engine slot, from a dump of every
+// goroutine's stack: the dump names a blocked goroutine's state in its
+// header and the function holding the select in its first frame.
+func parkedForSlot() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	parked := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, frames, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[select") && strings.HasPrefix(frames, "salsa/internal/service.(*Server).runAllocation(") {
+			parked++
+		}
+	}
+	return parked
+}
+
 // TestSemaphoreHandoffOrder: with one engine slot, runs start one at a
 // time, in arrival order, and the slot hands off only when the holder
 // finishes — mutual exclusion is never violated.
@@ -289,15 +313,19 @@ func TestSemaphoreHandoffOrder(t *testing.T) {
 		return done
 	}
 
+	// runAllocation raises QueueDepth before it reaches its select on
+	// the semaphore, so the gauge alone does not show that B is parked
+	// there: C, sent next, could reach the channel first. The
+	// goroutine-dump probe does.
 	a := send(100)
 	waitFor(t, "request A to start", func() bool { return started() == 1 })
 	b := send(101)
 	waitFor(t, "request B to park on the semaphore", func() bool {
-		return e.s.metrics.QueueDepth.Load() == 1
+		return e.s.metrics.QueueDepth.Load() == 1 && parkedForSlot() == 1
 	})
 	c := send(102)
 	waitFor(t, "request C to park behind B", func() bool {
-		return e.s.metrics.QueueDepth.Load() == 2
+		return e.s.metrics.QueueDepth.Load() == 2 && parkedForSlot() == 2
 	})
 
 	// Release A's run: exactly one waiter (B — blocked channel sends
