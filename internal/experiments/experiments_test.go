@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -191,4 +194,70 @@ func TestBaselineStudy(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", FormatBaselineStudy(rows))
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestTablesGolden pins every table EXPERIMENTS.md quotes, byte for
+// byte, at the configuration it quotes them from (Full(7), as printed
+// by `go run ./cmd/tables -table all -full -seed 7` minus the timing
+// lines). The property tests above check the paper's claims; this one
+// catches any drift in the numbers themselves.
+func TestTablesGolden(t *testing.T) {
+	cfg := Full(7)
+	var got strings.Builder
+	t2, err := Table2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString(FormatTable("Table 2 — Elliptic Wave Filter (paper Table 2)", t2))
+	t3, err := Table3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString(FormatTable("Table 3 — Discrete Cosine Transform (paper Table 3)", t3))
+	ab, err := Ablation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString(FormatAblation(ab))
+	ss, err := SchedulerStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString(FormatSchedulerStudy(ss))
+	bs, err := BaselineStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString(FormatBaselineStudy(bs))
+	demos, err := Demos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range demos {
+		got.WriteString(FormatDemo(d))
+	}
+	f12, err := Figure12(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString(FormatTable("Figures 1/2 — binding models on the intro CDFG", []Row{f12}))
+
+	golden := filepath.Join("testdata", "tables_full7.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("tables drifted from %s (rerun with -update if intended):\n got:\n%s\nwant:\n%s", golden, got.String(), want)
+	}
 }
