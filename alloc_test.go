@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"salsa"
 	"salsa/internal/cdfg"
-	"salsa/internal/engine"
 	"salsa/internal/workloads"
 )
 
@@ -27,10 +27,10 @@ func TestAllocationBudget(t *testing.T) {
 		{"dct", workloads.DCT, 12, 15000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, hw, jobs := allocateParallelSetup(t, tc.g, tc.steps)
+			des, jobs := allocateParallelSetup(t, tc.g, tc.steps)
 			var runErr error
 			allocs := testing.AllocsPerRun(2, func() {
-				if _, _, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{Workers: 1}); err != nil {
+				if _, _, err := des.AllocatePortfolio(context.Background(), jobs, salsa.EngineConfig{Workers: 1}); err != nil {
 					runErr = err
 				}
 			})

@@ -30,9 +30,7 @@ import (
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/core"
-	"salsa/internal/datapath"
 	"salsa/internal/dpsim"
-	"salsa/internal/engine"
 	"salsa/internal/experiments"
 	"salsa/internal/journal"
 	"salsa/internal/lifetime"
@@ -169,17 +167,14 @@ func BenchmarkAblation_Annealing(b *testing.B)   { benchAblation(b, "annealing a
 
 func ewfBinding(b *testing.B) *binding.Binding {
 	b.Helper()
-	g := workloads.EWF()
-	d := cdfg.DefaultDelays(false)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, 19)
+	des, err := salsa.Compile(workloads.EWF(), salsa.Params{Steps: 19, ExtraRegisters: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	hw := datapath.NewHardware(lim, a.MinRegs+1, []string{"in"}, true)
 	o := core.SALSAOptions(1)
 	o.MovesPerTrial = 200
 	o.MaxTrials = 3
-	res, err := core.Allocate(a, hw, o)
+	res, err := core.Allocate(des.Analysis, des.Hardware, o)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -362,25 +357,17 @@ func BenchmarkVsimEWFIteration(b *testing.B) {
 // demonstrating scaling beyond the paper's 48-operator DCT.
 func benchScale(b *testing.B, nOps int) {
 	g := workloads.Synthetic(nOps, 7)
-	d := cdfg.DefaultDelays(false)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, g.CriticalPath(d)+4)
+	des, err := salsa.Compile(g, salsa.Params{Steps: g.CriticalPath(cdfg.DefaultDelays(false)) + 4, ExtraRegisters: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var inputs []string
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == cdfg.Input {
-			inputs = append(inputs, g.Nodes[i].Name)
-		}
-	}
-	hw := datapath.NewHardware(lim, a.MinRegs+2, inputs, true)
 	o := core.SALSAOptions(1)
 	o.MovesPerTrial = 400
 	o.MaxTrials = 5
 	b.ResetTimer()
 	var merged float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Allocate(a, hw, o)
+		res, err := core.Allocate(des.Analysis, des.Hardware, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -399,11 +386,11 @@ func BenchmarkScale_Synth200(b *testing.B) { benchScale(b, 200) }
 // every worker count, so the families differ only in wall clock.
 func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers int) {
 	b.Helper()
-	a, hw, jobs := allocateParallelSetup(b, g, steps)
+	des, jobs := allocateParallelSetup(b, g, steps)
 	b.ResetTimer()
 	var merged float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{Workers: workers})
+		res, _, err := des.AllocatePortfolio(context.Background(), jobs, salsa.EngineConfig{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -416,25 +403,16 @@ func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers in
 // allocateParallelSetup builds benchAllocateParallel's problem: the
 // graph at the given schedule length on its minimum FU set with one
 // spare register, and an 8-restart portfolio of short SALSA searches.
-func allocateParallelSetup(tb testing.TB, g func() *cdfg.Graph, steps int) (*lifetime.Analysis, *datapath.Hardware, []engine.Job) {
+func allocateParallelSetup(tb testing.TB, g func() *cdfg.Graph, steps int) (*salsa.Design, []salsa.Job) {
 	tb.Helper()
-	graph := g()
-	d := cdfg.DefaultDelays(false)
-	a, lim, err := lifetime.MinFUAnalysis(graph, d, steps)
+	des, err := salsa.Compile(g(), salsa.Params{Steps: steps, ExtraRegisters: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var inputs []string
-	for i := range graph.Nodes {
-		if graph.Nodes[i].Op == cdfg.Input {
-			inputs = append(inputs, graph.Nodes[i].Name)
-		}
-	}
-	hw := datapath.NewHardware(lim, a.MinRegs+1, inputs, true)
-	o := core.SALSAOptions(1)
+	o := salsa.SALSAOptions(1)
 	o.MovesPerTrial = 600
 	o.MaxTrials = 8
-	return a, hw, engine.Restarts(o, 8)
+	return des, salsa.Restarts(o, 8)
 }
 
 func BenchmarkAllocateParallel_EWF_W1(b *testing.B) {
@@ -523,16 +501,13 @@ func BenchmarkPlaceEWF(b *testing.B) {
 // BenchmarkMatchingAllocateEWF measures the constructive matching
 // allocator end to end.
 func BenchmarkMatchingAllocateEWF(b *testing.B) {
-	g := workloads.EWF()
-	d := cdfg.DefaultDelays(false)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, 19)
+	des, err := salsa.Compile(workloads.EWF(), salsa.Params{Steps: 19, ExtraRegisters: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	hw := datapath.NewHardware(lim, a.MinRegs+2, []string{"in"}, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MatchingAllocate(a, hw, binding.DefaultConfig()); err != nil {
+		if _, err := core.MatchingAllocate(des.Analysis, des.Hardware, binding.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

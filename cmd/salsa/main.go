@@ -27,13 +27,10 @@ import (
 	"salsa/internal/client"
 	"salsa/internal/core"
 	"salsa/internal/datapath"
-	"salsa/internal/dpsim"
 	"salsa/internal/engine"
 	"salsa/internal/library"
-	"salsa/internal/lifetime"
 	"salsa/internal/place"
 	"salsa/internal/report"
-	"salsa/internal/rtl"
 	"salsa/internal/sched"
 	"salsa/internal/service"
 	"salsa/internal/workloads"
@@ -77,6 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "salsa:", err)
 		return 1
 	}
+	params := salsa.Params{Steps: *steps, PipelinedMultipliers: *pipelined, ExtraRegisters: *extraRegs}
+	switch strings.ToLower(*scheduler) {
+	case "list":
+	case "fds":
+		params.ForceDirected = true
+	default:
+		return fail(fmt.Errorf("unknown -scheduler %q", *scheduler))
+	}
 
 	g, err := loadGraph(*benchName, *cdfgPath)
 	if err != nil {
@@ -92,9 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// shard, cache state, attempts) on stderr, keeping stdout
 		// byte-identical either way.
 		p := jsonParams{
-			steps: *steps, pipelined: *pipelined, extraRegs: *extraRegs,
-			fds:  strings.EqualFold(*scheduler, "fds"),
-			mode: *mode, seed: *seed, restarts: *restarts,
+			params: params, mode: *mode, seed: *seed, restarts: *restarts,
 			workers: *workers, timeout: *timeout, verify: *verify,
 		}
 		if *remote != "" {
@@ -122,47 +125,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
 	}
 
-	d := cdfg.DefaultDelays(*pipelined)
-	cp := g.CriticalPath(d)
-	T := *steps
-	if T == 0 {
-		T = cp + 2
-	}
-	if T < cp {
-		return fail(fmt.Errorf("%d steps is below the critical path (%d)", T, cp))
-	}
-	var (
-		a   *lifetime.Analysis
-		lim sched.Limits
-	)
-	switch strings.ToLower(*scheduler) {
-	case "list":
-		a, lim, err = lifetime.MinFUAnalysis(g, d, T)
-	case "fds":
-		a, err = lifetime.RepairFDS(g, d, T)
-		if err == nil {
-			lim = a.Sched.MinLimits()
-		}
-	default:
-		err = fmt.Errorf("unknown -scheduler %q", *scheduler)
-	}
+	des, err := salsa.Compile(g, params)
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "schedule: %d steps (critical path %d), %d ALUs, %d multipliers, min %d registers\n",
-		T, cp, lim[sched.ClassALU], lim[sched.ClassMul], a.MinRegs)
+		des.Steps(), g.CriticalPath(des.Analysis.Sched.Delays),
+		des.Limits[sched.ClassALU], des.Limits[sched.ClassMul], des.MinRegisters())
 
-	var inputs []string
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == cdfg.Input {
-			inputs = append(inputs, g.Nodes[i].Name)
-		}
-	}
-	hw := datapath.NewHardware(lim, a.MinRegs+*extraRegs, inputs, true)
-
-	engCfg := engine.Config{Workers: *workers, Timeout: *timeout}
+	engCfg := salsa.EngineConfig{Workers: *workers, Timeout: *timeout}
 	if *verbose {
-		engCfg.Events = func(ev engine.Event) {
+		engCfg.Events = func(ev salsa.Event) {
 			if ev.Kind == engine.EventImproved {
 				fmt.Fprintln(stdout, "   "+ev.String())
 			}
@@ -171,8 +144,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// runJobs fans the portfolio over the engine's worker pool; the
 	// winner is deterministic for any -workers value.
-	runJobs := func(name string, jobs []engine.Job) *core.Result {
-		res, stats, err := engine.Run(context.Background(), a, hw, jobs, engCfg)
+	runJobs := func(name string, jobs []salsa.Job) *salsa.Result {
+		res, stats, err := des.AllocatePortfolio(context.Background(), jobs, engCfg)
 		if err != nil {
 			fmt.Fprintf(stdout, "%-12s infeasible: %v\n", name+":", err)
 			return nil
@@ -209,18 +182,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"", ba.Buses, ba.MuxCost, ba.Drivers)
 		return res
 	}
-	runMode := func(name string, opts core.Options) *core.Result {
-		return runJobs(name, engine.Restarts(opts, *restarts))
+	runMode := func(name string, opts salsa.Options) *salsa.Result {
+		return runJobs(name, salsa.Restarts(opts, *restarts))
 	}
 
-	var final *core.Result
+	var final *salsa.Result
 	switch strings.ToLower(*mode) {
 	case "salsa":
-		final = runMode("salsa", core.SALSAOptions(*seed))
+		final = runMode("salsa", salsa.SALSAOptions(*seed))
 	case "traditional":
-		final = runMode("traditional", core.TraditionalOptions(*seed))
+		final = runMode("traditional", salsa.TraditionalOptions(*seed))
 	case "matching":
-		res, err := core.MatchingAllocate(a, hw, core.SALSAOptions(*seed).Cfg)
+		res, err := core.MatchingAllocate(des.Analysis, des.Hardware, salsa.SALSAOptions(*seed).Cfg)
 		if err != nil {
 			return fail(err)
 		}
@@ -228,12 +201,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"matching:", res.Cost.MuxCost, res.MergedMux, res.Cost.RegsUsed)
 		final = res
 	case "both":
-		trad := runMode("traditional", core.TraditionalOptions(*seed))
-		jobs := engine.Restarts(core.SALSAOptions(*seed), *restarts)
+		trad := runMode("traditional", salsa.TraditionalOptions(*seed))
+		jobs := salsa.Restarts(salsa.SALSAOptions(*seed), *restarts)
 		if trad != nil {
-			warm := core.SALSAOptions(*seed)
+			warm := salsa.SALSAOptions(*seed)
 			warm.Initial = trad.Binding
-			jobs = append(jobs, engine.Job{Label: "warm-start", Opts: warm})
+			jobs = append(jobs, salsa.Job{Label: "warm-start", Opts: warm})
 		}
 		final = runJobs("salsa", jobs)
 	default:
@@ -275,7 +248,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *verify {
-		if err := verifyAllocation(final, g, *seed); err != nil {
+		if err := des.Verify(final); err != nil {
 			return fail(fmt.Errorf("verification FAILED: %w", err))
 		}
 		fmt.Fprintln(stdout, "verified: cycle-accurate simulation matches reference semantics")
@@ -290,23 +263,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if g.Cyclic {
 			iters = 4
 		}
-		res, err := dpsim.Run(final.Binding, env, iters)
+		outs, err := des.Simulate(final, env, iters)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "simulation (%d iteration(s)):\n", iters)
 		var names []string
-		for name := range res.Outputs {
+		for name := range outs {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(stdout, "  %s = %d\n", name, res.Outputs[name])
+			fmt.Fprintf(stdout, "  %s = %d\n", name, outs[name])
 		}
 	}
 
 	if *rtlOut != "" {
-		nl, err := rtl.Emit(final.Binding, strings.ReplaceAll(g.Name, "-", "_")+"_dp")
+		nl, err := des.EmitRTL(final, strings.ReplaceAll(g.Name, "-", "_")+"_dp")
 		if err != nil {
 			return fail(err)
 		}
@@ -333,10 +306,10 @@ func runRemote(stdout, stderr io.Writer, g *cdfg.Graph, p jsonParams, baseURL st
 	}
 	ar := &service.AllocateRequest{
 		Graph:                graphJSON,
-		Steps:                p.steps,
-		PipelinedMultipliers: p.pipelined,
-		ExtraRegisters:       p.extraRegs,
-		ForceDirected:        p.fds,
+		Steps:                p.params.Steps,
+		PipelinedMultipliers: p.params.PipelinedMultipliers,
+		ExtraRegisters:       p.params.ExtraRegisters,
+		ForceDirected:        p.params.ForceDirected,
 		Mode:                 strings.ToLower(p.mode),
 		Seed:                 p.seed,
 		Restarts:             p.restarts,
@@ -364,16 +337,13 @@ func runRemote(stdout, stderr io.Writer, g *cdfg.Graph, p jsonParams, baseURL st
 
 // jsonParams carries the flag subset the -json path consumes.
 type jsonParams struct {
-	steps     int
-	pipelined bool
-	extraRegs int
-	fds       bool
-	mode      string
-	seed      int64
-	restarts  int
-	workers   int
-	timeout   time.Duration
-	verify    bool
+	params   salsa.Params
+	mode     string
+	seed     int64
+	restarts int
+	workers  int
+	timeout  time.Duration
+	verify   bool
 }
 
 // runJSON executes the allocation through the request-level façade and
@@ -381,13 +351,8 @@ type jsonParams struct {
 // service would serve for an equivalent request body.
 func runJSON(stdout, stderr io.Writer, g *cdfg.Graph, p jsonParams) int {
 	req := salsa.Request{
-		Graph: g,
-		Params: salsa.Params{
-			Steps:                p.steps,
-			PipelinedMultipliers: p.pipelined,
-			ExtraRegisters:       p.extraRegs,
-			ForceDirected:        p.fds,
-		},
+		Graph:    g,
+		Params:   p.params,
 		Mode:     strings.ToLower(p.mode),
 		Seed:     p.seed,
 		Restarts: p.restarts,
@@ -412,7 +377,7 @@ func runJSON(stdout, stderr io.Writer, g *cdfg.Graph, p jsonParams) int {
 		return 1
 	}
 	if p.verify {
-		if err := verifyAllocation(res, g, p.seed); err != nil {
+		if err := des.Verify(res); err != nil {
 			fmt.Fprintln(stderr, "salsa: verification FAILED:", err)
 			return 1
 		}
@@ -442,7 +407,7 @@ func loadGraph(bench, path string) (*cdfg.Graph, error) {
 	}
 }
 
-func printBinding(stdout io.Writer, res *core.Result) {
+func printBinding(stdout io.Writer, res *salsa.Result) {
 	b := res.Binding
 	g := b.A.Sched.G
 	fmt.Fprintln(stdout, "operator bindings:")
@@ -462,24 +427,6 @@ func printBinding(stdout io.Writer, res *core.Result) {
 		}
 		fmt.Fprintf(stdout, "  %-8s born @%2d: %s\n", v.Name, v.Birth, strings.Join(segs, " "))
 	}
-}
-
-func verifyAllocation(res *core.Result, g *cdfg.Graph, seed int64) error {
-	env := cdfg.Env{}
-	x := seed
-	for i := range g.Nodes {
-		switch g.Nodes[i].Op {
-		case cdfg.Input, cdfg.State:
-			x = x*6364136223846793005 + 1442695040888963407
-			env[g.Nodes[i].Name] = (x >> 33) % 1000
-		}
-	}
-	iters := 1
-	if g.Cyclic {
-		iters = 4
-	}
-	_, err := dpsim.Run(res.Binding, env, iters)
-	return err
 }
 
 // parseEnv parses "a=1,b=-2" into an evaluation environment.

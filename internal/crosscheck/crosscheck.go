@@ -28,13 +28,13 @@
 package crosscheck
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"salsa"
 	"salsa/internal/binding"
-	"salsa/internal/cdfg"
 	"salsa/internal/core"
-	"salsa/internal/datapath"
 	"salsa/internal/dpsim"
 	"salsa/internal/engine"
 	"salsa/internal/lifetime"
@@ -113,6 +113,14 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// searchOpts shrinks a model's options to the oracle's search budget.
+func (cfg Config) searchOpts(o core.Options) core.Options {
+	o.MaxTrials = cfg.MaxTrials
+	o.MovesPerTrial = cfg.MovesPerTrial
+	o.StallTrials = 2
+	return o
+}
+
 // Report is the outcome of crosschecking one case. All fields are
 // deterministic functions of (seed, Config), so marshalled reports are
 // byte-identical across runs and worker counts.
@@ -163,35 +171,22 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 		return fail(StageValidate, "generated graph invalid: %v", err)
 	}
 
-	d := cdfg.DefaultDelays(cs.PipelinedMul)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, cs.Steps)
+	des, err := salsa.Compile(g, salsa.Params{Steps: cs.Steps, PipelinedMultipliers: cs.PipelinedMul, ExtraRegisters: cs.ExtraRegs})
 	if err != nil {
 		rep.Status = StatusInfeasible
 		rep.Stage = StageCompile
 		rep.Detail = err.Error()
 		return rep
 	}
-	var inputs []string
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == cdfg.Input {
-			inputs = append(inputs, g.Nodes[i].Name)
-		}
-	}
-	hw := datapath.NewHardware(lim, a.MinRegs+cs.ExtraRegs, inputs, true)
 
-	base := core.SALSAOptions(seed)
-	base.MaxTrials = cfg.MaxTrials
-	base.MovesPerTrial = cfg.MovesPerTrial
-	base.StallTrials = 2
-	trad := base
-	trad.EnableSegments = false
-	trad.EnablePass = false
-	trad.EnableSplit = false
+	base := cfg.searchOpts(core.SALSAOptions(seed))
+	trad := cfg.searchOpts(core.TraditionalOptions(seed))
 
 	// The traditional model may be genuinely infeasible at tight
 	// register budgets (whole-lifetime registers color a circular-arc
 	// graph); that is one of the paper's points, not a finding.
-	tradRes, _, tradErr := engine.Run(nil, a, hw, engine.Restarts(trad, cfg.Restarts), engine.Config{Workers: 1})
+	ctx := context.Background()
+	tradRes, _, tradErr := des.AllocatePortfolio(ctx, engine.Restarts(trad, cfg.Restarts), engine.Config{Workers: 1})
 
 	jobs := engine.Restarts(base, cfg.Restarts)
 	if tradErr == nil {
@@ -199,10 +194,10 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 		warm.Initial = tradRes.Binding
 		jobs = append(jobs, engine.Job{Label: "warm-start", Opts: warm})
 	}
-	salsaRes, _, err := engine.Run(nil, a, hw, jobs, engine.Config{Workers: 1})
+	salsaRes, _, err := des.AllocatePortfolio(ctx, jobs, engine.Config{Workers: 1})
 	if err != nil {
 		// The extended model is feasible whenever registers cover the
-		// schedule's maximum overlap, which NewHardware guarantees; any
+		// schedule's maximum overlap, which salsa.Compile guarantees; any
 		// allocation failure is a finding.
 		return fail(StageAllocate, "extended allocation failed: %v", err)
 	}
@@ -243,7 +238,7 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 	if g.Cyclic {
 		iters = cfg.SimIters
 	}
-	env := stimulus(g, seed)
+	env := dpsim.Stimulus(g, seed)
 	if _, err := dpsim.Run(b, env, iters); err != nil {
 		return fail(StageDpsim, "%v", err)
 	}
@@ -253,7 +248,7 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 		}
 	}
 
-	if err := vsim.VerifyBinding(b, zeroStateStimulus(g, seed), iters); err != nil {
+	if err := vsim.VerifyBinding(b, dpsim.ZeroStateStimulus(g, seed), iters); err != nil {
 		return fail(StageVsim, "%v", err)
 	}
 
@@ -270,7 +265,7 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 		for i := range jobs {
 			jobs[i].Opts.Paranoid = true
 		}
-		again, st, err := engine.Run(nil, a, hw, jobs, engine.Config{Workers: 2})
+		again, st, err := des.AllocatePortfolio(ctx, jobs, engine.Config{Workers: 2})
 		for _, jr := range st.PerJob {
 			if jr.Err != nil {
 				return fail(StageParanoid, "paranoid re-run under 2 workers: job %d (%s): %v", jr.Job, jr.Label, jr.Err)
@@ -286,34 +281,6 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 
 	rep.Status = StatusOK
 	return rep
-}
-
-// stimulus builds a deterministic pseudo-random environment (inputs and
-// initial state) for the dpsim stage, derived from the seed but
-// decorrelated from the generator's stream.
-func stimulus(g *cdfg.Graph, seed int64) cdfg.Env {
-	state := uint64(seed)*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03
-	env := cdfg.Env{}
-	for i := range g.Nodes {
-		switch g.Nodes[i].Op {
-		case cdfg.Input, cdfg.State:
-			state = state*6364136223846793005 + 1442695040888963407
-			env[g.Nodes[i].Name] = int64((state>>33)%2001) - 1000
-		}
-	}
-	return env
-}
-
-// zeroStateStimulus is stimulus with all loop state cleared, as the
-// RTL-level verifier requires (hardware registers power up cleared).
-func zeroStateStimulus(g *cdfg.Graph, seed int64) cdfg.Env {
-	env := stimulus(g, seed)
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == cdfg.State {
-			env[g.Nodes[i].Name] = 0
-		}
-	}
-	return env
 }
 
 // Fingerprint renders the complete allocation state of a binding as a

@@ -2,15 +2,15 @@ package crosscheck
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
+	"salsa"
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/core"
-	"salsa/internal/datapath"
 	"salsa/internal/engine"
-	"salsa/internal/lifetime"
 	"salsa/internal/randgraph"
 )
 
@@ -224,23 +224,14 @@ func allocateSeed(t *testing.T, seed int64) *binding.Binding {
 	cfg := fastConfig().withDefaults()
 	for ; ; seed++ {
 		cs := randgraph.Generate(seed, cfg.Gen)
-		g := cs.Graph
-		d := cdfg.DefaultDelays(cs.PipelinedMul)
-		a, lim, err := lifetime.MinFUAnalysis(g, d, cs.Steps)
+		des, err := salsa.Compile(cs.Graph, salsa.Params{Steps: cs.Steps, PipelinedMultipliers: cs.PipelinedMul, ExtraRegisters: cs.ExtraRegs})
 		if err != nil {
 			continue
 		}
-		var inputs []string
-		for i := range g.Nodes {
-			if g.Nodes[i].Op == cdfg.Input {
-				inputs = append(inputs, g.Nodes[i].Name)
-			}
-		}
-		hw := datapath.NewHardware(lim, a.MinRegs+cs.ExtraRegs, inputs, true)
 		opts := core.SALSAOptions(seed)
 		opts.MaxTrials = cfg.MaxTrials
 		opts.MovesPerTrial = cfg.MovesPerTrial
-		res, _, err := engine.Run(nil, a, hw, engine.Restarts(opts, 1), engine.Config{Workers: 1})
+		res, _, err := des.AllocatePortfolio(context.Background(), engine.Restarts(opts, 1), engine.Config{Workers: 1})
 		if err != nil {
 			continue
 		}

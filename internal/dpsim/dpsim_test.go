@@ -288,3 +288,42 @@ func TestSimulationDetectsDivergentCopy(t *testing.T) {
 		t.Errorf("mid-life copy failed to simulate: %v", err)
 	}
 }
+
+// TestStimulus: the shared stimulus covers every input and state,
+// stays in [-1000, 1000], is a pure function of (graph, seed), and its
+// zero-state variant clears exactly the loop state.
+func TestStimulus(t *testing.T) {
+	g := workloads.EWF()
+	env := Stimulus(g, 7)
+	again := Stimulus(g, 7)
+	zero := ZeroStateStimulus(g, 7)
+	other := Stimulus(g, 8)
+	differs := false
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if n.Op != cdfg.Input && n.Op != cdfg.State {
+			if _, ok := env[n.Name]; ok {
+				t.Errorf("%s node %s has a stimulus value", n.Op, n.Name)
+			}
+			continue
+		}
+		v, ok := env[n.Name]
+		if !ok || v < -1000 || v > 1000 {
+			t.Errorf("%s: value %d (present %t), want one in [-1000, 1000]", n.Name, v, ok)
+		}
+		if again[n.Name] != v {
+			t.Errorf("%s: %d then %d for one seed", n.Name, v, again[n.Name])
+		}
+		want := v
+		if n.Op == cdfg.State {
+			want = 0
+		}
+		if zero[n.Name] != want {
+			t.Errorf("%s: zero-state value %d, want %d", n.Name, zero[n.Name], want)
+		}
+		differs = differs || other[n.Name] != v
+	}
+	if !differs {
+		t.Error("seeds 7 and 8 draw the same stimulus")
+	}
+}

@@ -9,15 +9,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
+	"salsa"
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/core"
-	"salsa/internal/datapath"
 	"salsa/internal/dpsim"
-	"salsa/internal/engine"
-	"salsa/internal/lifetime"
 	"salsa/internal/sched"
 	"salsa/internal/vsim"
 	"salsa/internal/workloads"
@@ -86,8 +83,8 @@ func Full(seed int64) Config {
 	return Config{Seed: seed, Restarts: 3, MovesPerTrial: 2500, MaxTrials: 40, Verify: true}
 }
 
-func (c Config) salsaOpts() core.Options {
-	o := core.SALSAOptions(c.Seed)
+// budget applies the configured search effort to opts.
+func (c Config) budget(o core.Options) core.Options {
 	if c.MovesPerTrial > 0 {
 		o.MovesPerTrial = c.MovesPerTrial
 	}
@@ -97,11 +94,15 @@ func (c Config) salsaOpts() core.Options {
 	return o
 }
 
+func (c Config) salsaOpts() core.Options { return c.budget(core.SALSAOptions(c.Seed)) }
+
+func (c Config) tradOpts() core.Options { return c.budget(core.TraditionalOptions(c.Seed)) }
+
 // allocateBest runs the restart portfolio on the parallel engine; the
 // winner is deterministic regardless of Workers.
-func (c Config) allocateBest(a *lifetime.Analysis, hw *datapath.Hardware, opts core.Options) (*core.Result, error) {
-	res, _, err := engine.Run(context.Background(), a, hw,
-		engine.Restarts(opts, c.Restarts), engine.Config{Workers: c.Workers})
+func (c Config) allocateBest(des *salsa.Design, opts core.Options) (*core.Result, error) {
+	res, _, err := des.AllocatePortfolio(context.Background(),
+		salsa.Restarts(opts, c.Restarts), salsa.EngineConfig{Workers: c.Workers})
 	return res, err
 }
 
@@ -109,38 +110,24 @@ func (c Config) allocateBest(a *lifetime.Analysis, hw *datapath.Hardware, opts c
 // under both binding models and returns the comparison row. It is the
 // unit the tables and the root benchmark harness are built from.
 func Point(g *cdfg.Graph, steps int, pipelined bool, extraRegs int, cfg Config) (Row, error) {
-	return runPoint(fmt.Sprintf("%s@%d", g.Name, steps), g, steps, pipelined, extraRegs, cfg)
+	return runPoint(fmt.Sprintf("%s@%d", g.Name, steps), g,
+		salsa.Params{Steps: steps, PipelinedMultipliers: pipelined, ExtraRegisters: extraRegs}, cfg)
 }
 
-// runPoint allocates one (graph, steps, pipelined, regBudget) point
-// under both models.
-func runPoint(id string, g *cdfg.Graph, steps int, pipelined bool, extraRegs int, cfg Config) (Row, error) {
-	d := cdfg.DefaultDelays(pipelined)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, steps)
+// runPoint allocates one compiled point under both models.
+func runPoint(id string, g *cdfg.Graph, p salsa.Params, cfg Config) (Row, error) {
+	des, err := salsa.Compile(g, p)
 	if err != nil {
 		return Row{}, fmt.Errorf("%s: %w", id, err)
 	}
-	var inputs []string
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == cdfg.Input {
-			inputs = append(inputs, g.Nodes[i].Name)
-		}
-	}
-	budget := a.MinRegs + extraRegs
-	hw := datapath.NewHardware(lim, budget, inputs, true)
-
 	row := Row{
-		ID: id, Workload: g.Name, Steps: steps, Pipelined: pipelined,
-		ALUs: lim[sched.ClassALU], Muls: lim[sched.ClassMul],
-		MinRegs: a.MinRegs, Regs: budget,
+		ID: id, Workload: g.Name, Steps: des.Steps(), Pipelined: p.PipelinedMultipliers,
+		ALUs: des.Limits[sched.ClassALU], Muls: des.Limits[sched.ClassMul],
+		MinRegs: des.MinRegisters(), Regs: des.MinRegisters() + p.ExtraRegisters,
 	}
 
 	// Traditional baseline.
-	tOpts := cfg.salsaOpts()
-	tOpts.EnableSegments = false
-	tOpts.EnablePass = false
-	tOpts.EnableSplit = false
-	tRes, tErr := cfg.allocateBest(a, hw, tOpts)
+	tRes, tErr := cfg.allocateBest(des, cfg.tradOpts())
 	if tErr == nil {
 		row.TradFeasible = true
 		row.TradMux = tRes.Cost.MuxCost
@@ -152,7 +139,7 @@ func runPoint(id string, g *cdfg.Graph, steps int, pipelined bool, extraRegs int
 	// warm start from it (the extended space contains the traditional
 	// one, so the warm run can only match or improve it).
 	sOpts := cfg.salsaOpts()
-	sRes, err := cfg.allocateBest(a, hw, sOpts)
+	sRes, err := cfg.allocateBest(des, sOpts)
 	if err != nil {
 		return Row{}, fmt.Errorf("%s: %w", id, err)
 	}
@@ -167,7 +154,7 @@ func runPoint(id string, g *cdfg.Graph, steps int, pipelined bool, extraRegs int
 	if tErr == nil {
 		warm := sOpts
 		warm.Initial = tRes.Binding
-		wRes, err := core.Allocate(a, hw, warm)
+		wRes, err := core.Allocate(des.Analysis, des.Hardware, warm)
 		if err == nil && better(wRes, sRes) {
 			sRes = wRes
 		}
@@ -210,37 +197,20 @@ func countSegmented(b *binding.Binding) int {
 }
 
 // verify checks the allocation at two levels: the binding simulates
-// cycle-accurately against the reference semantics on random stimulus
-// (dpsim), and the emitted RTL netlist simulates to the same outputs
-// through the Verilog-subset simulator (vsim).
+// cycle-accurately against the reference semantics on the shared
+// seeded stimulus (dpsim), and the emitted RTL netlist simulates to the
+// same outputs through the Verilog-subset simulator (vsim), loops
+// starting from cleared registers.
 func verify(b *binding.Binding, seed int64) error {
 	g := b.A.Sched.G
-	rng := rand.New(rand.NewSource(seed + 1000))
-	env := cdfg.Env{}
-	for i := range g.Nodes {
-		switch g.Nodes[i].Op {
-		case cdfg.Input, cdfg.State:
-			env[g.Nodes[i].Name] = int64(rng.Intn(2001) - 1000)
-		}
-	}
 	iters := 1
 	if g.Cyclic {
 		iters = 3
 	}
-	if _, err := dpsim.Run(b, env, iters); err != nil {
+	if _, err := dpsim.Run(b, dpsim.Stimulus(g, seed), iters); err != nil {
 		return err
 	}
-	// RTL-level check: loops must start from cleared registers.
-	rtlEnv := cdfg.Env{}
-	for i := range g.Nodes {
-		switch g.Nodes[i].Op {
-		case cdfg.Input:
-			rtlEnv[g.Nodes[i].Name] = env[g.Nodes[i].Name]
-		case cdfg.State:
-			rtlEnv[g.Nodes[i].Name] = 0
-		}
-	}
-	return vsim.VerifyBinding(b, rtlEnv, iters)
+	return vsim.VerifyBinding(b, dpsim.ZeroStateStimulus(g, seed), iters)
 }
 
 // Table2 regenerates the paper's EWF experiment: schedules of 17 and 19
@@ -268,7 +238,7 @@ func Table2(cfg Config) ([]Row, error) {
 			g := workloads.EWF()
 			id := fmt.Sprintf("T2.%d", n)
 			n++
-			row, err := runPoint(id, g, p.steps, p.pipelined, extra, cfg)
+			row, err := runPoint(id, g, salsa.Params{Steps: p.steps, PipelinedMultipliers: p.pipelined, ExtraRegisters: extra}, cfg)
 			if err != nil {
 				return rows, err
 			}
@@ -286,7 +256,7 @@ func Table3(cfg Config) ([]Row, error) {
 	for i, s := range steps {
 		g := workloads.DCT()
 		id := fmt.Sprintf("T3.%d", i+1)
-		row, err := runPoint(id, g, s, false, 1, cfg)
+		row, err := runPoint(id, g, salsa.Params{Steps: s, ExtraRegisters: 1}, cfg)
 		if err != nil {
 			return rows, err
 		}
@@ -312,22 +282,15 @@ type AblationRow struct {
 // segmentation disabled (≡ traditional model), and the
 // simulated-annealing acceptance rule the paper found inferior.
 func Ablation(cfg Config) ([]AblationRow, error) {
-	g := workloads.EWF()
-	d := cdfg.DefaultDelays(false)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, 19)
+	des, err := salsa.Compile(workloads.EWF(), salsa.Params{Steps: 19, ExtraRegisters: 1})
 	if err != nil {
 		return nil, err
 	}
-	hw := datapath.NewHardware(lim, a.MinRegs+1, []string{"in"}, true)
 
 	// All extended variants warm-start from one shared traditional
 	// baseline so the table isolates what each binding-model extension
 	// contributes, independent of cold-start search noise.
-	tOpts := cfg.salsaOpts()
-	tOpts.EnableSegments = false
-	tOpts.EnablePass = false
-	tOpts.EnableSplit = false
-	base, err := cfg.allocateBest(a, hw, tOpts)
+	base, err := cfg.allocateBest(des, cfg.tradOpts())
 	if err != nil {
 		return nil, fmt.Errorf("traditional baseline: %w", err)
 	}
@@ -339,27 +302,20 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		{"full", func(o *core.Options) {}},
 		{"no-passthrough", func(o *core.Options) { o.EnablePass = false }},
 		{"no-split", func(o *core.Options) { o.EnableSplit = false }},
-		{"no-segments (traditional)", func(o *core.Options) {
-			o.EnableSegments = false
-			o.EnablePass = false
-			o.EnableSplit = false
-		}},
+		{"no-segments (traditional)", func(o *core.Options) { *o = cfg.tradOpts() }},
 		{"annealing acceptance", func(o *core.Options) { o.Anneal = true }},
 	}
 	var rows []AblationRow
 	for _, v := range variants {
 		o := cfg.salsaOpts()
 		v.mod(&o)
-		o.Initial = base.Binding
-		res, err := core.Allocate(a, hw, o)
+		warm := o
+		warm.Initial = base.Binding
+		res, err := core.Allocate(des.Analysis, des.Hardware, warm)
 		if err != nil {
 			return rows, fmt.Errorf("%s: %w", v.name, err)
 		}
-		if cold, err2 := cfg.allocateBest(a, hw, func() core.Options {
-			c := o
-			c.Initial = nil
-			return c
-		}()); err2 == nil && cold.Cost.Total < res.Cost.Total {
+		if cold, err2 := cfg.allocateBest(des, o); err2 == nil && cold.Cost.Total < res.Cost.Total {
 			res = cold
 		}
 		if cfg.Verify {
@@ -413,30 +369,11 @@ func SchedulerStudy(cfg Config) ([]SchedRow, error) {
 	var rows []SchedRow
 	for _, p := range points {
 		for _, which := range []string{"list", "fds"} {
-			g := p.build()
-			d := cdfg.DefaultDelays(false)
-			var a *lifetime.Analysis
-			var lim sched.Limits
-			var err error
-			if which == "list" {
-				a, lim, err = lifetime.MinFUAnalysis(g, d, p.steps)
-			} else {
-				a, err = lifetime.RepairFDS(g, d, p.steps)
-				if err == nil {
-					lim = a.Sched.MinLimits()
-				}
-			}
+			des, err := salsa.Compile(p.build(), salsa.Params{Steps: p.steps, ExtraRegisters: 1, ForceDirected: which == "fds"})
 			if err != nil {
 				return rows, fmt.Errorf("%s@%d/%s: %w", p.name, p.steps, which, err)
 			}
-			var inputs []string
-			for i := range g.Nodes {
-				if g.Nodes[i].Op == cdfg.Input {
-					inputs = append(inputs, g.Nodes[i].Name)
-				}
-			}
-			hw := datapath.NewHardware(lim, a.MinRegs+1, inputs, true)
-			res, err := cfg.allocateBest(a, hw, cfg.salsaOpts())
+			res, err := cfg.allocateBest(des, cfg.salsaOpts())
 			if err != nil {
 				return rows, fmt.Errorf("%s@%d/%s: %w", p.name, p.steps, which, err)
 			}
@@ -447,8 +384,8 @@ func SchedulerStudy(cfg Config) ([]SchedRow, error) {
 			}
 			rows = append(rows, SchedRow{
 				Workload: p.name, Steps: p.steps, Scheduler: which,
-				ALUs: lim[sched.ClassALU], Muls: lim[sched.ClassMul],
-				MinRegs: a.MinRegs, Merged: res.MergedMux,
+				ALUs: des.Limits[sched.ClassALU], Muls: des.Limits[sched.ClassMul],
+				MinRegs: des.MinRegisters(), Merged: res.MergedMux,
 			})
 		}
 	}
@@ -482,19 +419,11 @@ func BaselineStudy(cfg Config) ([]BaselineRow, error) {
 	}
 	var rows []BaselineRow
 	for _, p := range points {
-		g := p.build()
-		d := cdfg.DefaultDelays(false)
-		a, lim, err := lifetime.MinFUAnalysis(g, d, p.steps)
+		des, err := salsa.Compile(p.build(), salsa.Params{Steps: p.steps, ExtraRegisters: 2})
 		if err != nil {
 			return rows, err
 		}
-		var inputs []string
-		for i := range g.Nodes {
-			if g.Nodes[i].Op == cdfg.Input {
-				inputs = append(inputs, g.Nodes[i].Name)
-			}
-		}
-		hw := datapath.NewHardware(lim, a.MinRegs+2, inputs, true)
+		a, hw := des.Analysis, des.Hardware
 
 		row := BaselineRow{Workload: p.name, Steps: p.steps}
 		mRes, err := core.MatchingAllocate(a, hw, cfg.salsaOpts().Cfg)
@@ -503,10 +432,7 @@ func BaselineStudy(cfg Config) ([]BaselineRow, error) {
 		}
 		row.Matching = mRes.MergedMux
 
-		tOpts := cfg.salsaOpts()
-		tOpts.EnableSegments = false
-		tOpts.EnablePass = false
-		tOpts.EnableSplit = false
+		tOpts := cfg.tradOpts()
 		tOpts.Initial = mRes.Binding // search from the matching start
 		tRes, err := core.Allocate(a, hw, tOpts)
 		if err != nil {
@@ -515,16 +441,13 @@ func BaselineStudy(cfg Config) ([]BaselineRow, error) {
 		row.TradIter = tRes.MergedMux
 
 		sOpts := cfg.salsaOpts()
-		sOpts.Initial = tRes.Binding
-		sRes, err := core.Allocate(a, hw, sOpts)
+		warm := sOpts
+		warm.Initial = tRes.Binding
+		sRes, err := core.Allocate(a, hw, warm)
 		if err != nil {
 			return rows, fmt.Errorf("%s: salsa: %w", p.name, err)
 		}
-		if cold, err2 := cfg.allocateBest(a, hw, func() core.Options {
-			o := sOpts
-			o.Initial = nil
-			return o
-		}()); err2 == nil && cold.MergedMux < sRes.MergedMux {
+		if cold, err2 := cfg.allocateBest(des, sOpts); err2 == nil && cold.MergedMux < sRes.MergedMux {
 			sRes = cold
 		}
 		row.Salsa = sRes.MergedMux

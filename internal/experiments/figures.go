@@ -5,6 +5,7 @@ package experiments
 import (
 	"fmt"
 
+	"salsa"
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/datapath"
@@ -236,8 +237,7 @@ func Figure12(cfg Config) (Row, error) {
 	v9 := g.Mul("v9", v3, v4)
 	v10 := g.Add("v10", v8, v9)
 	g.Output("out", v10)
-	d := cdfg.DefaultDelays(false)
-	return runPoint("F1", g, g.CriticalPath(d)+1, false, 1, cfg)
+	return runPoint("F1", g, salsa.Params{Steps: g.CriticalPath(cdfg.DefaultDelays(false)) + 1, ExtraRegisters: 1}, cfg)
 }
 
 // Demos runs both mechanism demonstrations.

@@ -55,7 +55,7 @@ func (r Request) options() (Options, error) {
 	case "traditional":
 		return TraditionalOptions(r.Seed), nil
 	default:
-		return Options{}, fmt.Errorf("salsa: unknown mode %q (want salsa or traditional)", r.Mode)
+		return Options{}, fmt.Errorf("unknown mode %q (want salsa or traditional)", r.Mode)
 	}
 }
 

@@ -81,9 +81,15 @@ func TestCompileRejectsInvalidGraph(t *testing.T) {
 }
 
 func TestCompileRejectsSubCriticalSteps(t *testing.T) {
-	g := workloads.Tseng()
-	if _, err := salsa.Compile(g, salsa.Params{Steps: 1}); err == nil {
-		t.Error("Compile accepted a schedule below the critical path")
+	g := workloads.EWF()
+	for _, fds := range []bool{false, true} {
+		_, err := salsa.Compile(g, salsa.Params{Steps: 5, ForceDirected: fds})
+		if err == nil {
+			t.Fatalf("ForceDirected=%t: Compile accepted a schedule below the critical path", fds)
+		}
+		if got, want := err.Error(), "5 steps is below the critical path (17)"; got != want {
+			t.Errorf("ForceDirected=%t: error %q, want %q", fds, got, want)
+		}
 	}
 }
 
