@@ -119,6 +119,22 @@ func TestTooFewStepsNamesCriticalPath(t *testing.T) {
 	}
 }
 
+// TestProseTimeout: a prose -timeout shorter than the first trial makes
+// each model of -mode both report that its own portfolio found nothing,
+// so the deadline applies per portfolio, and the run exits 1.
+func TestProseTimeout(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-bench", "ewf", "-mode", "both", "-timeout", "1ns"}, &stdout, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	for _, model := range []string{"traditional:", "salsa:      "} {
+		want := model + " infeasible: engine: no allocation before cancellation: context deadline exceeded\n"
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}
+
 // TestCorpusDigestsGolden pins the exact allocation bytes of the corpus:
 // the SHA-256 of the -json document for each testdata/ graph at seeds
 // 1000-1003 with one worker. A search change that is meant to be

@@ -3,11 +3,41 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"salsa/internal/crosscheck"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestSeeds300Golden pins the oracle's full report for seeds 1-300
+// byte-for-byte: both binding models' costs on every random graph, and
+// which seeds are infeasible. A search change that is meant to be
+// byte-identical must leave testdata/seeds300.golden untouched; one
+// that alters results rewrites it with -update and says why.
+func TestSeeds300Golden(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-seeds", "300", "-json"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, want 0\nstderr:\n%s", code, errb.String())
+	}
+	golden := filepath.Join("testdata", "seeds300.golden")
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("-json reports drifted from %s (rerun with -update if intended)", golden)
+	}
+}
 
 // TestCleanTreeExitsZero is the driver-level acceptance check: on a
 // healthy tree a seed sweep reports no findings and exits 0.
