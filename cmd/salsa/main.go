@@ -133,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		des.Steps(), g.CriticalPath(des.Analysis.Sched.Delays),
 		des.Limits[sched.ClassALU], des.Limits[sched.ClassMul], des.MinRegisters())
 
-	engCfg := salsa.EngineConfig{Workers: *workers, Timeout: *timeout}
+	engCfg := salsa.EngineConfig{Workers: *workers}
 	if *verbose {
 		engCfg.Events = func(ev salsa.Event) {
 			if ev.Kind == engine.EventImproved {
@@ -143,9 +143,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// runJobs fans the portfolio over the engine's worker pool; the
-	// winner is deterministic for any -workers value.
+	// winner is deterministic for any -workers value. Each portfolio
+	// gets the full -timeout, so -mode both budgets each model alike.
 	runJobs := func(name string, jobs []salsa.Job) *salsa.Result {
-		res, stats, err := des.AllocatePortfolio(context.Background(), jobs, engCfg)
+		ctx := context.Background()
+		if *timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, *timeout)
+			defer cancel()
+		}
+		res, stats, err := des.AllocatePortfolio(ctx, jobs, engCfg)
 		if err != nil {
 			fmt.Fprintf(stdout, "%-12s infeasible: %v\n", name+":", err)
 			return nil
@@ -202,13 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		final = res
 	case "both":
 		trad := runMode("traditional", salsa.TraditionalOptions(*seed))
-		jobs := salsa.Restarts(salsa.SALSAOptions(*seed), *restarts)
-		if trad != nil {
-			warm := salsa.SALSAOptions(*seed)
-			warm.Initial = trad.Binding
-			jobs = append(jobs, salsa.Job{Label: "warm-start", Opts: warm})
-		}
-		final = runJobs("salsa", jobs)
+		final = runJobs("salsa", salsa.WarmPortfolio(salsa.SALSAOptions(*seed), *restarts, trad))
 	default:
 		return fail(fmt.Errorf("unknown -mode %q", *mode))
 	}

@@ -244,7 +244,7 @@ func (c *Client) DoJob(ctx context.Context, ar *service.AllocateRequest) (*Resul
 		// failure was transient (e.g. an abandoned singleflight wait).
 		herr := &HTTPError{Status: st.HTTPStatus, Body: []byte(st.Error)}
 		if st.Error != "" {
-			herr.Body = errorDoc(st.Error)
+			herr.Body = service.ErrorBody(st.Error)
 		}
 		if !retryableStatus(st.HTTPStatus) {
 			return nil, herr
@@ -500,12 +500,3 @@ type retryAfterError struct {
 
 func (e retryAfterError) Error() string { return e.err.Error() }
 func (e retryAfterError) Unwrap() error { return e.err }
-
-// errorDoc renders msg as the service's error document shape.
-func errorDoc(msg string) []byte {
-	b, err := json.Marshal(map[string]string{"error": msg})
-	if err != nil {
-		return []byte(`{"error":"internal"}`)
-	}
-	return b
-}

@@ -254,6 +254,31 @@ func TestDoJobResubmitsOnRetryableTerminalFailure(t *testing.T) {
 	}
 }
 
+// TestDoJobTerminalFailureBody: a job that fails for good returns an
+// HTTPError with the job's status and, as its body, the service's error
+// document for the job's message: the bytes salsad sends when the same
+// failure is answered synchronously.
+func TestDoJobTerminalFailureBody(t *testing.T) {
+	failed, err := json.Marshal(service.JobStatus{ID: "j1-abc", State: "failed",
+		HTTPStatus: 422, Error: "no allocation"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &scriptDoer{steps: []scriptStep{
+		{status: 202, body: `{"id":"j1-abc","status_url":"/jobs/j1-abc"}`},
+		{status: 200, body: string(failed)},
+	}}
+	c := newTestClient(d, &recordClock{})
+	_, err = c.DoJob(context.Background(), &service.AllocateRequest{Graph: json.RawMessage(`{}`)})
+	var herr *HTTPError
+	if !errors.As(err, &herr) || herr.Status != 422 {
+		t.Fatalf("err = %v, want HTTPError 422", err)
+	}
+	if want := service.ErrorBody("no allocation"); !bytes.Equal(herr.Body, want) {
+		t.Errorf("body = %q, want %q", herr.Body, want)
+	}
+}
+
 // TestDoJobResubmitsRetiredJob: a job retired before its first poll
 // answers 410 Gone, and DoJob resubmits the request (idempotent by
 // content address) instead of failing.

@@ -396,11 +396,7 @@ func passthrough(w http.ResponseWriter, res *client.HTTPResult, backend string) 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	body, err := json.Marshal(map[string]string{"error": msg})
-	if err != nil {
-		body = []byte(`{"error":"internal error"}`)
-	}
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(service.ErrorBody(msg))
 }
 
 // writeUnavailable is the shared 503 path: drain, empty ring, or an

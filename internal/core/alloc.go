@@ -31,12 +31,6 @@ type Options struct {
 	StallTrials int
 	// MovesPerTrial is the number of moves attempted per trial.
 	MovesPerTrial int
-	// UphillQuota is the number of cost-increasing moves accepted at the
-	// start of each trial before the search turns downhill-only.
-	UphillQuota int
-	// MaxUphillDelta caps how much a single accepted uphill move may
-	// worsen the cost (0 picks a default tied to the mux weight).
-	MaxUphillDelta int
 
 	// EnableSegments allows different segments of a value to live in
 	// different registers (moves R1/R2 and piecewise initial binding).
@@ -51,12 +45,6 @@ type Options struct {
 	// approach the paper tried first and found inferior; kept as an
 	// ablation.
 	Anneal bool
-	// AnnealT0 is the initial temperature when Anneal is set.
-	AnnealT0 float64
-	// AnnealCool is the geometric cooling factor applied to the
-	// temperature after each trial when Anneal is set. It must lie in
-	// (0, 1); the zero value selects DefaultAnnealCool.
-	AnnealCool float64
 
 	// Paranoid re-validates the binding after every accepted move and
 	// asserts that the delta cost of every candidate the search or
@@ -75,10 +63,6 @@ type Options struct {
 	Initial *binding.Binding
 }
 
-// DefaultAnnealCool is the geometric cooling factor used when
-// Options.AnnealCool is left zero.
-const DefaultAnnealCool = 0.85
-
 // SALSAOptions returns the full extended-binding-model configuration.
 func SALSAOptions(seed int64) Options {
 	return Options{
@@ -87,12 +71,9 @@ func SALSAOptions(seed int64) Options {
 		MaxTrials:      40,
 		StallTrials:    3,
 		MovesPerTrial:  1500,
-		UphillQuota:    6,
 		EnableSegments: true,
 		EnablePass:     true,
 		EnableSplit:    true,
-		AnnealT0:       8,
-		AnnealCool:     DefaultAnnealCool,
 	}
 }
 
@@ -140,15 +121,6 @@ func Allocate(a *lifetime.Analysis, hw *datapath.Hardware, opts Options) (*Resul
 // pruning and progress telemetry. A nil ctl behaves exactly like
 // Allocate.
 func AllocateControlled(a *lifetime.Analysis, hw *datapath.Hardware, opts Options, ctl *Control) (*Result, error) {
-	if opts.MaxTrials == 0 {
-		opts = withDefaults(opts)
-	}
-	if opts.AnnealCool == 0 {
-		opts.AnnealCool = DefaultAnnealCool
-	}
-	if opts.AnnealCool <= 0 || opts.AnnealCool >= 1 {
-		return nil, fmt.Errorf("core: AnnealCool %v outside (0, 1)", opts.AnnealCool)
-	}
 	if ctx := ctl.ctx(); ctx != nil {
 		// Cancelled before any legal allocation exists: nothing to
 		// return under anytime semantics.
@@ -216,24 +188,6 @@ func AllocateBest(a *lifetime.Analysis, hw *datapath.Hardware, opts Options, res
 		}
 	}
 	return best, nil
-}
-
-func withDefaults(o Options) Options {
-	d := SALSAOptions(o.Seed)
-	d.Cfg = o.Cfg
-	d.EnableSegments = o.EnableSegments
-	d.EnablePass = o.EnablePass
-	d.EnableSplit = o.EnableSplit
-	d.Anneal = o.Anneal
-	d.Paranoid = o.Paranoid
-	d.Initial = o.Initial
-	if o.AnnealT0 != 0 {
-		d.AnnealT0 = o.AnnealT0
-	}
-	if o.AnnealCool != 0 {
-		d.AnnealCool = o.AnnealCool
-	}
-	return d
 }
 
 // newRNG isolates the randomness source used across the allocator.

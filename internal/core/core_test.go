@@ -201,46 +201,6 @@ func TestAnnealModeRuns(t *testing.T) {
 	}
 }
 
-func TestAnnealCoolValidation(t *testing.T) {
-	g := workloads.Tseng()
-	a, hw := setup(t, g, 1, 1, false)
-	for _, bad := range []float64{-0.5, 1, 1.5} {
-		o := quickOpts(11)
-		o.Anneal = true
-		o.AnnealCool = bad
-		if _, err := Allocate(a, hw, o); err == nil {
-			t.Errorf("AnnealCool=%v: want validation error, got nil", bad)
-		}
-	}
-}
-
-func TestAnnealCoolConfigurable(t *testing.T) {
-	g := workloads.Tseng()
-	a, hw := setup(t, g, 1, 1, false)
-	// Zero value must select the default and behave identically to the
-	// explicit default.
-	run := func(cool float64) *Result {
-		o := quickOpts(11)
-		o.Anneal = true
-		o.AnnealCool = cool
-		res, err := Allocate(a, hw, o)
-		if err != nil {
-			t.Fatalf("AnnealCool=%v: %v", cool, err)
-		}
-		if err := res.Binding.Check(); err != nil {
-			t.Fatalf("AnnealCool=%v: result illegal: %v", cool, err)
-		}
-		return res
-	}
-	zero, dflt := run(0), run(DefaultAnnealCool)
-	if zero.Cost != dflt.Cost || zero.MovesAccepted != dflt.MovesAccepted {
-		t.Errorf("zero AnnealCool diverges from DefaultAnnealCool: %+v vs %+v", zero.Cost, dflt.Cost)
-	}
-	// A sharply different cooling schedule still yields a legal result.
-	run(0.3)
-	run(0.99)
-}
-
 func TestAllocateBestPicksCheapest(t *testing.T) {
 	g := workloads.FIR8()
 	a, hw := setup(t, g, 2, 1, false)
@@ -328,17 +288,6 @@ func TestMoveKindsAllFire(t *testing.T) {
 		if fired[k] == 0 {
 			t.Errorf("move %v never fired", k)
 		}
-	}
-}
-
-func TestWithDefaultsPreservesFlags(t *testing.T) {
-	o := Options{Seed: 5, Cfg: binding.DefaultConfig(), EnableSegments: true}
-	d := withDefaults(o)
-	if !d.EnableSegments || d.EnablePass || d.EnableSplit {
-		t.Errorf("withDefaults mangled flags: %+v", d)
-	}
-	if d.MaxTrials == 0 || d.MovesPerTrial == 0 {
-		t.Error("withDefaults did not fill engine defaults")
 	}
 }
 

@@ -13,6 +13,17 @@ import (
 // measurable overhead on the hot path.
 const cancelCheckStride = 32
 
+// The acceptance rule's fixed parameters. uphillQuota cost-increasing
+// moves, each worsening the cost by at most the mux weight plus two,
+// are accepted at the start of each trial. The annealing ablation
+// starts at temperature annealT0 and cools geometrically by annealCool
+// per trial.
+const (
+	uphillQuota = 6
+	annealT0    = 8.0
+	annealCool  = 0.85
+)
+
 // improve runs the paper's iterative improvement scheme (§4): several
 // trials, each attempting a fixed number of random moves; cost-
 // decreasing moves are always kept, a fixed quota of cost-increasing
@@ -26,8 +37,8 @@ const cancelCheckStride = 32
 // the sinks the move perturbed, and rejected moves roll back.
 //
 // With opts.Anneal the acceptance rule switches to simulated annealing
-// (Metropolis criterion with geometric cooling by opts.AnnealCool
-// across trials) — the approach the paper reports as inferior; it is
+// (Metropolis criterion with geometric cooling by annealCool across
+// trials) — the approach the paper reports as inferior; it is
 // retained as an ablation.
 //
 // ctl supplies anytime semantics: context cancellation is polled
@@ -54,11 +65,8 @@ func improve(b *binding.Binding, initCost binding.Cost, opts Options, ctl *Contr
 	stop := StopNatural
 	trials, tried, accepted := 0, 0, 0
 	stall := 0
-	temp := opts.AnnealT0
-	maxUp := opts.MaxUphillDelta
-	if maxUp <= 0 {
-		maxUp = opts.Cfg.Wmux + 2
-	}
+	temp := annealT0
+	maxUp := opts.Cfg.Wmux + 2
 search:
 	for trial := 0; trial < opts.MaxTrials; trial++ {
 		trials++
@@ -71,7 +79,7 @@ search:
 				return nil, fmt.Errorf("core: trial restart unevaluable: %w", err)
 			}
 		}
-		uphillLeft := opts.UphillQuota
+		uphillLeft := uphillQuota
 		improved := false
 		for i := 0; i < opts.MovesPerTrial; i++ {
 			if ctx != nil && i%cancelCheckStride == 0 && ctx.Err() != nil {
@@ -143,7 +151,7 @@ search:
 			}
 		}
 		if opts.Anneal {
-			temp *= opts.AnnealCool
+			temp *= annealCool
 		}
 		if ctl.trialEnd(trial, best, bestCost, improved, tried, accepted) {
 			stop = StopPruned

@@ -41,7 +41,7 @@ func applyChecked(t *testing.T, tx *binding.Tx, mv *mover, kind moveKind) bool {
 func TestMoveKindsPreserveLegality(t *testing.T) {
 	g := workloads.EWF()
 	a, hw := setup(t, g, 3, 2, false)
-	opts := withDefaults(SALSAOptions(7))
+	opts := SALSAOptions(7)
 	b := binding.New(a, hw, binding.DefaultConfig())
 	if err := initialAllocation(b, opts); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestMoveKindsPreserveLegality(t *testing.T) {
 func TestMixedWalkStaysLegal(t *testing.T) {
 	g := workloads.EWF()
 	a, hw := setup(t, g, 2, 1, false)
-	opts := withDefaults(SALSAOptions(11))
+	opts := SALSAOptions(11)
 	b := binding.New(a, hw, binding.DefaultConfig())
 	if err := initialAllocation(b, opts); err != nil {
 		t.Fatal(err)

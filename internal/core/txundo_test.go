@@ -63,7 +63,7 @@ func TestTxApplyUndoRestoresBinding(t *testing.T) {
 	for name, build := range txUndoCases(t) {
 		t.Run(name, func(t *testing.T) {
 			a, hw := build(t)
-			opts := withDefaults(SALSAOptions(13))
+			opts := SALSAOptions(13)
 			cur := binding.New(a, hw, binding.DefaultConfig())
 			if err := initialAllocation(cur, opts); err != nil {
 				t.Fatal(err)

@@ -188,12 +188,7 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 	ctx := context.Background()
 	tradRes, _, tradErr := des.AllocatePortfolio(ctx, engine.Restarts(trad, cfg.Restarts), engine.Config{Workers: 1})
 
-	jobs := engine.Restarts(base, cfg.Restarts)
-	if tradErr == nil {
-		warm := base
-		warm.Initial = tradRes.Binding
-		jobs = append(jobs, engine.Job{Label: "warm-start", Opts: warm})
-	}
+	jobs := salsa.WarmPortfolio(base, cfg.Restarts, tradRes)
 	salsaRes, _, err := des.AllocatePortfolio(ctx, jobs, engine.Config{Workers: 1})
 	if err != nil {
 		// The extended model is feasible whenever registers cover the

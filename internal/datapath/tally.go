@@ -10,7 +10,7 @@ import "fmt"
 // perturbs, so a candidate's interconnect cost is a handful of
 // per-sink recomputations instead of a full Interconnect rebuild.
 //
-// PerSink and TotalMux are exported so the salsalint costmut analyzer
+// PerSink and TotalMux are exported so the salsalint mutguard analyzer
 // can enforce the mutation boundary: they may only be written inside
 // internal/datapath and internal/binding (the transaction layer).
 // Everyone else reads them through Get/Total.
@@ -19,7 +19,7 @@ type CostTable struct {
 	// mirroring Interconnect's sized constructor.
 	NumFUs, NumRegs, NumOuts int
 	// PerSink holds each sink's current mux contribution, indexed by
-	// Index. Writes outside the costmut boundary are a lint error.
+	// Index. Writes outside the mutguard boundary are a lint error.
 	PerSink []int32
 	// TotalMux is the sum of PerSink: the binding's pre-merging
 	// equivalent 2-to-1 multiplexer count.

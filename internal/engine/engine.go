@@ -62,9 +62,6 @@ type Config struct {
 	// run one at a time in portfolio order on the calling goroutine,
 	// each resolved before the next starts.
 	Workers int
-	// Timeout, when positive, bounds the whole portfolio's wall time;
-	// on expiry the best allocation found so far is returned.
-	Timeout time.Duration
 	// DisablePruning turns shared-incumbent pruning off, running every
 	// job to natural termination (useful for measuring what pruning
 	// saves).
@@ -96,11 +93,6 @@ func Run(ctx context.Context, a *lifetime.Analysis, hw *datapath.Hardware, jobs 
 		// no caller context to derive from.
 		//lint:ctxflow nil-ctx default, no caller context exists to derive from
 		ctx = context.Background()
-	}
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
 	}
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -68,21 +68,33 @@ func fingerprint(b *binding.Binding) string {
 	return sb.String()
 }
 
+// variant is a restart portfolio whose labels carry a variant name,
+// "name/seed=k"; appending variants in order builds a mixed portfolio.
+func variant(name string, opts core.Options, restarts int) []engine.Job {
+	jobs := engine.Restarts(opts, restarts)
+	for i := range jobs {
+		jobs[i].Label = name + "/" + jobs[i].Label
+	}
+	return jobs
+}
+
+// traditionalOpts is quickOpts under the traditional binding model.
+func traditionalOpts(seed int64) core.Options {
+	o := quickOpts(seed)
+	o.EnableSegments = false
+	o.EnablePass = false
+	o.EnableSplit = false
+	return o
+}
+
 // mixedPortfolio builds the documented portfolio shape: SALSA cold
 // restarts, the traditional model, and the annealing ablation.
 func mixedPortfolio(seed int64, restarts int) []engine.Job {
-	so := quickOpts(seed)
-	to := quickOpts(seed)
-	to.EnableSegments = false
-	to.EnablePass = false
-	to.EnableSplit = false
 	ao := quickOpts(seed)
 	ao.Anneal = true
-	return engine.Portfolio([]engine.Variant{
-		{Name: "salsa", Opts: so},
-		{Name: "traditional", Opts: to},
-		{Name: "anneal", Opts: ao},
-	}, restarts)
+	jobs := variant("salsa", quickOpts(seed), restarts)
+	jobs = append(jobs, variant("traditional", traditionalOpts(seed), restarts)...)
+	return append(jobs, variant("anneal", ao, restarts)...)
 }
 
 // TestDeterministicAcrossWorkers is the engine's central contract: the
@@ -301,7 +313,7 @@ func TestCancellationReturnsLegalBestSoFar(t *testing.T) {
 		st.Wall.Round(time.Millisecond), res.Cost.Total, res.MergedMux, st.Cancelled)
 }
 
-// TestDeadline exercises Config.Timeout: a run with an absurd budget
+// TestDeadline: a run with an absurd budget under a context deadline
 // still returns an allocation within the deadline's order of
 // magnitude.
 func TestDeadline(t *testing.T) {
@@ -311,8 +323,9 @@ func TestDeadline(t *testing.T) {
 	o.MaxTrials = 10000
 	o.StallTrials = 10000
 	t0 := time.Now()
-	res, st, err := engine.Run(context.Background(), a, hw, engine.Restarts(o, 2),
-		engine.Config{Workers: 2, Timeout: 150 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	res, st, err := engine.Run(ctx, a, hw, engine.Restarts(o, 2), engine.Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("deadline run failed outright: %v", err)
 	}
@@ -376,12 +389,13 @@ func TestIncumbentStress(t *testing.T) {
 	t.Logf("stress: %d jobs, %d pruned, best job %d cost %d", st1.Jobs, st1.Pruned, st1.BestJob, r1.Cost.Total)
 }
 
-// TestPortfolioLabelsAndOrder checks the portfolio constructors'
-// labelling and tie-break ordering contract.
+// TestPortfolioLabelsAndOrder checks Restarts' labelling and
+// tie-break ordering contract: seeds ascend from opts.Seed, and a
+// width below one still yields one job.
 func TestPortfolioLabelsAndOrder(t *testing.T) {
 	o := quickOpts(5)
-	jobs := engine.Portfolio([]engine.Variant{{Name: "a", Opts: o}, {Name: "b", Opts: o}}, 2)
-	want := []string{"a/seed=5", "a/seed=6", "b/seed=5", "b/seed=6"}
+	jobs := engine.Restarts(o, 3)
+	want := []string{"seed=5", "seed=6", "seed=7"}
 	if len(jobs) != len(want) {
 		t.Fatalf("got %d jobs, want %d", len(jobs), len(want))
 	}
@@ -389,9 +403,12 @@ func TestPortfolioLabelsAndOrder(t *testing.T) {
 		if j.Label != want[i] {
 			t.Errorf("job %d label = %q, want %q", i, j.Label, want[i])
 		}
-		if j.Opts.Seed != o.Seed+int64(i%2) {
+		if j.Opts.Seed != o.Seed+int64(i) {
 			t.Errorf("job %d seed = %d", i, j.Opts.Seed)
 		}
+	}
+	if n := len(engine.Restarts(o, 0)); n != 1 {
+		t.Errorf("Restarts(o, 0) built %d jobs, want 1", n)
 	}
 }
 
@@ -408,14 +425,7 @@ func TestEmptyPortfolio(t *testing.T) {
 // still produce the extended winner and record the failure.
 func TestMixedFeasibility(t *testing.T) {
 	a, hw := setup(t, workloads.EWF(), 2, 0)
-	to := quickOpts(1)
-	to.EnableSegments = false
-	to.EnablePass = false
-	to.EnableSplit = false
-	jobs := engine.Portfolio([]engine.Variant{
-		{Name: "traditional", Opts: to},
-		{Name: "salsa", Opts: quickOpts(1)},
-	}, 1)
+	jobs := append(variant("traditional", traditionalOpts(1), 1), variant("salsa", quickOpts(1), 1)...)
 	res, st, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{})
 	if err != nil {
 		t.Fatalf("portfolio with one infeasible member failed: %v", err)

@@ -35,29 +35,3 @@ func Restarts(opts core.Options, n int) []Job {
 	}
 	return jobs
 }
-
-// Variant names an Options configuration for mixed-portfolio
-// construction.
-type Variant struct {
-	Name string
-	Opts core.Options
-}
-
-// Portfolio crosses option variants with derived seeds: for each
-// variant in order, restarts jobs seeded Opts.Seed .. Opts.Seed+
-// restarts-1, labelled "name/seed=k". The job order — variants in the
-// given order, seeds ascending within each — fixes the deterministic
-// tie-break.
-func Portfolio(variants []Variant, restarts int) []Job {
-	if restarts < 1 {
-		restarts = 1
-	}
-	jobs := make([]Job, 0, len(variants)*restarts)
-	for _, v := range variants {
-		for _, j := range Restarts(v.Opts, restarts) {
-			j.Label = v.Name + "/" + j.Label
-			jobs = append(jobs, j)
-		}
-	}
-	return jobs
-}

@@ -6,32 +6,21 @@ import (
 	"go/types"
 )
 
-// CtxflowConfig tunes the context-flow analyzer.
-type CtxflowConfig struct {
-	// PkgSuffixes lists import-path suffixes of the packages whose
-	// request paths carry contexts and must follow the contract.
-	PkgSuffixes []string
-}
-
-// DefaultCtxflowConfig scopes ctxflow to the layers that serve
-// requests: the HTTP service, the portfolio engine, and the salsad
-// entry point. The pure allocation packages below them are
+// ctxflowPkgs scopes ctxflow to the layers that serve requests: the
+// HTTP service, the portfolio engine, the router, the journal and the
+// salsad entry point. The pure allocation packages below them are
 // context-free by design (core.Control carries the deadline), so the
 // contract does not apply there.
-func DefaultCtxflowConfig() CtxflowConfig {
-	return CtxflowConfig{
-		PkgSuffixes: []string{
-			"internal/service",
-			"internal/engine",
-			"internal/cluster",
-			"internal/journal",
-			"cmd/salsad",
-		},
-	}
+var ctxflowPkgs = []string{
+	"internal/service",
+	"internal/engine",
+	"internal/cluster",
+	"internal/journal",
+	"cmd/salsad",
 }
 
-// NewCtxflow builds the context-flow analyzer. Within the configured
-// packages it enforces four rules:
+// Ctxflow is the context-flow analyzer. Within ctxflowPkgs it enforces
+// four rules:
 //
 //   - a context.Context parameter must come first (after the
 //     receiver), so call chains read uniformly and a ctx is never an
@@ -56,35 +45,27 @@ func DefaultCtxflowConfig() CtxflowConfig {
 // Like lockguard, the cancel tracking is per function body and
 // branch-sensitive (a cancel created in an if branch must be released
 // within paths of that branch).
-func NewCtxflow(cfg CtxflowConfig) *Analyzer {
-	a := &Analyzer{
-		Name: "ctxflow",
-		Doc: "context.Context must be the first parameter, never live in a struct field, never be " +
-			"re-rooted via Background()/TODO() on a path that already has a ctx; ctx-derived cancel " +
-			"functions must be called or deferred on every path",
+var Ctxflow = &Analyzer{
+	Name: "ctxflow",
+	Doc: "context.Context must be the first parameter, never live in a struct field, never be " +
+		"re-rooted via Background()/TODO() on a path that already has a ctx; ctx-derived cancel " +
+		"functions must be called or deferred on every path",
+	Run: runCtxflow,
+}
+
+func runCtxflow(pass *Pass) {
+	if !pathHasSuffix(pass.Pkg.Path(), ctxflowPkgs...) {
+		return
 	}
-	a.Run = func(pass *Pass) {
-		inScope := false
-		for _, suf := range cfg.PkgSuffixes {
-			if pathHasSuffix(pass.Pkg.Path(), suf) {
-				inScope = true
-				break
-			}
-		}
-		if !inScope {
-			return
-		}
-		for _, file := range pass.Files {
-			checkCtxParams(pass, file)
-			checkCtxFields(pass, file)
-			checkCtxStores(pass, file)
-			checkBackground(pass, file)
-			for _, fc := range funcContexts(file) {
-				checkCancelFlow(pass, fc)
-			}
+	for _, file := range pass.Files {
+		checkCtxParams(pass, file)
+		checkCtxFields(pass, file)
+		checkCtxStores(pass, file)
+		checkBackground(pass, file)
+		for _, fc := range funcContexts(file) {
+			checkCancelFlow(pass, fc)
 		}
 	}
-	return a
 }
 
 // isContextType reports whether t is context.Context.

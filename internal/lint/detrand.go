@@ -5,31 +5,19 @@ import (
 	"go/types"
 )
 
-// DetrandConfig tunes the detrand analyzer.
-type DetrandConfig struct {
-	// PureSearchPkgSuffixes lists import-path suffixes of packages that
-	// implement the deterministic search kernel. Inside them, any read
-	// of the wall clock (time.Now / time.Since / time.Until) is a
-	// finding: clock values must never influence search decisions, and
-	// telemetry belongs in the orchestration layers outside these
-	// packages.
-	PureSearchPkgSuffixes []string
-}
-
-// DefaultDetrandConfig guards this repository's search kernel: the
-// allocator core, the binding model, and every package they consult
-// when evaluating or selecting moves.
-func DefaultDetrandConfig() DetrandConfig {
-	return DetrandConfig{
-		PureSearchPkgSuffixes: []string{
-			"internal/core",
-			"internal/binding",
-			"internal/lifetime",
-			"internal/sched",
-			"internal/match",
-			"internal/datapath",
-		},
-	}
+// pureSearchPkgs are the import-path suffixes of the deterministic
+// search kernel: the allocator core, the binding model, and every
+// package they consult when evaluating or selecting moves. Inside them,
+// any read of the wall clock (time.Now / time.Since / time.Until) is a
+// finding: clock values must never influence search decisions, and
+// telemetry belongs in the orchestration layers outside these packages.
+var pureSearchPkgs = []string{
+	"internal/core",
+	"internal/binding",
+	"internal/lifetime",
+	"internal/sched",
+	"internal/match",
+	"internal/datapath",
 }
 
 // randConstructors are the math/rand package-level functions that build
@@ -54,59 +42,52 @@ var seedSinks = map[string]bool{
 	"Seed":       true,
 }
 
-// NewDetrand builds the determinism analyzer: the portfolio engine's
+// Detrand is the determinism analyzer: the portfolio engine's
 // byte-identical-results guarantee (see internal/engine) requires every
 // stochastic choice to flow from an explicitly-seeded *rand.Rand and no
 // search decision to observe the wall clock.
-func NewDetrand(cfg DetrandConfig) *Analyzer {
-	a := &Analyzer{
-		Name: "detrand",
-		Doc: "forbids the process-global math/rand source, time-derived RNG seeds, " +
-			"and wall-clock reads inside the pure search packages",
-	}
-	a.Run = func(pass *Pass) {
-		pure := false
-		for _, suf := range cfg.PureSearchPkgSuffixes {
-			if pathHasSuffix(pass.Pkg.Path(), suf) {
-				pure = true
-				break
-			}
-		}
-		for _, file := range pass.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := pass.CalleeFunc(call)
-				if fn == nil || fn.Pkg() == nil {
-					return true
-				}
-				switch fn.Pkg().Path() {
-				case "math/rand", "math/rand/v2":
-					sig, _ := fn.Type().(*types.Signature)
-					if sig != nil && sig.Recv() == nil && !randConstructors[fn.Name()] {
-						pass.Reportf(call.Pos(),
-							"call to %s.%s draws from the process-global source; thread an explicitly-seeded *rand.Rand instead",
-							fn.Pkg().Name(), fn.Name())
-					}
-					if seedSinks[fn.Name()] && callsClock(pass, call.Args) {
-						pass.Reportf(call.Pos(),
-							"seed for %s.%s is derived from the wall clock; derive seeds from configuration so runs are reproducible",
-							fn.Pkg().Name(), fn.Name())
-					}
-				case "time":
-					if pure && clockFuncs[fn.Name()] {
-						pass.Reportf(call.Pos(),
-							"time.%s inside pure search package %s; clock values must not influence search decisions (move telemetry up a layer or justify with //lint:detrand)",
-							fn.Name(), pass.Pkg.Path())
-					}
-				}
+var Detrand = &Analyzer{
+	Name: "detrand",
+	Doc: "forbids the process-global math/rand source, time-derived RNG seeds, " +
+		"and wall-clock reads inside the pure search packages",
+	Run: runDetrand,
+}
+
+func runDetrand(pass *Pass) {
+	pure := pathHasSuffix(pass.Pkg.Path(), pureSearchPkgs...)
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-		}
+			}
+			fn := pass.CalleeFunc(call)
+			if fn == nil || fn.Pkg() == nil {
+				return true
+			}
+			switch fn.Pkg().Path() {
+			case "math/rand", "math/rand/v2":
+				sig, _ := fn.Type().(*types.Signature)
+				if sig != nil && sig.Recv() == nil && !randConstructors[fn.Name()] {
+					pass.Reportf(call.Pos(),
+						"call to %s.%s draws from the process-global source; thread an explicitly-seeded *rand.Rand instead",
+						fn.Pkg().Name(), fn.Name())
+				}
+				if seedSinks[fn.Name()] && callsClock(pass, call.Args) {
+					pass.Reportf(call.Pos(),
+						"seed for %s.%s is derived from the wall clock; derive seeds from configuration so runs are reproducible",
+						fn.Pkg().Name(), fn.Name())
+				}
+			case "time":
+				if pure && clockFuncs[fn.Name()] {
+					pass.Reportf(call.Pos(),
+						"time.%s inside pure search package %s; clock values must not influence search decisions (move telemetry up a layer or justify with //lint:detrand)",
+						fn.Name(), pass.Pkg.Path())
+				}
+			}
+			return true
+		})
 	}
-	return a
 }
 
 // clockFuncs are the package time functions that read the wall clock.

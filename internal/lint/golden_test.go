@@ -114,4 +114,15 @@ func TestGoldenFixtures(t *testing.T) {
 			t.Errorf("analyzer %s produced no findings on its fixtures", a.Name)
 		}
 	}
+	// Likewise each entry of mutguard's table.
+	for _, g := range guardedTypes {
+		typ := g.pkg + "." + g.name
+		found := false
+		for _, f := range findings {
+			found = found || f.Analyzer == "mutguard" && strings.Contains(f.Message, typ+".")
+		}
+		if !found {
+			t.Errorf("mutguard produced no findings for %s on its fixtures", typ)
+		}
+	}
 }

@@ -12,15 +12,13 @@
 //   - maporder: no order-sensitive iteration over Go maps (Go
 //     randomizes map order per run) unless the keys are sorted first or
 //     the site carries a //lint:maporder justification.
-//   - mutguard: bound-state fields of binding.Binding are only written
-//     inside the designated mutation boundary (the binding package
-//     itself and core's moves/initial/polish files).
-//   - graphmut: the same boundary mechanism applied to cdfg.Graph's
-//     structural state — only the cdfg builder and the random-graph
-//     generator may mutate a graph; everything downstream treats
-//     graphs as immutable.
-//   - atomicfield: a struct field accessed through sync/atomic anywhere
-//     must be accessed atomically everywhere.
+//   - mutguard: the guarded fields of binding.Binding (bound state),
+//     cdfg.Graph (structure) and datapath.CostTable (incremental
+//     costs) are only written inside each type's mutation boundary:
+//     its own package, plus core's initial.go for Binding, the
+//     random-graph generator for Graph, and the binding package's
+//     transaction layer for CostTable. Everything else routes
+//     mutations through the owning package.
 //   - checkerr: error results of Check/Validate/Verify* calls must not
 //     be discarded.
 //   - lockguard: fields annotated "// guarded by <mu>" are only read
@@ -235,27 +233,18 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return findings
 }
 
-// Suite returns the nine project analyzers in their default
-// configuration, in stable order.
+// Suite returns the six project analyzers in stable order.
 func Suite() []*Analyzer {
-	return []*Analyzer{
-		NewDetrand(DefaultDetrandConfig()),
-		Maporder,
-		NewMutguard(DefaultMutguardConfig()),
-		NewMutguard(GraphMutguardConfig()),
-		NewMutguard(CostTableMutguardConfig()),
-		Atomicfield,
-		Checkerr,
-		Lockguard,
-		NewCtxflow(DefaultCtxflowConfig()),
-	}
+	return []*Analyzer{Detrand, Maporder, Mutguard, Checkerr, Lockguard, Ctxflow}
 }
 
-// pathHasSuffix reports whether a slash-separated path ends with the
-// given slash-separated suffix on a path-component boundary.
-func pathHasSuffix(path, suffix string) bool {
-	if path == suffix {
-		return true
+// pathHasSuffix reports whether a slash-separated path ends with any of
+// the given slash-separated suffixes on a path-component boundary.
+func pathHasSuffix(path string, suffixes ...string) bool {
+	for _, suffix := range suffixes {
+		if path == suffix || strings.HasSuffix(path, "/"+suffix) {
+			return true
+		}
 	}
-	return strings.HasSuffix(path, "/"+suffix)
+	return false
 }

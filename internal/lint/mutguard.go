@@ -2,172 +2,138 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
-// MutguardConfig tunes one instance of the mutation-boundary analyzer.
-type MutguardConfig struct {
-	// Name is the analyzer (and //lint: directive) name this instance
-	// reports under. Empty means "mutguard".
-	Name string
-	// GuardedPkgSuffix is the import-path suffix of the package whose
-	// struct is guarded; every file of that package is inside the
-	// mutation boundary.
-	GuardedPkgSuffix string
-	// GuardedType is the guarded struct's type name.
-	GuardedType string
-	// Fields lists the bound-state fields whose writes are restricted.
-	Fields []string
-	// AllowedPkgSuffixes lists import-path suffixes of packages that are
-	// inside the mutation boundary in their entirety.
-	AllowedPkgSuffixes []string
-	// AllowedFileSuffixes lists slash-separated file-path suffixes that
-	// are also inside the mutation boundary.
-	AllowedFileSuffixes []string
+// A guardedType is one entry of mutguard's table: a struct whose named
+// fields may only be written inside its mutation boundary. The owning
+// package is always inside; allowedPkgs adds whole packages by
+// import-path suffix and allowedFiles single files by slash-separated
+// path suffix.
+type guardedType struct {
+	pkg          string
+	name         string
+	fields       []string
+	allowedPkgs  []string
+	allowedFiles []string
 }
 
-// DefaultMutguardConfig guards binding.Binding's bound state. Legal
-// mutation sites are the binding package itself — which now includes
-// the transaction layer (binding.Tx) every move and polish candidate
-// routes through — and core's initial.go (the constructive start).
-// The historical moves.go and polish.go allowances were retired when
-// those layers switched to transactional mutation: a direct write
-// there would bypass the undo log and desynchronize the incremental
-// cost tables, so the boundary is the compile-time guarantee backing
-// apply/undo exactness.
-func DefaultMutguardConfig() MutguardConfig {
-	return MutguardConfig{
-		GuardedPkgSuffix: "internal/binding",
-		GuardedType:      "Binding",
-		Fields:           []string{"OpFU", "OpSwap", "SegReg", "Copies", "Pass"},
-		AllowedFileSuffixes: []string{
-			"internal/core/initial.go",
-		},
-	}
+// guardedTypes is the mutation-boundary table.
+var guardedTypes = []guardedType{
+	// binding.Binding's bound state. The binding package includes the
+	// transaction layer (binding.Tx) every move and polish candidate
+	// routes through; core's initial.go is the constructive start. A
+	// direct write anywhere else would bypass the undo log and
+	// desynchronize the incremental cost tables, so the boundary is the
+	// compile-time guarantee backing apply/undo exactness.
+	{
+		pkg:          "internal/binding",
+		name:         "Binding",
+		fields:       []string{"OpFU", "OpSwap", "SegReg", "Copies", "Pass"},
+		allowedFiles: []string{"internal/core/initial.go"},
+	},
+	// cdfg.Graph's structural state. The cdfg builder keeps the use map
+	// consistent and is the only path Validate covers; the random-graph
+	// generator's whole business is assembling graphs for the
+	// differential oracle. Everything downstream constructs new graphs
+	// through the builder, so a schedule or analysis computed from a
+	// graph can never silently disagree with it.
+	{
+		pkg:         "internal/cdfg",
+		name:        "Graph",
+		fields:      []string{"Nodes", "Cyclic"},
+		allowedPkgs: []string{"internal/randgraph"},
+	},
+	// datapath.CostTable, the incremental per-sink cost table. binding.Tx
+	// journals its entries so a rejected move can restore them exactly;
+	// a write from any other package would corrupt the
+	// delta==full-evaluation invariant.
+	{
+		pkg:         "internal/datapath",
+		name:        "CostTable",
+		fields:      []string{"PerSink", "TotalMux"},
+		allowedPkgs: []string{"internal/binding"},
+	},
 }
 
-// GraphMutguardConfig guards cdfg.Graph's structural state (the node
-// list and the cyclic flag). Legal mutation sites are the cdfg package
-// itself — whose builder API keeps the use map consistent and is the
-// only path Validate covers — and the random-graph generator package,
-// whose whole business is assembling graphs for the differential
-// oracle. Everywhere else (crosscheck, the shrinker's rebuilds, the
-// engine, the simulators) must treat graphs as immutable and construct
-// new ones through the builder, so that a schedule or analysis computed
-// from a graph can never silently disagree with it.
-func GraphMutguardConfig() MutguardConfig {
-	return MutguardConfig{
-		Name:             "graphmut",
-		GuardedPkgSuffix: "internal/cdfg",
-		GuardedType:      "Graph",
-		Fields:           []string{"Nodes", "Cyclic"},
-		AllowedPkgSuffixes: []string{
-			"internal/randgraph",
-		},
-	}
+// Mutguard restricts direct writes to each guarded type's guarded
+// fields (assignments, op-assignments, increment/decrement, and delete
+// on its maps) to that type's mutation boundary.
+var Mutguard = &Analyzer{
+	Name: "mutguard",
+	Doc: "restricts writes to the guarded fields of binding.Binding, cdfg.Graph and " +
+		"datapath.CostTable to each type's mutation boundary",
+	Run: runMutguard,
 }
 
-// CostTableMutguardConfig guards the incremental per-sink cost table
-// (datapath.CostTable). Its entries are journaled by binding.Tx so a
-// rejected move can restore them exactly; a write from any other
-// package would silently corrupt the delta==full-evaluation invariant.
-// Legal mutation sites are the datapath package itself and the binding
-// package, whose transaction layer owns the journaling discipline.
-func CostTableMutguardConfig() MutguardConfig {
-	return MutguardConfig{
-		Name:             "costmut",
-		GuardedPkgSuffix: "internal/datapath",
-		GuardedType:      "CostTable",
-		Fields:           []string{"PerSink", "TotalMux"},
-		AllowedPkgSuffixes: []string{
-			"internal/binding",
-		},
-	}
+// boundary lists the entry's boundary in finding messages.
+func (g *guardedType) boundary() string {
+	all := append(append([]string{g.pkg}, g.allowedPkgs...), g.allowedFiles...)
+	return strings.Join(all, ", ")
 }
 
-// NewMutguard builds a mutation-boundary analyzer: direct writes to
-// the guarded struct's guarded fields (assignments, op-assignments,
-// increment/decrement, and delete on its maps) are only legal inside
-// the configured boundary.
-func NewMutguard(cfg MutguardConfig) *Analyzer {
-	name := cfg.Name
-	if name == "" {
-		name = "mutguard"
+// inside reports whether a file of package pkgPath lies inside the
+// entry's boundary.
+func (g *guardedType) inside(pkgPath, filename string) bool {
+	if pathHasSuffix(pkgPath, g.pkg) || pathHasSuffix(pkgPath, g.allowedPkgs...) {
+		return true
 	}
-	fields := make(map[string]bool, len(cfg.Fields))
-	for _, f := range cfg.Fields {
-		fields[f] = true
-	}
-	allowed := append([]string{cfg.GuardedPkgSuffix}, cfg.AllowedPkgSuffixes...)
-	allowed = append(allowed, cfg.AllowedFileSuffixes...)
-	a := &Analyzer{
-		Name: name,
-		Doc: "restricts writes to " + cfg.GuardedType + " guarded fields to the designated " +
-			"mutation boundary (" + strings.Join(allowed, ", ") + ")",
-	}
-	a.Run = func(pass *Pass) {
-		if pathHasSuffix(pass.Pkg.Path(), cfg.GuardedPkgSuffix) {
-			return // the owning package is the innermost boundary
+	slash := filepath.ToSlash(filename)
+	for _, suf := range g.allowedFiles {
+		if strings.HasSuffix(slash, suf) {
+			return true
 		}
-		for _, suf := range cfg.AllowedPkgSuffixes {
-			if pathHasSuffix(pass.Pkg.Path(), suf) {
-				return
+	}
+	return false
+}
+
+func runMutguard(pass *Pass) {
+	for _, file := range pass.Files {
+		filename := pass.Fset.Position(file.Pos()).Filename
+		var outside []*guardedType
+		for i := range guardedTypes {
+			if !guardedTypes[i].inside(pass.Pkg.Path(), filename) {
+				outside = append(outside, &guardedTypes[i])
 			}
 		}
-		boundary := func(filename string) bool {
-			slash := filepath.ToSlash(filename)
-			for _, suf := range cfg.AllowedFileSuffixes {
-				if strings.HasSuffix(slash, suf) {
-					return true
+		if len(outside) == 0 {
+			continue
+		}
+		check := func(stmt ast.Node, lvalue ast.Expr, verb string) {
+			if g, field := guardedField(pass, outside, lvalue); g != nil {
+				pass.Reportf(stmt.Pos(),
+					"%s of %s.%s.%s outside the mutation boundary (allowed: %s); route it through the owning package or justify with //lint:mutguard <reason>",
+					verb, g.pkg, g.name, field, g.boundary())
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch s := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range s.Lhs {
+					check(s, lhs, "write")
+				}
+			case *ast.IncDecStmt:
+				check(s, s.X, "write")
+			case *ast.CallExpr:
+				if name, isBuiltin := builtinName(pass, s); isBuiltin && name == "delete" && len(s.Args) == 2 {
+					check(s, s.Args[0], "delete")
 				}
 			}
-			return false
-		}
-		report := func(pos token.Pos, field, verb string) {
-			pass.Reportf(pos,
-				"%s of %s.%s.%s outside the mutation boundary (allowed: %s); route it through the owning package or justify with //lint:%s <reason>",
-				verb, cfg.GuardedPkgSuffix, cfg.GuardedType, field,
-				strings.Join(allowed, ", "), name)
-		}
-		for _, file := range pass.Files {
-			if boundary(pass.Fset.Position(file.Pos()).Filename) {
-				continue
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch s := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range s.Lhs {
-						if field := guardedField(pass, cfg, fields, lhs); field != "" {
-							report(s.Pos(), field, "write")
-						}
-					}
-				case *ast.IncDecStmt:
-					if field := guardedField(pass, cfg, fields, s.X); field != "" {
-						report(s.Pos(), field, "write")
-					}
-				case *ast.CallExpr:
-					if name, isBuiltin := builtinName(pass, s); isBuiltin && name == "delete" && len(s.Args) == 2 {
-						if field := guardedField(pass, cfg, fields, s.Args[0]); field != "" {
-							report(s.Pos(), field, "delete")
-						}
-					}
-				}
-				return true
-			})
-		}
+			return true
+		})
 	}
-	return a
 }
 
 // guardedField peels index/star/paren/selector layers off an lvalue
 // and, when its access path passes through a selection of a guarded
-// field, returns that field's name. Walking past non-guarded selector
-// layers matters for element writes like g.Nodes[i].Next = v, which
-// mutate guarded state just as surely as g.Nodes = nil does.
-func guardedField(pass *Pass, cfg MutguardConfig, fields map[string]bool, e ast.Expr) string {
+// field of one of the given types, returns that type and field name.
+// Walking past non-guarded selector layers matters for element writes
+// like g.Nodes[i].Next = v, which mutate guarded state just as surely
+// as g.Nodes = nil does.
+func guardedField(pass *Pass, entries []*guardedType, e ast.Expr) (*guardedType, string) {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.IndexExpr:
@@ -181,24 +147,33 @@ func guardedField(pass *Pass, cfg MutguardConfig, fields map[string]bool, e ast.
 		case *ast.SelectorExpr:
 			sel, ok := pass.Info.Selections[x]
 			if !ok || sel.Kind() != types.FieldVal {
-				return ""
+				return nil, ""
 			}
-			if fields[x.Sel.Name] {
-				recv := sel.Recv()
-				if p, ok := recv.(*types.Pointer); ok {
-					recv = p.Elem()
-				}
-				if named, ok := recv.(*types.Named); ok {
-					obj := named.Obj()
-					if obj.Name() == cfg.GuardedType && obj.Pkg() != nil &&
-						pathHasSuffix(obj.Pkg().Path(), cfg.GuardedPkgSuffix) {
-						return x.Sel.Name
-					}
-				}
+			if g := guardedOwner(sel.Recv(), x.Sel.Name, entries); g != nil {
+				return g, x.Sel.Name
 			}
 			e = x.X // keep walking: the base may select a guarded field
 		default:
-			return ""
+			return nil, ""
 		}
 	}
+}
+
+// guardedOwner returns the entry whose type is recv (or a pointer to
+// it) and whose guarded fields include field, or nil.
+func guardedOwner(recv types.Type, field string, entries []*guardedType) *guardedType {
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return nil
+	}
+	obj := named.Obj()
+	for _, g := range entries {
+		if obj.Name() == g.name && pathHasSuffix(obj.Pkg().Path(), g.pkg) && slices.Contains(g.fields, field) {
+			return g
+		}
+	}
+	return nil
 }

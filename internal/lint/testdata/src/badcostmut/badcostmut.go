@@ -1,5 +1,5 @@
 // Package badcostmut writes CostTable guarded state outside the
-// mutation boundary — every unjustified write is a costmut finding.
+// mutation boundary — every unjustified write is a mutguard finding.
 package badcostmut
 
 import "fix/internal/datapath"
@@ -11,6 +11,6 @@ func Tamper(ct *datapath.CostTable) {
 	ct.TotalMux++     // want "write of internal/datapath.CostTable.TotalMux outside the mutation boundary"
 	ct.PerSink = nil  // want "write of internal/datapath.CostTable.PerSink outside the mutation boundary"
 	ct.NumFUs = 2     // unguarded field: no finding
-	//lint:costmut fixture: seeding a fresh table before any journal exists
+	//lint:mutguard fixture: seeding a fresh table before any journal exists
 	ct.TotalMux = 0 // suppressed by the directive above
 }

@@ -1,5 +1,5 @@
 // Package badgraphmut mutates Graph structural state outside the
-// mutation boundary — every unjustified write is a graphmut finding.
+// mutation boundary — every unjustified write is a mutguard finding.
 package badgraphmut
 
 import "fix/internal/cdfg"
@@ -12,6 +12,6 @@ func Tamper(g *cdfg.Graph) {
 	g.Nodes[0].ID = 7                      // want "write of internal/cdfg.Graph.Nodes outside the mutation boundary"
 	g.Cyclic = false                       // want "write of internal/cdfg.Graph.Cyclic outside the mutation boundary"
 	g.Name = "ok"                          // unguarded field: no finding
-	//lint:graphmut fixture: test scaffolding corrupts the graph on purpose
+	//lint:mutguard fixture: test scaffolding corrupts the graph on purpose
 	g.Cyclic = true // suppressed by the directive above
 }

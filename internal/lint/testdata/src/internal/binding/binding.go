@@ -27,7 +27,7 @@ func (b *Binding) Reset() {
 func (b *Binding) Check() error { return nil }
 
 // Journal writes CostTable guarded state from the transaction layer's
-// package — legal, binding is inside the costmut boundary.
+// package — legal, binding is inside the CostTable boundary.
 func Journal(ct *datapath.CostTable, idx, c int) {
 	ct.TotalMux += c - int(ct.PerSink[idx])
 	ct.PerSink[idx] = int32(c)

@@ -1,5 +1,5 @@
 // Package cdfg mirrors the real graph model's structural shape so the
-// fixture packages can exercise the graphmut boundary.
+// fixture packages can exercise the Graph boundary.
 package cdfg
 
 // Node is the fixture stand-in for one graph node.

@@ -1,5 +1,5 @@
 // Package datapath mirrors the real interconnect package's incremental
-// cost table so the fixture packages can exercise the costmut boundary.
+// cost table so the fixture packages can exercise the CostTable boundary.
 package datapath
 
 // CostTable is the fixture stand-in for the guarded per-sink table.

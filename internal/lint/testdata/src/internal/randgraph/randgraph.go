@@ -1,5 +1,5 @@
 // Package randgraph is the fixture stand-in for the random-graph
-// generator: a whole package designated as part of the graphmut
+// generator: a whole package designated as part of the cdfg.Graph
 // mutation boundary, so its direct structural writes are legal.
 package randgraph
 

@@ -14,7 +14,7 @@ import (
 // as near-minimal graphs.
 //
 // All graph surgery in this repository lives here, behind the cdfg
-// builder API and a Validate gate (enforced by the graphmut analyzer in
+// builder API and a Validate gate (enforced by the mutguard analyzer in
 // internal/lint): candidates are rebuilt node by node, never produced
 // by mutating an existing graph in place.
 func ShrinkCandidates(g *cdfg.Graph) []*cdfg.Graph {

@@ -180,8 +180,11 @@ func (s *Server) parseRequest(ar *AllocateRequest) (*allocSpec, error) {
 	}, nil
 }
 
-// errorBody renders the uniform error response document.
-func errorBody(msg string) []byte {
+// ErrorBody renders the uniform error response document,
+// {"error": msg}, that salsad, the router and the simulation fault
+// plane answer failures with, and that the client reports a failed
+// job's error in.
+func ErrorBody(msg string) []byte {
 	body, err := json.Marshal(map[string]string{"error": msg})
 	if err != nil {
 		// A map[string]string cannot fail to marshal; keep a plain

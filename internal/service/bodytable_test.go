@@ -49,7 +49,7 @@ func serveJob(t *testing.T, e *testServer, body []byte) (int, []byte) {
 		return st.State == jobDone || st.State == jobFailed
 	})
 	if st.State != jobDone {
-		return st.HTTPStatus, errorBody(st.Error)
+		return st.HTTPStatus, ErrorBody(st.Error)
 	}
 	return st.HTTPStatus, append(st.Result, '\n')
 }

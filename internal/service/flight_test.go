@@ -20,7 +20,7 @@ import (
 func TestFlightLeaderErrorSharedAndCleared(t *testing.T) {
 	g := newFlightGroup()
 	gate := make(chan struct{})
-	errOut := &outcome{status: http.StatusUnprocessableEntity, body: errorBody("boom")}
+	errOut := &outcome{status: http.StatusUnprocessableEntity, body: ErrorBody("boom")}
 	var calls atomic.Int32
 
 	const waiters = 4

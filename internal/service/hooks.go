@@ -44,9 +44,4 @@ type Hooks struct {
 	// pressure. A forced eviction must be invisible to correctness:
 	// the re-run serves byte-identical bytes.
 	EvictCache func(key string) bool
-	// RunStarted, when non-nil, is called by a singleflight leader
-	// after admission (holding an engine slot) and before the engine
-	// run, with the request's graph fingerprint. It is the exported
-	// counterpart of the in-package runStarted test hook.
-	RunStarted func(fingerprint string)
 }

@@ -351,10 +351,10 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody(fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)))
+				ErrorBody(fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)))
 			return nil, false
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody("reading request body: "+err.Error()))
+		writeJSON(w, http.StatusBadRequest, ErrorBody("reading request body: "+err.Error()))
 		return nil, false
 	}
 	return body, true
@@ -365,12 +365,12 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 func (s *Server) decodeRequest(w http.ResponseWriter, body []byte) *allocSpec {
 	var ar AllocateRequest
 	if err := json.Unmarshal(body, &ar); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody("decoding request: "+err.Error()))
+		writeJSON(w, http.StatusBadRequest, ErrorBody("decoding request: "+err.Error()))
 		return nil
 	}
 	spec, err := s.parseRequest(&ar)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
+		writeJSON(w, http.StatusBadRequest, ErrorBody(err.Error()))
 		return nil
 	}
 	return spec
@@ -416,7 +416,7 @@ func (s *Server) rejectDraining(w http.ResponseWriter) bool {
 		return false
 	}
 	w.Header().Set("Retry-After", s.retryAfterHint())
-	writeJSON(w, http.StatusServiceUnavailable, errorBody("server is draining"))
+	writeJSON(w, http.StatusServiceUnavailable, ErrorBody("server is draining"))
 	return true
 }
 
@@ -462,7 +462,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		// up with 408.
 		s.metrics.FlightAbandoned.Add(1)
 		writeJSON(w, http.StatusRequestTimeout,
-			errorBody("request abandoned while waiting on an identical in-flight run: "+err.Error()))
+			ErrorBody("request abandoned while waiting on an identical in-flight run: "+err.Error()))
 		return
 	}
 	if shared {
@@ -516,7 +516,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.create(addr.Key)
 	if err != nil {
 		w.Header().Set("Retry-After", s.retryAfterHint())
-		writeJSON(w, http.StatusTooManyRequests, errorBody(err.Error()))
+		writeJSON(w, http.StatusTooManyRequests, ErrorBody(err.Error()))
 		return
 	}
 	// Durability before acknowledgement: the acceptance reaches disk
@@ -535,7 +535,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			s.metrics.JournalErrors.Add(1)
 			s.jobs.remove(j.id)
 			w.Header().Set("Retry-After", s.retryAfterHint())
-			writeJSON(w, http.StatusServiceUnavailable, errorBody("journal write failed: "+jerr.Error()))
+			writeJSON(w, http.StatusServiceUnavailable, ErrorBody("journal write failed: "+jerr.Error()))
 			return
 		}
 	}
@@ -551,7 +551,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, merr := json.Marshal(map[string]string{"id": j.id, "status_url": "/jobs/" + j.id})
 	if merr != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody("encoding response: "+merr.Error()))
+		writeJSON(w, http.StatusInternalServerError, ErrorBody("encoding response: "+merr.Error()))
 		return
 	}
 	writeJSON(w, http.StatusAccepted, append(resp, '\n'))
@@ -589,7 +589,7 @@ func (s *Server) startJob(j *job, spec *allocSpec) {
 			// does.
 			s.metrics.FlightAbandoned.Add(1)
 			s.finishJob(j, &outcome{status: http.StatusRequestTimeout,
-				body: errorBody("job abandoned while waiting on an identical in-flight run: " + ferr.Error())}, false)
+				body: ErrorBody("job abandoned while waiting on an identical in-flight run: " + ferr.Error())}, false)
 			return
 		}
 		if shared {
@@ -658,17 +658,17 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, gone := s.jobs.get(id)
 	if gone {
-		writeJSON(w, http.StatusGone, errorBody("job "+id+
+		writeJSON(w, http.StatusGone, ErrorBody("job "+id+
 			" finished and was retired; resubmit the request (idempotent by content address)"))
 		return
 	}
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, errorBody("unknown job "+id))
+		writeJSON(w, http.StatusNotFound, ErrorBody("unknown job "+id))
 		return
 	}
 	body, err := json.Marshal(j.statusJSON())
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody("encoding status: "+err.Error()))
+		writeJSON(w, http.StatusInternalServerError, ErrorBody("encoding status: "+err.Error()))
 		return
 	}
 	writeJSON(w, http.StatusOK, append(body, '\n'))
@@ -704,7 +704,7 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 		s.metrics.QueueRejected.Add(1)
 		return &outcome{
 			status:     http.StatusTooManyRequests,
-			body:       errorBody(fmt.Sprintf("admission queue full (%d waiting)", depth-1)),
+			body:       ErrorBody(fmt.Sprintf("admission queue full (%d waiting)", depth-1)),
 			retryAfter: s.retryAfterHint(),
 		}
 	}
@@ -721,7 +721,7 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 		s.metrics.QueueDepth.Add(-1)
 		s.metrics.TimeoutsEmpty.Add(1)
 		return &outcome{status: http.StatusRequestTimeout,
-			body: errorBody("deadline expired while queued for an engine slot; raise timeout_ms or retry later")}
+			body: ErrorBody("deadline expired while queued for an engine slot; raise timeout_ms or retry later")}
 	}
 	s.metrics.QueueDepth.Add(-1)
 	defer func() { <-s.sem }()
@@ -737,9 +737,6 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 	if s.runStarted != nil {
 		s.runStarted(spec)
 	}
-	if s.hooks != nil && s.hooks.RunStarted != nil {
-		s.hooks.RunStarted(spec.fingerprint)
-	}
 
 	des, res, stats, err := s.execute(ctx, req)
 	if err != nil {
@@ -749,19 +746,19 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 			// caused it, so this is a 4xx, not a server failure.
 			s.metrics.TimeoutsEmpty.Add(1)
 			return &outcome{status: http.StatusRequestTimeout,
-				body: errorBody("deadline expired before any allocation was found; raise timeout_ms")}
+				body: ErrorBody("deadline expired before any allocation was found; raise timeout_ms")}
 		}
-		return &outcome{status: http.StatusUnprocessableEntity, body: errorBody(err.Error())}
+		return &outcome{status: http.StatusUnprocessableEntity, body: ErrorBody(err.Error())}
 	}
 	// Defense in depth: never serve (or cache) an illegal binding.
 	if cerr := res.Binding.Check(); cerr != nil {
 		return &outcome{status: http.StatusInternalServerError,
-			body: errorBody("internal: allocation failed legality check: " + cerr.Error())}
+			body: ErrorBody("internal: allocation failed legality check: " + cerr.Error())}
 	}
 	rj := salsa.BuildResultJSON(spec.req.Graph, des.Steps(), spec.req.Mode, spec.req.Seed, spec.req.Restarts, res, stats)
 	body, merr := json.Marshal(rj)
 	if merr != nil {
-		return &outcome{status: http.StatusInternalServerError, body: errorBody("encoding result: " + merr.Error())}
+		return &outcome{status: http.StatusInternalServerError, body: ErrorBody("encoding result: " + merr.Error())}
 	}
 	body = append(body, '\n')
 	if rj.Partial {

@@ -259,12 +259,12 @@ func (c *captureWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// writeErr answers an injected rejection with the service's error
+// document.
 func writeErr(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := fmt.Fprintf(w, "{\"error\":%q}\n", msg); err != nil {
-		// Injected-rejection bodies are advisory; a vanished client
-		// loses nothing.
-		return
-	}
+	// Injected-rejection bodies are advisory; a vanished client loses
+	// nothing.
+	_, _ = w.Write(service.ErrorBody(msg))
 }

@@ -12,8 +12,8 @@ import (
 // parameters and search configuration — into a single value the serving
 // layer (internal/service) and the CLI can execute and cache uniformly.
 // Allocation is a deterministic function of a normalized Request (minus
-// the engine's worker count and deadline), which is what makes results
-// content-addressable.
+// the engine's worker count and the caller's deadline), which is what
+// makes results content-addressable.
 type Request struct {
 	Graph  *cdfg.Graph
 	Params Params
@@ -27,7 +27,8 @@ type Request struct {
 	Restarts int
 
 	// Engine tunes the run without affecting the canonical result
-	// (workers) or truncating it (timeout → partial result).
+	// (workers). A deadline on Execute's ctx truncates it instead
+	// (partial result).
 	Engine EngineConfig
 }
 
@@ -60,8 +61,8 @@ func (r Request) options() (Options, error) {
 }
 
 // Execute compiles the request's graph and runs its restart portfolio
-// on the parallel engine. Cancelling ctx (or the Engine timeout) stops
-// the search and returns the best allocation found so far — the anytime
+// on the parallel engine. Cancelling ctx, or its deadline, stops the
+// search and returns the best allocation found so far — the anytime
 // result callers report as partial.
 func Execute(ctx context.Context, req Request) (*Design, *Result, *Stats, error) {
 	req = req.Normalize()

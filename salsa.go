@@ -47,10 +47,8 @@ type (
 
 	// Job is one entry of a search portfolio (see engine.Job).
 	Job = engine.Job
-	// Variant names an Options configuration for portfolio construction.
-	Variant = engine.Variant
 	// EngineConfig tunes the parallel portfolio engine: worker count,
-	// deadline, incumbent pruning, and the telemetry callback.
+	// incumbent pruning, and the telemetry callback.
 	EngineConfig = engine.Config
 	// Stats reports a portfolio run: per-job canonical results plus
 	// aggregate counts (see engine.Stats).
@@ -63,9 +61,19 @@ type (
 // opts.Seed .. opts.Seed+n-1.
 func Restarts(opts Options, n int) []Job { return engine.Restarts(opts, n) }
 
-// Portfolio crosses option variants with derived seeds (see
-// engine.Portfolio).
-func Portfolio(variants []Variant, restarts int) []Job { return engine.Portfolio(variants, restarts) }
+// WarmPortfolio is the extended-model portfolio of AllocateBoth: the
+// cold restarts of opts, then, when baseline is non-nil, a warm start
+// from its binding. The warm start comes last: the engine breaks cost
+// ties by lowest job index, so it wins only by strict improvement.
+func WarmPortfolio(opts Options, restarts int, baseline *Result) []Job {
+	jobs := Restarts(opts, restarts)
+	if baseline != nil {
+		warm := opts
+		warm.Initial = baseline.Binding
+		jobs = append(jobs, Job{Label: "warm-start", Opts: warm})
+	}
+	return jobs
+}
 
 // SALSAOptions returns the full extended-binding-model configuration.
 func SALSAOptions(seed int64) Options { return core.SALSAOptions(seed) }
@@ -167,15 +175,14 @@ func (d *Design) Allocate(opts Options, restarts int) (*Result, error) {
 // AllocatePortfolio runs an arbitrary job portfolio on the parallel
 // engine: jobs fan out over cfg.Workers goroutines, share an incumbent
 // cost for pruning, and reduce to a deterministic winner. Cancelling
-// ctx (or setting cfg.Timeout) stops the search and returns the best
+// ctx, or its deadline, stops the search and returns the best
 // allocation found so far.
 func (d *Design) AllocatePortfolio(ctx context.Context, jobs []Job, cfg EngineConfig) (*Result, *Stats, error) {
 	return engine.Run(ctx, d.Analysis, d.Hardware, jobs, cfg)
 }
 
-// AllocateBoth runs the traditional baseline, then one extended-model
-// portfolio of cold restarts plus (when the baseline exists) a warm
-// start from it, and returns both results (the extended result never
+// AllocateBoth runs the traditional baseline, then the extended-model
+// WarmPortfolio, and returns both results (the extended result never
 // loses to the baseline).
 func (d *Design) AllocateBoth(seed int64, restarts int) (salsaRes, tradRes *Result, err error) {
 	// The traditional model can be infeasible at tight register budgets
@@ -184,15 +191,7 @@ func (d *Design) AllocateBoth(seed int64, restarts int) (salsaRes, tradRes *Resu
 	// model is not, which is itself one of the paper's points. A nil
 	// tradRes signals infeasibility.
 	tradRes, _ = d.Allocate(TraditionalOptions(seed), restarts)
-	jobs := Restarts(SALSAOptions(seed), restarts)
-	if tradRes != nil {
-		warm := SALSAOptions(seed)
-		warm.Initial = tradRes.Binding
-		// Appended last: the engine breaks cost ties by lowest job
-		// index, so the warm start only wins by strict improvement,
-		// matching the historical sequential behavior.
-		jobs = append(jobs, Job{Label: "warm-start", Opts: warm})
-	}
+	jobs := WarmPortfolio(SALSAOptions(seed), restarts, tradRes)
 	salsaRes, _, err = d.AllocatePortfolio(context.Background(), jobs, EngineConfig{})
 	if err != nil {
 		return nil, tradRes, err
