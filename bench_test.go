@@ -29,6 +29,7 @@ import (
 	"salsa"
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
+	"salsa/internal/cluster"
 	"salsa/internal/core"
 	"salsa/internal/dpsim"
 	"salsa/internal/experiments"
@@ -600,6 +601,53 @@ func BenchmarkServeCachedJob(b *testing.B) {
 			b.Fatalf("poll %s: status %d: %s", sub.ID, rec.Code, rec.Body)
 		}
 	}
+}
+
+// handlerDoer serves every exchange a router proxies in process, with
+// one salsad's handler.
+type handlerDoer struct{ h http.Handler }
+
+func (d handlerDoer) Do(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	d.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// BenchmarkRouterProxiedAllocate measures the router's proxied path: one
+// POST /allocate through a cluster.Router with an 8-entry cache in front
+// of one in-process salsad, cycling over the warm-repeat hot set. Its 16
+// keys overflow the router cache, so every request is proxied and the
+// backend's cache answers it. The router's body table is sized to the
+// fleet's caches, so it knows every body and the router decodes none;
+// digest-hits/op reports the share it knew.
+func BenchmarkRouterProxiedAllocate(b *testing.B) {
+	bodies := hotSetBodies(b)
+	r, err := cluster.New(cluster.Config{
+		Backends:     []string{"http://salsad"},
+		Doer:         handlerDoer{service.New(service.Config{}).Handler()},
+		CacheEntries: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := r.Handler()
+	for _, body := range bodies {
+		if rec := serveHTTP(h, http.MethodPost, "/allocate", body); rec.Code != http.StatusOK {
+			b.Fatalf("prewarm: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	hits := r.MetricsSnapshot()["body_digest_hits_total"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := serveHTTP(h, http.MethodPost, "/allocate", bodies[i%len(bodies)])
+		if rec.Header().Get("X-Salsa-Cache") != "hit" || rec.Header().Get("X-Salsa-Shard") == "router" {
+			b.Fatalf("request %d: status %d cache %q shard %q, want a proxied backend hit",
+				i, rec.Code, rec.Header().Get("X-Salsa-Cache"), rec.Header().Get("X-Salsa-Shard"))
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(r.MetricsSnapshot()["body_digest_hits_total"]-hits)/float64(b.N), "digest-hits/op")
 }
 
 // BenchmarkServeColdAllocate measures salsad's search path under

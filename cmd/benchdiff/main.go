@@ -15,7 +15,7 @@
 // merge base, then gates the PR with:
 //
 //	benchdiff -old base.txt -new pr.txt \
-//	    -gate '^Benchmark(AllocateParallel_(EWF|DCT)_(W1|WNumCPU)|SearchCorpus_W1)$' -max-regress 10
+//	    -gate '^Benchmark(AllocateParallel_(EWF|DCT)_(W1|WNumCPU)|SearchCorpus_W1|RouterProxiedAllocate)$' -max-regress 10
 //
 // Exit codes: 0 ok, 1 gated regression or removal, 2 usage or parse
 // error.

@@ -3,6 +3,7 @@ package binding
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"salsa/internal/cdfg"
@@ -81,7 +82,8 @@ type Tx struct {
 	// port's read, births each value's birth write, and segs names each
 	// segment Seg(v, k). segReads lists the operand and output reads of
 	// every segment in rows: segment s's reads, in the order above, are
-	// segReads[readAt[s]:readAt[s+1]].
+	// segReads[readAt[s]:readAt[s+1]]. pos0 holds the segments at chain
+	// position 0.
 	an       *lifetime.Analysis
 	arith    []cdfg.NodeID
 	opReads  [][2]slotRead
@@ -90,6 +92,7 @@ type Tx struct {
 	segs     []segRef
 	segReads []segRead
 	readAt   []int32
+	pos0     bitset
 
 	// Segment indexes, kept current by every mutator and by revert
 	// through claimSeg and claimPass. regSegs[r] holds the segments
@@ -104,12 +107,14 @@ type Tx struct {
 }
 
 // slotRead is one operand or output read at step, resolved once per
-// analysis: chain position k of value v, whose holder the replay picks,
-// or, when v is NoValue, the fixed source src (a constant or an
-// external input) or the error err that resolving the read reports.
+// analysis: chain position k of value v, segment seg, whose holder the
+// replay picks, or, when v is NoValue, the fixed source src (a constant
+// or an external input) or the error err that resolving the read
+// reports.
 type slotRead struct {
 	v    lifetime.ValueID
 	k    int
+	seg  int
 	step int
 	src  datapath.Source
 	err  error
@@ -119,6 +124,7 @@ type slotRead struct {
 // input loading it, or -1 when its producer's unit does.
 type birthWrite struct {
 	step, input int
+	producer    cdfg.NodeID
 }
 
 // segRef names one segment: its value, chain position and storage step.
@@ -319,7 +325,7 @@ func (t *Tx) buildReads() {
 	t.segs = make([]segRef, 0, b.NumSegs())
 	for i := range a.Values {
 		v := &a.Values[i]
-		t.births[i] = birthWrite{step: a.WriteStep(v), input: -1}
+		t.births[i] = birthWrite{step: a.WriteStep(v), input: -1, producer: v.Producer}
 		if g.Nodes[v.Producer].Op == cdfg.Input {
 			t.births[i].input = b.inputIndex[v.Producer]
 		}
@@ -337,17 +343,21 @@ func (t *Tx) buildReads() {
 		for _, op := range t.arith {
 			for arg, rd := range t.opReads[op] {
 				if rd.v != lifetime.NoValue {
-					add(b.Seg(rd.v, rd.k), segRead{op: op, arg: arg})
+					add(rd.seg, segRead{op: op, arg: arg})
 				}
 			}
 		}
 		for out, rd := range t.outReads {
 			if rd.v != lifetime.NoValue {
-				add(b.Seg(rd.v, rd.k), segRead{op: cdfg.NoNode, arg: out})
+				add(rd.seg, segRead{op: cdfg.NoNode, arg: out})
 			}
 		}
 	}
 	n := len(t.segs)
+	t.pos0 = make(bitset, (n+63)>>6)
+	for s := range t.segs {
+		t.pos0.put(s, t.segs[s].k == 0)
+	}
 	t.readAt = make([]int32, n+1)
 	visit(func(seg int, _ segRead) { t.readAt[seg+1]++ })
 	for seg := range n {
@@ -382,7 +392,7 @@ func (t *Tx) resolveRead(arg cdfg.NodeID, step int) slotRead {
 			rd.err = fmt.Errorf("binding: %s read at step %d outside live range", v.Name, step)
 			break
 		}
-		rd.v, rd.k = vid, k
+		rd.v, rd.k, rd.seg = vid, k, b.Seg(vid, k)
 	}
 	return rd
 }
@@ -1169,15 +1179,18 @@ func (t *Tx) replaySink(idx int) (int, error) {
 	return ns.MuxCost(), nil
 }
 
-// pickHolderScratch mirrors Eval's pickHolder against the scratch net:
-// prefer a holder already connected to the sink, else the primary.
-func (t *Tx) pickHolderScratch(v lifetime.ValueID, k int, ns *datapath.NetScratch) int {
+// pickHolderScratch mirrors Eval's pickHolder against the scratch net
+// for a read of value v's chain position k, segment s: prefer a holder
+// already connected to the sink, else the primary. A segment without
+// copies has one holder, which is then the pick whatever the net holds.
+func (t *Tx) pickHolderScratch(v lifetime.ValueID, k, s int, ns *datapath.NetScratch) int {
 	b := t.b
 	primary := b.SegReg[v][k]
-	if ns.Has(datapath.Source{Kind: datapath.SrcReg, Index: primary}) {
+	copies := b.Copies[s]
+	if len(copies) == 0 || ns.Has(datapath.Source{Kind: datapath.SrcReg, Index: primary}) {
 		return primary
 	}
-	for _, c := range b.CopiesAt(v, k) {
+	for _, c := range copies {
 		if ns.Has(datapath.Source{Kind: datapath.SrcReg, Index: c}) {
 			return c
 		}
@@ -1190,7 +1203,7 @@ func (t *Tx) pickHolderScratch(v lifetime.ValueID, k int, ns *datapath.NetScratc
 func (t *Tx) addRead(sink datapath.Sink, rd *slotRead, ns *datapath.NetScratch) error {
 	src := rd.src
 	if rd.v != lifetime.NoValue {
-		r := t.pickHolderScratch(rd.v, rd.k, ns)
+		r := t.pickHolderScratch(rd.v, rd.k, rd.seg, ns)
 		if r < 0 {
 			return fmt.Errorf("binding: value %s has unassigned segment %d", t.b.A.Values[rd.v].Name, rd.k)
 		}
@@ -1203,7 +1216,8 @@ func (t *Tx) addRead(sink datapath.Sink, rd *slotRead, ns *datapath.NetScratch) 
 
 // replayFUPort replays one FU input port: operand reads of the ops
 // bound to the unit in node order (Eval's first phase), then — on port
-// 0 — pass-through reads in Eval's segment order.
+// 0 of a unit carrying a pass-through — pass-through reads in Eval's
+// segment order.
 func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 	b := t.b
 	f, port := sink.Index, sink.Port
@@ -1216,7 +1230,7 @@ func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 			return err
 		}
 	}
-	if port != 0 || b.nPass == 0 {
+	if port != 0 || t.fuPass[f] == 0 {
 		return nil
 	}
 	// Pass-through input reads. Every read into one segment happens in
@@ -1231,11 +1245,7 @@ func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 			if p.FU != f || !b.isTransfer(TransferKey{sg.v, sg.k, p.Reg}) {
 				continue
 			}
-			from := t.pickHolderScratch(sg.v, sg.k-1, ns)
-			if from < 0 {
-				return fmt.Errorf("binding: value %s has unassigned segment %d", b.A.Values[sg.v].Name, sg.k-1)
-			}
-			if err := ns.Add(sink, datapath.Source{Kind: datapath.SrcReg, Index: from}, t.segs[s-1].step); err != nil {
+			if err := t.addTransferRead(sink, s, ns); err != nil {
 				return err
 			}
 			break
@@ -1244,25 +1254,45 @@ func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 	return nil
 }
 
-// replayRegSegs replays one register's write events — Eval's third phase
-// restricted to this sink. The register's segment bits list the
-// segments it holds in Eval's (value, position) order; each is a birth
-// write at position 0, and otherwise an incoming transfer unless the
-// register held the previous position too, which is the previous bit.
-// Conflicting claims have bits like any other, so this holds for every
-// state, legal or not.
+// addTransferRead adds the read of a transfer into segment s: a holder
+// of the previous position, picked as Eval would, at that position's
+// storage step.
+func (t *Tx) addTransferRead(sink datapath.Sink, s int, ns *datapath.NetScratch) error {
+	sg := &t.segs[s]
+	from := t.pickHolderScratch(sg.v, sg.k-1, s-1, ns)
+	if from < 0 {
+		return fmt.Errorf("binding: value %s has unassigned segment %d", t.b.A.Values[sg.v].Name, sg.k-1)
+	}
+	return ns.Add(sink, datapath.Source{Kind: datapath.SrcReg, Index: from}, t.segs[s-1].step)
+}
+
+// replayRegSegs replays one register's write events — Eval's third
+// phase restricted to this sink. The register's segment bits list the
+// segments it holds in Eval's (value, position) order. A held segment
+// at position 0 is a birth write; any other is an incoming transfer
+// unless the register held the previous position too, which is the
+// previous bit. So the events are the starts of the runs of set bits
+// plus the held position-0 segments, and the walk visits only those,
+// in ascending order. Conflicting claims have bits like any other, so
+// this holds for every state, legal or not.
 func (t *Tx) replayRegSegs(sink datapath.Sink, ns *datapath.NetScratch) error {
-	held := t.regSegs[sink.Index]
-	for s := held.next(0); s >= 0; s = held.next(s + 1) {
-		var err error
-		switch {
-		case t.segs[s].k == 0:
-			err = t.emitBirth(sink, t.segs[s].v, ns)
-		case !held.has(s - 1):
-			err = t.emitTransfer(sink, s, ns)
-		}
-		if err != nil {
-			return err
+	var carry uint64
+	for w, word := range t.regSegs[sink.Index] {
+		births := word & t.pos0[w]
+		ev := word&^(word<<1|carry) | births
+		carry = word >> 63
+		for ev != 0 {
+			s := w<<6 + bits.TrailingZeros64(ev)
+			var err error
+			if births&(ev&-ev) != 0 {
+				err = t.emitBirth(sink, t.segs[s].v, ns)
+			} else {
+				err = t.emitTransfer(sink, s, ns)
+			}
+			if err != nil {
+				return err
+			}
+			ev &= ev - 1
 		}
 	}
 	return nil
@@ -1270,13 +1300,12 @@ func (t *Tx) replayRegSegs(sink datapath.Sink, ns *datapath.NetScratch) error {
 
 // emitBirth adds value v's producer write into register sink.
 func (t *Tx) emitBirth(sink datapath.Sink, v lifetime.ValueID, ns *datapath.NetScratch) error {
-	bw := t.births[v]
+	bw := &t.births[v]
 	src := datapath.Source{Kind: datapath.SrcInput, Index: bw.input}
 	if bw.input < 0 {
-		b := t.b
-		pf := b.OpFU[b.A.Values[v].Producer]
+		pf := t.b.OpFU[bw.producer]
 		if pf < 0 {
-			return fmt.Errorf("binding: producer of %s unbound", b.A.Values[v].Name)
+			return fmt.Errorf("binding: producer of %s unbound", t.b.A.Values[v].Name)
 		}
 		src = datapath.Source{Kind: datapath.SrcFU, Index: pf}
 	}
@@ -1287,17 +1316,12 @@ func (t *Tx) emitBirth(sink datapath.Sink, v lifetime.ValueID, ns *datapath.NetS
 // sink: from the bound pass-through FU when one exists, else directly
 // from a holder of the previous position picked as Eval would.
 func (t *Tx) emitTransfer(sink datapath.Sink, s int, ns *datapath.NetScratch) error {
-	b := t.b
-	sg := &t.segs[s]
-	tstep := t.segs[s-1].step
-	for _, p := range b.Pass[s] {
-		if p.Reg == sink.Index {
-			return ns.Add(sink, datapath.Source{Kind: datapath.SrcFU, Index: p.FU}, tstep)
+	if t.passSegs.has(s) {
+		for _, p := range t.b.Pass[s] {
+			if p.Reg == sink.Index {
+				return ns.Add(sink, datapath.Source{Kind: datapath.SrcFU, Index: p.FU}, t.segs[s-1].step)
+			}
 		}
 	}
-	from := t.pickHolderScratch(sg.v, sg.k-1, ns)
-	if from < 0 {
-		return fmt.Errorf("binding: value %s has unassigned segment %d", b.A.Values[sg.v].Name, sg.k-1)
-	}
-	return ns.Add(sink, datapath.Source{Kind: datapath.SrcReg, Index: from}, tstep)
+	return t.addTransferRead(sink, s, ns)
 }

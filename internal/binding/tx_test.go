@@ -877,3 +877,139 @@ func TestTxSegmentMoveMarksOnlyItsSegment(t *testing.T) {
 		assertOccupancy(t, step.name, tx)
 	}
 }
+
+// TestTxReplayShortcutsMatchFullEval pins each shortcut of the sink
+// replay on a state at its edge. Each case builds a legal binding over
+// the txFixture (v at segments 0-2, u at 3, w at 4), makes a move that
+// dirties the sinks it names, replays them, and compares every cost
+// entry with a full evaluation (CheckSinks). It also checks the named
+// entries against the fanins the case expects, so an event a shortcut
+// must not lose is one that changes an entry:
+//
+//   - birth inside a run: R3 holds v's last position and u's position
+//     0, consecutive segments. u's birth is not a run start of R3's
+//     bits; only the position-0 term replays it. R3's fanin is u's unit
+//     and R1, the transfer source.
+//   - pass unit beside a plain one: the transfer into v's position 2
+//     rides ALU1, and ALU0 carries no pass-through. ALU1's port 0 reads
+//     the transfer's source R1 beside w's read of R2; ALU0's port 0
+//     reads input x alone.
+//   - copy already connected: ALU0's port 0 reads v's position 0 from
+//     R0 (u), then position 2 (w), whose primary is R2 and whose copy is
+//     R0. Eval picks the copy, so the port's fanin stays x and R0.
+func TestTxReplayShortcutsMatchFullEval(t *testing.T) {
+	const (
+		v, u, w      lifetime.ValueID = 0, 1, 2
+		nodeU, nodeW cdfg.NodeID      = 3, 4
+		alu0, alu1                    = 0, 1
+	)
+	fuIn := func(f, p int) datapath.Sink { return datapath.Sink{Kind: datapath.SinkFUPort, Index: f, Port: p} }
+	regIn := func(r int) datapath.Sink { return datapath.Sink{Kind: datapath.SinkReg, Index: r} }
+	type entry struct {
+		sink datapath.Sink
+		want int
+	}
+	for _, tc := range []struct {
+		name    string
+		setup   func(b *Binding)
+		move    func(tx *Tx)
+		entries []entry
+	}{{
+		name:    "birth inside a run",
+		setup:   func(b *Binding) { b.SegReg[v][0], b.SegReg[v][1], b.SegReg[v][2], b.SegReg[u][0] = 0, 1, 2, 3 },
+		move:    func(tx *Tx) { tx.SetSegReg(v, 2, 3) },
+		entries: []entry{{regIn(3), 1}},
+	}, {
+		name: "pass unit beside a plain one",
+		setup: func(b *Binding) {
+			b.SegReg[v][0], b.SegReg[v][1], b.SegReg[v][2] = 0, 1, 2
+			b.SegReg[u][0], b.SegReg[w][0] = 3, 2
+			b.OpFU[nodeW] = alu1
+		},
+		move: func(tx *Tx) {
+			tx.SetPass(TransferKey{V: v, K: 2, ToReg: 2}, alu1)
+			tx.FlipSwap(nodeU)
+		},
+		entries: []entry{{fuIn(alu1, 0), 1}, {fuIn(alu0, 0), 0}},
+	}, {
+		name: "copy already connected",
+		setup: func(b *Binding) {
+			b.SegReg[v][0], b.SegReg[v][1], b.SegReg[v][2] = 0, 1, 2
+			b.SegReg[u][0], b.SegReg[w][0] = 3, 2
+		},
+		move:    func(tx *Tx) { tx.AddCopy(v, 2, 0) },
+		entries: []entry{{fuIn(alu0, 0), 1}},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx, b := txFixture(t)
+			if fx.a.ValueOf[nodeU] != u || fx.a.ValueOf[nodeW] != w || fx.a.Values[v].Len != 3 {
+				t.Fatal("fixture drift: the case's node and value IDs no longer hold")
+			}
+			tc.setup(b)
+			if err := b.Check(); err != nil {
+				t.Fatalf("fixture binding illegal: %v", err)
+			}
+			tx, err := NewTx(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSinks(t, "fresh Tx", tx)
+			tx.Begin()
+			tc.move(tx)
+			for _, e := range tc.entries {
+				if !tx.dirty[tx.ct.Index(e.sink)] {
+					t.Fatalf("the move left %v clean; the case replays nothing there", e.sink)
+				}
+			}
+			if err := b.Check(); err != nil {
+				t.Fatalf("the move left an illegal binding: %v", err)
+			}
+			if _, err := tx.DeltaCost(); err != nil {
+				t.Fatal(err)
+			}
+			assertSinks(t, "after the move", tx)
+			for _, e := range tc.entries {
+				if got := tx.ct.Get(tx.ct.Index(e.sink)); got != e.want {
+					t.Errorf("entry of %v is %d, want %d", e.sink, got, e.want)
+				}
+			}
+			tx.Commit()
+		})
+	}
+}
+
+// TestTxRegisterRunAcrossWords pins the carry of the register replay's
+// run-start mask from one 64-segment word to the next. On the DCT's
+// first-fit binding, one value holds segments 63 and 64, consecutive
+// positions. Moving the later position into the earlier one's register
+// makes a run that crosses the word boundary, so segment 64 is held
+// from the previous position and is no transfer. The register's entry
+// must still equal a full evaluation.
+func TestTxRegisterRunAcrossWords(t *testing.T) {
+	b := firstFitOf(t, workloads.DCT(), 12, false, 1)
+	tx, err := NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range b.A.Values {
+		val := &b.A.Values[v]
+		for k := 0; k+1 < val.Len; k++ {
+			if b.Seg(val.ID, k) != 63 {
+				continue
+			}
+			r := b.SegReg[v][k]
+			tx.Begin()
+			tx.SetSegReg(val.ID, k+1, r)
+			if _, err := tx.DeltaCost(); err != nil {
+				t.Fatal(err)
+			}
+			if !tx.regSegs[r].has(63) || !tx.regSegs[r].has(64) {
+				t.Fatalf("R%d does not hold segments 63 and 64", r)
+			}
+			assertSinks(t, fmt.Sprintf("%s positions %d-%d in R%d", val.Name, k, k+1, r), tx)
+			tx.Commit()
+			return
+		}
+	}
+	t.Fatal("fixture drift: no value holds segments 63 and 64")
+}

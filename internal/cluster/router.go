@@ -43,8 +43,11 @@ type Config struct {
 	// to unhealthy (re-homing its keys); 0 selects 2. Recovery is
 	// immediate: one good probe readmits.
 	FailAfter int
-	// CacheEntries bounds the router's response cache and its body
-	// table; 0 selects 128, negative disables both.
+	// CacheEntries bounds the router's response cache; 0 selects 128,
+	// negative disables it and the body table. The body table holds
+	// (1 + len(Backends)) × CacheEntries entries: one share for the
+	// router's cache and one per backend's, since salsad gives the
+	// router and its backends one cache size.
 	CacheEntries int
 	// MaxBodyBytes bounds proxied request bodies; 0 selects 4 MiB.
 	MaxBodyBytes int64
@@ -153,7 +156,7 @@ func New(cfg Config) (*Router, error) {
 		clock:   cfg.Clock,
 		metrics: &routerMetrics{},
 		cache:   service.NewResultCache(cfg.CacheEntries),
-		bodies:  service.NewBodyTable(cfg.CacheEntries),
+		bodies:  service.NewBodyTable((1 + len(backends)) * cfg.CacheEntries),
 		full:    NewRing(backends, 0),
 		clients: make(map[string]*client.Client, len(backends)),
 		index:   make(map[string]int, len(backends)),

@@ -653,6 +653,35 @@ func TestRouterBodyTable(t *testing.T) {
 	}
 }
 
+// TestRouterBodyTableCoversBackendCaches: the body table is sized to
+// the fleet's result caches, not the router's alone. With a 2-entry
+// router cache and one backend, the first of three bodies has left the
+// router cache when it comes back, but not the table: the repeat is
+// proxied to the backend, whose cache answers it, and is addressed
+// without being decoded again.
+func TestRouterBodyTableCoversBackendCaches(t *testing.T) {
+	tc := newTestCluster(t, 1, Config{CacheEntries: 2})
+	var bodies [][]byte
+	for seed := int64(1); seed <= 3; seed++ {
+		body := allocBody(t, workloads.Figure1(), seed)
+		if resp, out := postAllocate(t, tc.front.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, out)
+		}
+		bodies = append(bodies, body)
+	}
+	resp, out := postAllocate(t, tc.front.URL, bodies[0])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat: status %d: %s", resp.StatusCode, out)
+	}
+	if c, s := resp.Header.Get("X-Salsa-Cache"), resp.Header.Get("X-Salsa-Shard"); c != "hit" || s != tc.backends[0].URL {
+		t.Errorf("repeat: X-Salsa-Cache=%q X-Salsa-Shard=%q, want a backend hit on %s", c, s, tc.backends[0].URL)
+	}
+	m := tc.router.MetricsSnapshot()
+	if m["cache_misses_total"] != 4 || m["body_digest_hits_total"] != 1 {
+		t.Errorf("router cache misses %d, body-digest hits %d; want 4 and 1", m["cache_misses_total"], m["body_digest_hits_total"])
+	}
+}
+
 // TestRouterMetricsAggregation: one scrape of the router exposes its
 // own counters, per-backend health gauges, and the backends' engine
 // counters re-labelled by backend.

@@ -38,8 +38,9 @@ func (s StopReason) String() string {
 // so a search truncated at trial t is byte-identical to the prefix of
 // the same search run to completion.
 type Control struct {
-	// Ctx, when non-nil, cancels the search between moves. The best
-	// allocation found so far is still polished and returned (anytime
+	// Ctx, when non-nil, cancels the search between moves and its
+	// polish between candidates. The best allocation found so far is
+	// polished until then and returned with StopCancelled (anytime
 	// semantics); only a search cancelled before a legal initial
 	// allocation exists fails with the context's error.
 	Ctx context.Context

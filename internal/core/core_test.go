@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"salsa/internal/binding"
@@ -392,7 +393,7 @@ func TestPolishSuffixMovesAvailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, after, _, err := polish(b, before, SALSAOptions(1), nil)
+	pb, after, _, _, err := polish(nil, b, before, SALSAOptions(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,5 +402,42 @@ func TestPolishSuffixMovesAvailable(t *testing.T) {
 	}
 	if err := pb.Check(); err != nil {
 		t.Errorf("polished binding illegal: %v", err)
+	}
+}
+
+// TestPolishStopsAtCancellation: a context cancelled after the search
+// stopped cuts the polish before its first candidate. A TrialEnd hook
+// stops the search after its first trial and cancels the context: the
+// result must be that trial's best, unpolished, with StopCancelled and
+// not StopPruned, because the engine keeps a pruned job's result as
+// its canonical bytes. The same stop without the cancel polishes the
+// best and reports StopPruned.
+func TestPolishStopsAtCancellation(t *testing.T) {
+	a, hw := setup(t, workloads.EWF(), 2, 1, false)
+	run := func(cancelAtStop bool) (*Result, binding.Cost) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var atStop binding.Cost
+		ctl := &Control{Ctx: ctx, TrialEnd: func(_ int, _ *binding.Binding, c binding.Cost, _ bool, _, _ int) bool {
+			atStop = c
+			if cancelAtStop {
+				cancel()
+			}
+			return true
+		}}
+		res, err := AllocateControlled(a, hw, quickOpts(3), ctl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Binding.Check(); err != nil {
+			t.Fatalf("result illegal: %v", err)
+		}
+		return res, atStop
+	}
+	if res, atStop := run(true); res.Stop != StopCancelled || res.Cost != atStop {
+		t.Errorf("cancelled at the stop: %v with cost %+v, want cancelled with the trial's best %+v", res.Stop, res.Cost, atStop)
+	}
+	if res, atStop := run(false); res.Stop != StopPruned || res.Cost.Total >= atStop.Total {
+		t.Errorf("stopped without a cancel: %v with cost %d, want pruned and polished below %d", res.Stop, res.Cost.Total, atStop.Total)
 	}
 }

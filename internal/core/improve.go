@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -44,7 +45,9 @@ const (
 // ctl supplies anytime semantics: context cancellation is polled
 // between moves and the TrialEnd hook may stop the search at any trial
 // boundary; in both cases the best-so-far allocation is polished and
-// returned rather than discarded.
+// returned rather than discarded. The polish polls the context too, so
+// a deadline that passes during it cuts it short and the result
+// reports StopCancelled.
 func improve(b *binding.Binding, initCost binding.Cost, opts Options, ctl *Control) (*Result, error) {
 	rng := newRNG(opts.Seed)
 	mv := newMover(b, opts, rng)
@@ -167,14 +170,16 @@ search:
 		}
 	}
 
-	res, err := finalize(best, bestCost, opts, tx)
+	res, err := finalize(ctx, best, bestCost, opts, tx)
 	if err != nil {
 		return nil, err
 	}
 	res.Trials = trials
 	res.MovesTried = tried
 	res.MovesAccepted = accepted
-	res.Stop = stop
+	if res.Stop != StopCancelled {
+		res.Stop = stop
+	}
 	return res, nil
 }
 
@@ -186,13 +191,14 @@ search:
 // truncated at a trial boundary (see internal/engine) and obtain the
 // same bytes a live truncation at that boundary would have produced.
 func Finalize(best *binding.Binding, bestCost binding.Cost, opts Options) (*Result, error) {
-	return finalize(best, bestCost, opts, nil)
+	return finalize(nil, best, bestCost, opts, nil)
 }
 
 // finalize is Finalize polishing through tx, the search's transaction,
-// so the polish reuses its tables; nil makes a new one.
-func finalize(best *binding.Binding, bestCost binding.Cost, opts Options, tx *binding.Tx) (*Result, error) {
-	best, bestCost, bestIC, err := polish(best, bestCost, opts, tx)
+// so the polish reuses its tables; nil makes a new one. A non-nil ctx
+// can cut the polish short, and the result then reports StopCancelled.
+func finalize(ctx context.Context, best *binding.Binding, bestCost binding.Cost, opts Options, tx *binding.Tx) (*Result, error) {
+	best, bestCost, bestIC, cut, err := polish(ctx, best, bestCost, opts, tx)
 	if err != nil {
 		return nil, err
 	}
@@ -209,12 +215,16 @@ func finalize(best *binding.Binding, bestCost binding.Cost, opts Options, tx *bi
 			return nil, fmt.Errorf("core: polish produced illegal binding: %w", err)
 		}
 	}
-	return &Result{
+	res := &Result{
 		Binding:   best,
 		Cost:      bestCost,
 		IC:        bestIC,
 		MergedMux: bestIC.MergedMuxCost(),
-	}, nil
+	}
+	if cut {
+		res.Stop = StopCancelled
+	}
+	return res, nil
 }
 
 // checkOcc is the Paranoid check after a search move commits or rolls

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/datapath"
@@ -21,7 +23,12 @@ import (
 // is applied in place, costed from its dirty sinks, and rolled back
 // unless it improves. A non-nil tx is reset onto the clone, so the
 // search's transaction serves its polish; nil makes a new one.
-func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx) (*binding.Binding, binding.Cost, *datapath.Interconnect, error) {
+//
+// A non-nil ctx is polled every cancelCheckStride candidates. Once it
+// is done, the sweep stops and polish returns the best binding so far
+// and reports that it was cut; an uncancelled polish is the same with
+// or without ctx.
+func polish(ctx context.Context, b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx) (*binding.Binding, binding.Cost, *datapath.Interconnect, bool, error) {
 	best := b.Clone()
 	var err error
 	if tx == nil {
@@ -30,9 +37,22 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 		err = tx.Reset(best)
 	}
 	if err != nil {
-		return b, cost, nil, nil
+		return b, cost, nil, false, nil
 	}
 	bestCost := cost
+
+	// open begins the next candidate move on tx, or reports false once
+	// ctx is done, which ends the polish.
+	candidates, cut := 0, false
+	open := func() bool {
+		if ctx != nil && candidates%cancelCheckStride == 0 && ctx.Err() != nil {
+			cut = true
+			return false
+		}
+		candidates++
+		tx.Begin()
+		return true
+	}
 
 	// try closes the candidate move currently open on tx: commit when
 	// it strictly improves, roll back otherwise. A delta-evaluation
@@ -59,6 +79,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 	g := best.A.Sched.G
 	var copies []int
 	var transfers []binding.TransferKey
+sweeps:
 	for sweep := 0; sweep < 20; sweep++ {
 		improved := false
 
@@ -67,29 +88,37 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 		// one new transfer) over every split point and target register.
 		// Each candidate opens only when its target is free over the
 		// moved steps, a probe of the live occupancy, which always shows
-		// the current (committed or rolled-back) state.
+		// the current (committed or rolled-back) state. tryTail reports
+		// false when the polish is cut.
 		if occ, err := tx.Occ(); err == nil {
-			tryTail := func(val *lifetime.Value, k, r int) {
+			tryTail := func(val *lifetime.Value, k, r int) bool {
 				if best.SegReg[val.ID][k] == r || !regFreeFrom(occ, val, k, r, best.A.StorageSteps) {
-					return
+					return true
 				}
-				tx.Begin()
+				if !open() {
+					return false
+				}
 				moveTail(tx, val, k, r)
 				tx.PrunePass()
 				if try() {
 					improved = true
 				}
+				return true
 			}
 			for v := range best.A.Values {
 				for r := range best.HW.Regs {
-					tryTail(&best.A.Values[v], 0, r)
+					if !tryTail(&best.A.Values[v], 0, r) {
+						break sweeps
+					}
 				}
 			}
 			if opts.EnableSegments {
 				for v := range best.A.Values {
 					for k := 1; k < best.A.Values[v].Len; k++ {
 						for r := range best.HW.Regs {
-							tryTail(&best.A.Values[v], k, r)
+							if !tryTail(&best.A.Values[v], k, r) {
+								break sweeps
+							}
 						}
 					}
 				}
@@ -122,7 +151,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 				if !free {
 					continue
 				}
-				tx.Begin()
+				if !open() {
+					break sweeps
+				}
 				tx.SetOpFU(cdfg.NodeID(i), f)
 				tx.PrunePass()
 				if try() {
@@ -131,7 +162,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 				}
 			}
 			if n.Op.Commutative() {
-				tx.Begin()
+				if !open() {
+					break sweeps
+				}
 				tx.FlipSwap(cdfg.NodeID(i))
 				if try() {
 					improved = true
@@ -155,7 +188,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 						if !best.FUPassFree(occ, f, t, tk) {
 							continue
 						}
-						tx.Begin()
+						if !open() {
+							break sweeps
+						}
 						tx.SetPass(tk, f)
 						if try() {
 							improved = true
@@ -165,7 +200,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 				}
 			}
 			for _, pb := range best.Passes() {
-				tx.Begin()
+				if !open() {
+					break sweeps
+				}
 				tx.UnbindPass(pb.TransferKey)
 				if try() {
 					improved = true
@@ -180,7 +217,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 				for k := 0; k < val.Len; k++ {
 					copies = append(copies[:0], best.CopiesAt(val.ID, k)...)
 					for _, r := range copies {
-						tx.Begin()
+						if !open() {
+							break sweeps
+						}
 						tx.RemoveCopy(val.ID, k, r)
 						tx.PrunePass()
 						if try() {
@@ -196,11 +235,11 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options, tx *binding.Tx)
 		}
 	}
 	if paranoidErr != nil {
-		return nil, binding.Cost{}, nil, paranoidErr
+		return nil, binding.Cost{}, nil, false, paranoidErr
 	}
 	bestIC, _, err := best.Eval()
 	if err != nil {
-		return best, bestCost, nil, nil
+		return best, bestCost, nil, cut, nil
 	}
-	return best, bestCost, bestIC, nil
+	return best, bestCost, bestIC, cut, nil
 }

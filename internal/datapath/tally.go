@@ -156,11 +156,14 @@ func (ns *NetScratch) Add(sink Sink, src Source, step int) error {
 		return nil
 	}
 	ns.needGen[step], ns.needSrc[step] = ns.gen, src
-	if !ns.Has(src) {
-		ns.srcs = append(ns.srcs, src)
-		if src.Kind != SrcConst {
-			ns.paid++
+	for i := range ns.srcs {
+		if ns.srcs[i] == src {
+			return nil
 		}
+	}
+	ns.srcs = append(ns.srcs, src)
+	if src.Kind != SrcConst {
+		ns.paid++
 	}
 	return nil
 }

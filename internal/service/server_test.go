@@ -267,6 +267,47 @@ func TestShortDeadlinePartial(t *testing.T) {
 	t.Fatal("every deadline in the ladder fired before any allocation existed")
 }
 
+// TestPolishHonoursDeadline: the deadline holds through the polish
+// that ends every search. On a 400-op graph the polish alone runs for
+// seconds. With timeout_ms 50 the answer must still be a partial 200
+// or a 408 within the deadline plus polishMargin; a polish that polls
+// no context took 1.9-2.8 s on a 2-vCPU VM. Then the one engine slot
+// must be free: a second request runs at once.
+func TestPolishHonoursDeadline(t *testing.T) {
+	const polishMargin = 500 * time.Millisecond
+	e := newTestServer(t, Config{MaxConcurrent: 1})
+	body := allocBody(t, workloads.Synthetic(400, 1), func(ar *AllocateRequest) {
+		ar.Restarts = 1
+		ar.TimeoutMS = 50
+	})
+	start := time.Now()
+	status, _, out := e.post(t, "/allocate", body)
+	took := time.Since(start)
+	t.Logf("status %d after %v", status, took)
+	if took > 50*time.Millisecond+polishMargin {
+		t.Errorf("a 50 ms deadline answered after %v, want within %v", took, 50*time.Millisecond+polishMargin)
+	}
+	switch status {
+	case http.StatusRequestTimeout:
+	case http.StatusOK:
+		if rj := decodeResult(t, out); !rj.Partial || rj.Stop != "cancelled" {
+			t.Errorf("partial=%t stop=%q, want a partial result cut by the deadline", rj.Partial, rj.Stop)
+		}
+	default:
+		t.Fatalf("status %d, want 200 partial or 408: %s", status, out)
+	}
+	if n := e.s.metrics.ActiveRuns.Load(); n != 0 {
+		t.Fatalf("%d engine runs still active after the answer", n)
+	}
+	next := allocBody(t, workloads.Figure1(), func(ar *AllocateRequest) { ar.TimeoutMS = 5000 })
+	if status, _, out := e.post(t, "/allocate", next); status != http.StatusOK {
+		t.Fatalf("second request: status %d, want 200: %s", status, out)
+	}
+	if m := e.s.MetricsSnapshot(); m["engine_invocations_total"] != 2 || m["queue_rejected_total"] != 0 {
+		t.Errorf("engine runs %d, rejections %d; want 2 and 0", m["engine_invocations_total"], m["queue_rejected_total"])
+	}
+}
+
 // TestHugeTimeoutClamps: a timeout_ms too large to convert to a
 // Duration clamps to MaxTimeout like any other value above it, so the
 // search runs to completion instead of under a wrapped deadline.
