@@ -508,7 +508,7 @@ func BenchmarkMatchingAllocateEWF(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MatchingAllocate(des.Analysis, des.Hardware, binding.DefaultConfig()); err != nil {
+		if _, err := core.MatchingAllocate(des.Analysis, des.Hardware); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -206,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "traditional":
 		final = runMode("traditional", salsa.TraditionalOptions(*seed))
 	case "matching":
-		res, err := core.MatchingAllocate(des.Analysis, des.Hardware, salsa.SALSAOptions(*seed).Cfg)
+		res, err := core.MatchingAllocate(des.Analysis, des.Hardware)
 		if err != nil {
 			return fail(err)
 		}

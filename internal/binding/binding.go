@@ -22,23 +22,20 @@ import (
 	"salsa/internal/sched"
 )
 
-// Config carries the cost-function weights (a weighted sum of FU,
-// register and interconnect counts, §1 and §4 of the paper).
-type Config struct {
+// The cost-function weights: an allocation's cost is a weighted sum of
+// FU, register and interconnect counts (§1 and §4 of the paper). Under
+// these weights interconnect dominates and a register is always worth
+// trading for a multiplexer, reproducing the paper's
+// storage-vs-interconnect exploration.
+const (
 	// WfuALU and WfuMul weigh one used FU of each class.
-	WfuALU, WfuMul int
+	WfuALU = 2
+	WfuMul = 16
 	// Wreg weighs one used register.
-	Wreg int
+	Wreg = 1
 	// Wmux weighs one equivalent 2-to-1 multiplexer.
-	Wmux int
-}
-
-// DefaultConfig returns weights under which interconnect dominates and
-// a register is always worth trading for a multiplexer, reproducing the
-// paper's storage-vs-interconnect exploration.
-func DefaultConfig() Config {
-	return Config{WfuALU: 2, WfuMul: 16, Wreg: 1, Wmux: 10}
-}
+	Wmux = 10
+)
 
 // TransferKey identifies a register-to-register data transfer: the
 // write of value V's chain position K into register ToReg (from some
@@ -68,9 +65,8 @@ type PassBinding struct {
 // pair value-major, so walking them in index order visits segments in
 // (value, position) order.
 type Binding struct {
-	A   *lifetime.Analysis
-	HW  *datapath.Hardware
-	Cfg Config
+	A  *lifetime.Analysis
+	HW *datapath.Hardware
 
 	// OpFU assigns each arithmetic node an FU index (-1 otherwise).
 	OpFU []int
@@ -103,10 +99,10 @@ type Binding struct {
 
 // New returns an unassigned binding over the given analysis and
 // hardware.
-func New(a *lifetime.Analysis, hw *datapath.Hardware, cfg Config) *Binding {
+func New(a *lifetime.Analysis, hw *datapath.Hardware) *Binding {
 	g := a.Sched.G
 	b := &Binding{
-		A: a, HW: hw, Cfg: cfg,
+		A: a, HW: hw,
 		OpFU:        make([]int, len(g.Nodes)),
 		OpSwap:      make([]bool, len(g.Nodes)),
 		SegReg:      make([][]int, len(a.Values)),
@@ -177,7 +173,6 @@ func (b *Binding) Clone() *Binding {
 // instead of cloning. Both bindings must share one analysis and
 // hardware.
 func (b *Binding) CopyFrom(src *Binding) {
-	b.Cfg = src.Cfg
 	copy(b.OpFU, src.OpFU)
 	copy(b.OpSwap, src.OpSwap)
 	for i, row := range src.SegReg {
@@ -554,25 +549,6 @@ func (b *Binding) appendTransfersAt(dst []TransferKey, v lifetime.ValueID, k int
 		}
 	}
 	return dst
-}
-
-// PrunePass removes pass-through bindings whose transfer no longer
-// exists or whose FU is no longer free — called after register or FU
-// moves invalidate them. It returns the number pruned.
-func (b *Binding) PrunePass() int {
-	occ, err := b.FUOccupancy()
-	if err != nil {
-		// Leave pruning to Check; occupancy conflicts are a bug upstream.
-		return 0
-	}
-	n := 0
-	for _, pb := range b.Passes() {
-		if !b.isTransfer(pb.TransferKey) || !b.FUPassFree(occ, pb.FU, b.transferStep(pb.TransferKey), pb.TransferKey) {
-			b.UnbindPass(pb.TransferKey)
-			n++
-		}
-	}
-	return n
 }
 
 // AddCopy records a copy of value v's chain position k in register r.

@@ -60,9 +60,9 @@ func seqFixture(t *testing.T, regs int) *fixture {
 
 // bindSeq produces a straightforward legal binding for seqFixture:
 // every op on ALU0, value i in register i.
-func bindSeq(t *testing.T, fx *fixture, cfg Config) *Binding {
+func bindSeq(t *testing.T, fx *fixture) *Binding {
 	t.Helper()
-	b := New(fx.a, fx.hw, cfg)
+	b := New(fx.a, fx.hw)
 	for i := range fx.g.Nodes {
 		if fx.g.Nodes[i].Op.IsArith() {
 			b.OpFU[i] = 0
@@ -81,7 +81,7 @@ func bindSeq(t *testing.T, fx *fixture, cfg Config) *Binding {
 
 func TestEvalBasicCost(t *testing.T) {
 	fx := seqFixture(t, 3)
-	b := bindSeq(t, fx, DefaultConfig())
+	b := bindSeq(t, fx)
 	ic, cost, err := b.Eval()
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestEvalBasicCost(t *testing.T) {
 	if cost.FUsUsed != 1 {
 		t.Errorf("FUsUsed = %d, want 1", cost.FUsUsed)
 	}
-	wantTotal := b.Cfg.WfuALU + 3*b.Cfg.Wreg + 3*b.Cfg.Wmux
+	wantTotal := WfuALU + 3*Wreg + 3*Wmux
 	if cost.Total != wantTotal {
 		t.Errorf("Total = %d, want %d", cost.Total, wantTotal)
 	}
@@ -110,7 +110,7 @@ func TestEvalBasicCost(t *testing.T) {
 
 func TestOperandSwapChangesCost(t *testing.T) {
 	fx := seqFixture(t, 3)
-	b := bindSeq(t, fx, DefaultConfig())
+	b := bindSeq(t, fx)
 	// Swapping op c (args b,x -> x,b): port0 gets {in0,R0,in0}... i.e.
 	// port0 sources {in0, R0, in0} fanin 2, port1 {in1,in1,R1} fanin 2
 	// -> 1+1 = 2 muxes: the reverse move pays off.
@@ -140,7 +140,7 @@ func TestSwapOnNonCommutativeRejected(t *testing.T) {
 	d := g.Sub("d", x, y)
 	g.Output("o", d)
 	fx := makeFixture(t, g, 1, sched.Limits{sched.ClassALU: 1}, 1)
-	b := New(fx.a, fx.hw, DefaultConfig())
+	b := New(fx.a, fx.hw)
 	b.OpFU[d] = 0
 	b.SegReg[0][0] = 0
 	b.OpSwap[d] = true
@@ -151,7 +151,7 @@ func TestSwapOnNonCommutativeRejected(t *testing.T) {
 
 func TestRegisterConflictDetected(t *testing.T) {
 	fx := seqFixture(t, 3)
-	b := bindSeq(t, fx, DefaultConfig())
+	b := bindSeq(t, fx)
 	// Put value b into R0 where value a still lives at the same step?
 	// a: born 1 (add at 0), read at 1; b: born 2, read at 2. a live {1},
 	// b live {2}: disjoint, same register is fine.
@@ -181,7 +181,7 @@ func TestFUOverlapDetected(t *testing.T) {
 	s := g.Add("s", a, bn)
 	g.Output("o", s)
 	fx := makeFixture(t, g, 2, sched.Limits{sched.ClassALU: 2}, 3)
-	b := New(fx.a, fx.hw, DefaultConfig())
+	b := New(fx.a, fx.hw)
 	// a and b are both scheduled at step 0; same FU is illegal.
 	b.OpFU[a] = 0
 	b.OpFU[bn] = 0
@@ -207,7 +207,7 @@ func TestClassMismatchDetected(t *testing.T) {
 	m := g.Mul("m", x, y)
 	g.Output("o", m)
 	fx := makeFixture(t, g, 2, sched.Limits{sched.ClassALU: 1, sched.ClassMul: 1}, 1)
-	b := New(fx.a, fx.hw, DefaultConfig())
+	b := New(fx.a, fx.hw)
 	b.OpFU[m] = 0 // ALU instance
 	b.SegReg[0][0] = 0
 	if err := b.Check(); err == nil {
@@ -238,7 +238,7 @@ func movingFixture(t *testing.T) (*fixture, *Binding, lifetime.ValueID) {
 		t.Fatal(err)
 	}
 	fx.a = a
-	b := New(fx.a, fx.hw, DefaultConfig())
+	b := New(fx.a, fx.hw)
 	b.OpFU[v] = 0
 	b.OpFU[w] = 0
 	vid := fx.a.ValueOf[v]
@@ -339,9 +339,13 @@ func TestPrunePassRemovesStale(t *testing.T) {
 	if err := b.Check(); err != nil {
 		t.Fatal(err)
 	}
+	tx, err := NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Move the segment back to R0: the transfer disappears.
-	b.SegReg[vid][2] = 0
-	if n := b.PrunePass(); n != 1 {
+	tx.SetSegReg(vid, 2, 0)
+	if n := tx.PrunePass(); n != 1 {
 		t.Errorf("PrunePass = %d, want 1", n)
 	}
 	if err := b.Check(); err != nil {
@@ -373,7 +377,7 @@ func TestCopiesServeReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.a = a
-	b := New(fx.a, fx.hw, DefaultConfig())
+	b := New(fx.a, fx.hw)
 	b.OpFU[v] = 0
 	b.OpFU[p] = 0
 	b.OpFU[q] = 1
@@ -426,7 +430,7 @@ func TestCopiesServeReads(t *testing.T) {
 
 func TestCloneIsDeep(t *testing.T) {
 	fx := seqFixture(t, 3)
-	b := bindSeq(t, fx, DefaultConfig())
+	b := bindSeq(t, fx)
 	b.AddCopy(0, 0, 2)
 	nb := b.Clone()
 	nb.OpFU[2] = -1
@@ -446,7 +450,7 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestUnboundDetected(t *testing.T) {
 	fx := seqFixture(t, 3)
-	b := New(fx.a, fx.hw, DefaultConfig())
+	b := New(fx.a, fx.hw)
 	if err := b.Check(); err == nil {
 		t.Error("Check accepted unbound ops")
 	}

@@ -204,9 +204,9 @@ func (b *Binding) costOf(ic *datapath.Interconnect) Cost {
 		}
 		c.FUsUsed++
 		if b.HW.FUs[f].Class == sched.ClassMul {
-			c.FUArea += b.Cfg.WfuMul
+			c.FUArea += WfuMul
 		} else {
-			c.FUArea += b.Cfg.WfuALU
+			c.FUArea += WfuALU
 		}
 	}
 	regUsed := make([]bool, len(b.HW.Regs))
@@ -228,6 +228,6 @@ func (b *Binding) costOf(ic *datapath.Interconnect) Cost {
 		}
 	}
 	c.MuxCost = ic.MuxCost()
-	c.Total = c.FUArea + b.Cfg.Wreg*c.RegsUsed + b.Cfg.Wmux*c.MuxCost
+	c.Total = c.FUArea + Wreg*c.RegsUsed + Wmux*c.MuxCost
 	return c
 }

@@ -54,7 +54,7 @@ func buildRandomBound(seed int64) (*Binding, bool) {
 		}
 	}
 	hw := datapath.NewHardware(lim, a.MinRegs+1+rng.Intn(2), inputs, true)
-	b := New(a, hw, DefaultConfig())
+	b := New(a, hw)
 
 	// First-fit FU binding.
 	busy := make([][]bool, len(hw.FUs))
@@ -133,32 +133,34 @@ func TestPropertyPrunePassIdempotent(t *testing.T) {
 			return true
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
-		// Bind a few random transfers as passes, then corrupt a random
-		// segment to invalidate some of them.
-		trs := b.Transfers()
-		occ, err := b.FUOccupancy()
+		tx, err := NewTx(b)
 		if err != nil {
 			return false
 		}
-		for _, tk := range trs {
+		// Bind a few random transfers as passes, then corrupt a random
+		// segment to invalidate some of them. The transaction keeps occ
+		// current, so each pass goes to an FU still free at its step.
+		occ, err := tx.FUOcc()
+		if err != nil {
+			return false
+		}
+		for _, tk := range b.Transfers() {
 			ts := b.A.Values[tk.V].StepAt(tk.K-1, b.A.StorageSteps)
 			for f := range b.HW.FUs {
 				if b.FUPassFree(occ, f, ts, tk) {
-					b.SetPass(tk, f)
+					tx.SetPass(tk, f)
 					break
 				}
 			}
 		}
 		if len(b.SegReg) > 0 {
 			v := rng.Intn(len(b.SegReg))
-			if len(b.SegReg[v]) > 1 {
-				b.SegReg[v][len(b.SegReg[v])-1] = b.SegReg[v][0]
+			if n := len(b.SegReg[v]); n > 1 {
+				tx.SetSegReg(lifetime.ValueID(v), n-1, b.SegReg[v][0])
 			}
 		}
-		first := b.PrunePass()
-		second := b.PrunePass()
-		_ = first
-		return second == 0
+		tx.PrunePass()
+		return tx.PrunePass() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -175,7 +177,7 @@ func TestPropertyCostComponents(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if c.Total != c.FUArea+b.Cfg.Wreg*c.RegsUsed+b.Cfg.Wmux*c.MuxCost {
+		if c.Total != c.FUArea+Wreg*c.RegsUsed+Wmux*c.MuxCost {
 			return false
 		}
 		if c.MuxCost != ic.MuxCost() {

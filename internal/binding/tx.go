@@ -620,9 +620,9 @@ func (t *Tx) record(u undoRec) {
 
 func (t *Tx) fuWeight(f int) int {
 	if t.b.HW.FUs[f].Class == sched.ClassMul {
-		return t.b.Cfg.WfuMul
+		return WfuMul
 	}
-	return t.b.Cfg.WfuALU
+	return WfuALU
 }
 
 func (t *Tx) incArith(f int) {
@@ -969,9 +969,10 @@ func (t *Tx) UnbindPass(tk TransferKey) bool {
 }
 
 // PrunePass removes pass-through bindings whose transfer no longer
-// exists or whose FU is no longer free — the transactional counterpart
-// of Binding.PrunePass, with undo logging and dirty marking. It visits
-// only the segments carrying pass bindings.
+// exists or whose FU is no longer free — called after register or FU
+// moves invalidate them — with undo logging and dirty marking. It
+// visits only the segments carrying pass bindings and returns the
+// number pruned.
 func (t *Tx) PrunePass() int {
 	b := t.b
 	if b.nPass == 0 {
@@ -1137,7 +1138,7 @@ func (t *Tx) Cost() Cost {
 		RegsUsed: t.regsUsed,
 		MuxCost:  t.ct.Total(),
 	}
-	c.Total = c.FUArea + t.b.Cfg.Wreg*c.RegsUsed + t.b.Cfg.Wmux*c.MuxCost
+	c.Total = c.FUArea + Wreg*c.RegsUsed + Wmux*c.MuxCost
 	return c
 }
 

@@ -61,7 +61,7 @@ func txFixture(t *testing.T) (*fixture, *Binding) {
 		t.Fatal(err)
 	}
 	fx.a = a
-	b := New(fx.a, fx.hw, DefaultConfig())
+	b := New(fx.a, fx.hw)
 	for i := range g.Nodes {
 		if g.Nodes[i].Op.IsArith() {
 			b.OpFU[i] = 0
@@ -201,7 +201,7 @@ func firstFitOf(t *testing.T, g *cdfg.Graph, steps int, pipelined bool, extra in
 // values, in ID order, in the lowest registers.
 func firstFit(t *testing.T, a *lifetime.Analysis, hw *datapath.Hardware) *Binding {
 	t.Helper()
-	b := New(a, hw, DefaultConfig())
+	b := New(a, hw)
 	s := a.Sched
 	busy := make([][]bool, len(hw.FUs))
 	for f := range busy {

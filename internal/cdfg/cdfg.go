@@ -187,9 +187,6 @@ func (g *Graph) Output(name string, v NodeID) NodeID {
 	return g.add(Node{Op: Output, Name: name, Args: []NodeID{v}, Next: NoNode})
 }
 
-// Node returns the node with the given ID.
-func (g *Graph) Node(id NodeID) *Node { return &g.Nodes[id] }
-
 // Uses returns the consumers of the value produced by id, in insertion
 // order. Output sinks are included; State.Next references are not.
 func (g *Graph) Uses(id NodeID) []NodeID { return g.uses[id] }

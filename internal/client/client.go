@@ -147,46 +147,34 @@ func retryableStatus(status int) bool {
 	return status == http.StatusRequestTimeout || status == http.StatusTooManyRequests || status >= 500
 }
 
-// Do runs one synchronous allocation (POST /allocate), retrying until
-// it gets a terminal answer, a non-retryable failure, ctx ends, or
-// attempts run out.
+// Do runs one synchronous allocation: a Roundtrip of POST /allocate,
+// whose retries end at a terminal answer, a non-retryable failure, the
+// end of ctx, or the last attempt. A 200 decodes into the Result; any
+// other status is an *HTTPError, wrapped in "giving up after N
+// attempts" when it is retryable.
 func (c *Client) Do(ctx context.Context, ar *service.AllocateRequest) (*Result, error) {
 	payload, err := json.Marshal(ar)
 	if err != nil {
 		return nil, fmt.Errorf("encoding request: %w", err)
 	}
-	res := &Result{}
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := c.waitRetry(ctx, attempt, lastErr); err != nil {
-				return nil, err
-			}
-		}
-		resp, err := c.roundTrip(ctx, http.MethodPost, c.cfg.BaseURL+"/allocate", payload)
-		res.Attempts++
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			lastErr = err
-			continue
-		}
-		res.observeHeaders(resp)
-		if resp.status == http.StatusOK {
-			if err := finishResult(res, resp); err != nil {
-				lastErr = err
-				continue
-			}
-			return res, nil
-		}
-		herr := &HTTPError{Status: resp.status, Body: resp.body}
-		if !retryableStatus(resp.status) {
-			return nil, herr
-		}
-		lastErr = retryAfterError{err: herr, after: resp.retryAfter}
+	hr, err := c.Roundtrip(ctx, http.MethodPost, "/allocate", payload)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+	if hr.Status != http.StatusOK {
+		herr := &HTTPError{Status: hr.Status, Body: hr.Body}
+		if retryableStatus(hr.Status) {
+			return nil, fmt.Errorf("giving up after %d attempts: %w", hr.Attempts, herr)
+		}
+		return nil, herr
+	}
+	res := &Result{Attempts: hr.Attempts}
+	res.observeHeaders(hr.Header)
+	res.CacheHit = res.Cache == "hit"
+	if err := finishResult(res, hr.Body); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // DoJob runs one allocation asynchronously (POST /jobs + status
@@ -233,8 +221,7 @@ func (c *Client) DoJob(ctx context.Context, ar *service.AllocateRequest) (*Resul
 			continue
 		}
 		if st.State == "done" {
-			resp := &httpOutcome{status: st.HTTPStatus, body: st.Result}
-			if err := finishResult(res, resp); err != nil {
+			if err := finishResult(res, st.Result); err != nil {
 				lastErr = err
 				continue
 			}
@@ -261,7 +248,7 @@ func (c *Client) submitJob(ctx context.Context, payload []byte, res *Result) (st
 	if err != nil {
 		return "", err
 	}
-	res.observeHeaders(resp)
+	res.observeHeaders(resp.header)
 	if resp.status != http.StatusAccepted {
 		return "", retryAfterError{err: &HTTPError{Status: resp.status, Body: resp.body}, after: resp.retryAfter}
 	}
@@ -293,7 +280,7 @@ func (c *Client) pollJob(ctx context.Context, id string, res *Result) (*service.
 			consecutiveFailures++
 		default:
 			consecutiveFailures = 0
-			res.observeHeaders(resp)
+			res.observeHeaders(resp.header)
 			var st service.JobStatus
 			if jerr := json.Unmarshal(resp.body, &st); jerr != nil {
 				consecutiveFailures++
@@ -319,14 +306,11 @@ func (c *Client) pollJob(ctx context.Context, id string, res *Result) (*service.
 // observeHeaders records routing and caching headers from one
 // exchange into res; the last exchange that carries a header wins, so
 // the final answer's provenance survives any retries before it.
-func (res *Result) observeHeaders(resp *httpOutcome) {
-	if resp.header == nil {
-		return
-	}
-	if v := resp.header.Get("X-Salsa-Cache"); v != "" {
+func (res *Result) observeHeaders(h http.Header) {
+	if v := h.Get("X-Salsa-Cache"); v != "" {
 		res.Cache = v
 	}
-	if v := resp.header.Get("X-Salsa-Shard"); v != "" {
+	if v := h.Get("X-Salsa-Shard"); v != "" {
 		res.Shard = v
 	}
 }
@@ -388,15 +372,14 @@ func (c *Client) Roundtrip(ctx context.Context, method, path string, body []byte
 	return res, nil
 }
 
-// finishResult decodes a 200 outcome into res.
-func finishResult(res *Result, resp *httpOutcome) error {
+// finishResult decodes a 200 body into res.
+func finishResult(res *Result, body []byte) error {
 	var rj salsa.ResultJSON
-	if err := json.Unmarshal(resp.body, &rj); err != nil {
+	if err := json.Unmarshal(body, &rj); err != nil {
 		return fmt.Errorf("decoding result: %w", err)
 	}
-	res.Body = resp.body
+	res.Body = body
 	res.Result = rj
-	res.CacheHit = resp.cacheHit
 	return nil
 }
 
@@ -406,7 +389,6 @@ type httpOutcome struct {
 	body       []byte
 	header     http.Header
 	retryAfter time.Duration // 0 = header absent
-	cacheHit   bool
 }
 
 // roundTrip performs one HTTP exchange, reading the body to EOF. A
@@ -437,12 +419,7 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, body []byte)
 	if cerr != nil {
 		return nil, fmt.Errorf("closing response body: %w", cerr)
 	}
-	out := &httpOutcome{
-		status:   resp.StatusCode,
-		body:     data,
-		header:   resp.Header,
-		cacheHit: resp.Header.Get("X-Salsa-Cache") == "hit",
-	}
+	out := &httpOutcome{status: resp.StatusCode, body: data, header: resp.Header}
 	if v := resp.Header.Get("Retry-After"); v != "" {
 		if secs, perr := strconv.Atoi(v); perr == nil && secs >= 0 {
 			out.retryAfter = time.Duration(secs) * time.Second

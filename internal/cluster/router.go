@@ -49,8 +49,6 @@ type Config struct {
 	// router's cache and one per backend's, since salsad gives the
 	// router and its backends one cache size.
 	CacheEntries int
-	// MaxBodyBytes bounds proxied request bodies; 0 selects 4 MiB.
-	MaxBodyBytes int64
 	// ProxyAttempts is the per-backend retry budget of one proxied
 	// exchange before failing over to the next ring member; 0 selects 2.
 	ProxyAttempts int
@@ -79,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 128
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
 	}
 	if c.ProxyAttempts <= 0 {
 		c.ProxyAttempts = 2
@@ -419,23 +414,6 @@ func (r *Router) rejectDraining(w http.ResponseWriter) bool {
 	return true
 }
 
-// readBody reads a bounded request body, answering the error response
-// itself on failure.
-func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return nil, false
-		}
-		writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return nil, false
-	}
-	return body, true
-}
-
 // contentKeyOf returns the wire request's content address, which both
 // routes it and keys the router cache. A body the body table knows is
 // not decoded; any other is decoded just enough to compute the address
@@ -473,7 +451,7 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	}
 	r.work.Add(1)
 	defer r.work.Done()
-	body, ok := r.readBody(w, req)
+	body, ok := service.ReadBody(w, req)
 	if !ok {
 		return
 	}
@@ -529,7 +507,7 @@ func (r *Router) handleSubmitJob(w http.ResponseWriter, req *http.Request) {
 	}
 	r.work.Add(1)
 	defer r.work.Done()
-	body, ok := r.readBody(w, req)
+	body, ok := service.ReadBody(w, req)
 	if !ok {
 		return
 	}

@@ -606,6 +606,35 @@ func TestRouterBadRequest(t *testing.T) {
 	}
 }
 
+// TestRouterOversizedBody: a body one byte over service.MaxBodyBytes
+// is answered 413 at the edge, on both submission paths, and no
+// backend exchange is spent on it.
+func TestRouterOversizedBody(t *testing.T) {
+	tc := newTestCluster(t, 1, Config{})
+	body := allocBody(t, workloads.Figure1(), 1)
+	body = append(body, bytes.Repeat([]byte(" "), service.MaxBodyBytes+1-len(body))...)
+	for _, path := range []string{"/allocate", "/jobs"} {
+		resp, err := http.Post(tc.front.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(out, &doc) != nil || doc.Error == "" {
+			t.Errorf("POST %s of %d bytes: status %d, body %q; want 413 with an error document", path, len(body), resp.StatusCode, out)
+		}
+	}
+	if m := tc.router.MetricsSnapshot(); m["routed_total"] != 0 {
+		t.Errorf("routed_total = %d after only oversized bodies, want 0", m["routed_total"])
+	}
+}
+
 // TestRouterBodyTable: a body the router has addressed once is not
 // decoded again. Its repeat is a router-cache hit served from the table,
 // and the same body as a job routes from the table to the same shard

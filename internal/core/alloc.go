@@ -20,8 +20,6 @@ import (
 
 // Options controls one allocation run.
 type Options struct {
-	// Cfg carries the cost weights.
-	Cfg binding.Config
 	// Seed drives the deterministic pseudo-random move selection.
 	Seed int64
 
@@ -66,7 +64,6 @@ type Options struct {
 // SALSAOptions returns the full extended-binding-model configuration.
 func SALSAOptions(seed int64) Options {
 	return Options{
-		Cfg:            binding.DefaultConfig(),
 		Seed:           seed,
 		MaxTrials:      40,
 		StallTrials:    3,
@@ -131,9 +128,8 @@ func AllocateControlled(a *lifetime.Analysis, hw *datapath.Hardware, opts Option
 	var b *binding.Binding
 	if opts.Initial != nil {
 		b = opts.Initial.Clone()
-		b.Cfg = opts.Cfg
 	} else {
-		b = binding.New(a, hw, opts.Cfg)
+		b = binding.New(a, hw)
 		if err := initialAllocation(b, opts); err != nil {
 			return nil, fmt.Errorf("core: initial allocation: %w", err)
 		}

@@ -47,7 +47,7 @@ func TestInitialAllocationLegal(t *testing.T) {
 	for name, build := range workloads.All() {
 		g := build()
 		a, hw := setup(t, g, 2, 1, false)
-		b := binding.New(a, hw, binding.DefaultConfig())
+		b := binding.New(a, hw)
 		if err := initialAllocation(b, SALSAOptions(1)); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -64,7 +64,7 @@ func TestInitialAllocationLegal(t *testing.T) {
 func TestInitialAllocationTraditionalContiguous(t *testing.T) {
 	g := workloads.Tseng()
 	a, hw := setup(t, g, 1, 2, false)
-	b := binding.New(a, hw, binding.DefaultConfig())
+	b := binding.New(a, hw)
 	if err := initialAllocation(b, TraditionalOptions(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPipelinedMultiplierAllocation(t *testing.T) {
 func TestMoveKindsAllFire(t *testing.T) {
 	g := workloads.ARF()
 	a, hw := setup(t, g, 3, 2, false)
-	b := binding.New(a, hw, binding.DefaultConfig())
+	b := binding.New(a, hw)
 	opts := SALSAOptions(9)
 	if err := initialAllocation(b, opts); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestMatchingAllocateLegalAndComparable(t *testing.T) {
 	for _, name := range []string{"tseng", "fir8", "arf", "diffeq", "ewf"} {
 		g := workloads.All()[name]()
 		a, hw := setup(t, g, 2, 2, false)
-		res, err := MatchingAllocate(a, hw, binding.DefaultConfig())
+		res, err := MatchingAllocate(a, hw)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -337,7 +337,7 @@ func TestMatchingAllocateLegalAndComparable(t *testing.T) {
 func TestMatchingAllocateInfeasibleBudget(t *testing.T) {
 	g := workloads.EWF()
 	a, hw := setup(t, g, 2, 0, false) // min regs: whole-lifetime often impossible
-	if _, err := MatchingAllocate(a, hw, binding.DefaultConfig()); err == nil {
+	if _, err := MatchingAllocate(a, hw); err == nil {
 		t.Log("matching succeeded at min registers (acceptable)")
 	}
 }
@@ -347,7 +347,7 @@ func TestMatchingAllocateInfeasibleBudget(t *testing.T) {
 func TestPolishSuffixMovesAvailable(t *testing.T) {
 	g := workloads.FIR8()
 	a, hw := setup(t, g, 3, 2, false)
-	b := binding.New(a, hw, binding.DefaultConfig())
+	b := binding.New(a, hw)
 	if err := initialAllocation(b, SALSAOptions(1)); err != nil {
 		t.Fatal(err)
 	}

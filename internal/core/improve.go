@@ -69,7 +69,7 @@ func improve(b *binding.Binding, initCost binding.Cost, opts Options, ctl *Contr
 	trials, tried, accepted := 0, 0, 0
 	stall := 0
 	temp := annealT0
-	maxUp := opts.Cfg.Wmux + 2
+	maxUp := binding.Wmux + 2
 search:
 	for trial := 0; trial < opts.MaxTrials; trial++ {
 		trials++

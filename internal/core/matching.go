@@ -24,8 +24,8 @@ import (
 // already has. There is no iterative improvement: the result is the
 // matching baseline the paper's search-based approaches are measured
 // against.
-func MatchingAllocate(a *lifetime.Analysis, hw *datapath.Hardware, cfg binding.Config) (*Result, error) {
-	b := binding.New(a, hw, cfg)
+func MatchingAllocate(a *lifetime.Analysis, hw *datapath.Hardware) (*Result, error) {
+	b := binding.New(a, hw)
 	g := a.Sched.G
 	s := a.Sched
 

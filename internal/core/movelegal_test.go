@@ -42,7 +42,7 @@ func TestMoveKindsPreserveLegality(t *testing.T) {
 	g := workloads.EWF()
 	a, hw := setup(t, g, 3, 2, false)
 	opts := SALSAOptions(7)
-	b := binding.New(a, hw, binding.DefaultConfig())
+	b := binding.New(a, hw)
 	if err := initialAllocation(b, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMixedWalkStaysLegal(t *testing.T) {
 	g := workloads.EWF()
 	a, hw := setup(t, g, 2, 1, false)
 	opts := SALSAOptions(11)
-	b := binding.New(a, hw, binding.DefaultConfig())
+	b := binding.New(a, hw)
 	if err := initialAllocation(b, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestTxApplyUndoRestoresBinding(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a, hw := build(t)
 			opts := SALSAOptions(13)
-			cur := binding.New(a, hw, binding.DefaultConfig())
+			cur := binding.New(a, hw)
 			if err := initialAllocation(cur, opts); err != nil {
 				t.Fatal(err)
 			}

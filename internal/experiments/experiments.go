@@ -426,7 +426,7 @@ func BaselineStudy(cfg Config) ([]BaselineRow, error) {
 		a, hw := des.Analysis, des.Hardware
 
 		row := BaselineRow{Workload: p.name, Steps: p.steps}
-		mRes, err := core.MatchingAllocate(a, hw, cfg.salsaOpts().Cfg)
+		mRes, err := core.MatchingAllocate(a, hw)
 		if err != nil {
 			return rows, fmt.Errorf("%s: matching: %w", p.name, err)
 		}

@@ -84,7 +84,7 @@ func Figure3() (*FigureDemo, error) {
 		return nil, err
 	}
 	hw := datapath.NewHardware(sched.Limits{sched.ClassALU: 1}, 4, []string{"x", "y"}, true)
-	b := binding.New(an, hw, binding.DefaultConfig())
+	b := binding.New(an, hw)
 	for i := range g.Nodes {
 		if g.Nodes[i].Op.IsArith() {
 			b.OpFU[i] = 0
@@ -164,7 +164,7 @@ func Figure4() (*FigureDemo, error) {
 		return nil, err
 	}
 	hw := datapath.NewHardware(sched.Limits{sched.ClassALU: 2}, 5, []string{"x", "y"}, true)
-	b := binding.New(an, hw, binding.DefaultConfig())
+	b := binding.New(an, hw)
 	fuOf := map[string]int{"w": 0, "b": 1, "v": 0, "p": 0, "q": 1}
 	for i := range g.Nodes {
 		if g.Nodes[i].Op.IsArith() {

@@ -10,14 +10,13 @@
 //	body    = kind(1 byte) idLen(uint16 LE) jobID payload
 //	crc     = CRC-32 (IEEE) over body
 //
-// Three record kinds cover a job's life: Accepted (the raw request
-// bytes plus the normalized content key), Progress (an opaque
-// checkpoint snapshot, advisory), and Result (the terminal HTTP status,
-// exact body bytes and frozen elapsed time). Accepted and Result
-// records are fsynced before the server acknowledges the transition;
-// Progress records ride along unsynced, so a crash may lose trailing
-// checkpoints but never an acceptance or an outcome that a client was
-// told about. AppendAll writes several records in one write and one
+// Two record kinds cover a job's life: Accepted (the raw request bytes
+// plus the normalized content key) and Result (the terminal HTTP
+// status, exact body bytes and frozen elapsed time). Both are fsynced
+// before the server acknowledges the transition, so a crash never
+// loses an acceptance or an outcome that a client was told about. A
+// job cut off by a crash has no Result record and re-runs from its
+// Accepted one. AppendAll writes several records in one write and one
 // fsync: a job whose result is already known is accepted and finished
 // at the cost of a single sync.
 //
@@ -47,8 +46,10 @@ const (
 	// KindAccepted records an admitted job: the wire request bytes and
 	// the normalized content key, enough to re-run the allocation.
 	KindAccepted Kind = 1
-	// KindProgress records an advisory mid-run checkpoint snapshot.
-	KindProgress Kind = 2
+	// Kind 2 is retired and must not be reused: journals written by
+	// earlier versions may hold progress checkpoints under it, and
+	// Reduce skips them like any unknown kind.
+
 	// KindResult records the terminal outcome: status, exact body
 	// bytes, and the elapsed time frozen at completion.
 	KindResult Kind = 3
@@ -81,12 +82,6 @@ func Accepted(id string, request []byte, options string) Record {
 	return Record{Kind: KindAccepted, ID: id, Payload: mustJSON(acceptedPayload{Request: request, Options: options})}
 }
 
-// Progress builds an advisory checkpoint record; snapshot is opaque to
-// the journal (the service stores its JobProgress JSON).
-func Progress(id string, snapshot []byte) Record {
-	return Record{Kind: KindProgress, ID: id, Payload: snapshot}
-}
-
 // Result builds the terminal record: the HTTP status and exact body a
 // poll must keep serving forever, plus the elapsed milliseconds frozen
 // at completion.
@@ -112,10 +107,6 @@ type JobState struct {
 	ID      string
 	Request []byte // wire request bytes from the Accepted record
 	Options string // normalized content key from the Accepted record
-
-	// Progress is the last checkpoint snapshot before the terminal
-	// record (nil if none survived). Advisory only.
-	Progress []byte
 
 	// Terminal reports whether a Result record survived; the remaining
 	// fields are meaningful only when it did.
@@ -189,16 +180,15 @@ func decodePrefix(data []byte) []Record {
 // first-acceptance order. The fold is defensive about every shape a
 // torn history can take:
 //
-//   - a Progress or Result for a job with no surviving Accepted record
-//     is dropped (the acceptance was never acknowledged, so the job
-//     does not exist as far as any client knows);
+//   - a Result for a job with no surviving Accepted record is dropped
+//     (the acceptance was never acknowledged, so the job does not
+//     exist as far as any client knows);
 //   - a duplicate Accepted record keeps the first (IDs are unique per
 //     process; a duplicate is corruption);
 //   - a duplicate Result record keeps the first — terminal outcomes
 //     are immutable, and the first one is what a client may have seen;
-//   - Progress after a terminal record is dropped;
 //   - a payload that fails to decode drops that record only;
-//   - unknown kinds are skipped (forward compatibility).
+//   - unknown kinds, the retired kind 2 among them, are skipped.
 func Reduce(recs []Record) []*JobState {
 	byID := make(map[string]*JobState)
 	var order []*JobState
@@ -215,12 +205,6 @@ func Reduce(recs []Record) []*JobState {
 			st := &JobState{ID: rec.ID, Request: p.Request, Options: p.Options}
 			byID[rec.ID] = st
 			order = append(order, st)
-		case KindProgress:
-			st := byID[rec.ID]
-			if st == nil || st.Terminal {
-				continue
-			}
-			st.Progress = rec.Payload
 		case KindResult:
 			st := byID[rec.ID]
 			if st == nil || st.Terminal {
@@ -344,10 +328,9 @@ func (j *Journal) Append(rec Record, sync bool) error { return j.AppendAll([]Rec
 // AppendAll writes recs to the current segment in one write. With sync
 // set, the write is fsynced before AppendAll returns — the discipline
 // for Accepted and Result records, whose acknowledgement promises
-// durability; an unsynced append (Progress) also flushes any earlier
-// unsynced bytes the next time a synced append follows it. A crash
-// partway through the write leaves a prefix of its frames, the last
-// possibly torn, which replay cuts back to the whole ones.
+// durability, and the only one the service uses. A crash partway
+// through the write leaves a prefix of its frames, the last possibly
+// torn, which replay cuts back to the whole ones.
 func (j *Journal) AppendAll(recs []Record, sync bool) error {
 	n := 0
 	for _, rec := range recs {

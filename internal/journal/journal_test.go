@@ -38,9 +38,10 @@ func openTemp(t *testing.T) *Journal {
 	return j
 }
 
-// TestRoundTrip: a full job life — accepted, two checkpoints, terminal
-// result — replays byte-exactly across a restart, and a second restart
-// (a fresh segment per boot) still sees it.
+// TestRoundTrip: two full job lives — accepted, then a terminal
+// result — replay byte-exactly across a restart, and a second restart
+// (a fresh segment per boot) still sees them. The second job's records
+// go unsynced between synced ones, and the close syncs them.
 func TestRoundTrip(t *testing.T) {
 	j := openTemp(t)
 	req := []byte(`{"graph":{"name":"g"},"seed":3}`)
@@ -50,9 +51,9 @@ func TestRoundTrip(t *testing.T) {
 		sync bool
 	}{
 		{Accepted("j1-abc", req, "abc|mode=salsa"), true},
-		{Progress("j1-abc", []byte(`{"improvements":1}`)), false},
-		{Progress("j1-abc", []byte(`{"improvements":2}`)), false},
+		{Accepted("j2-abd", []byte(`{"seed":4}`), "abd"), false},
 		{Result("j1-abc", 200, body, false, 1234), true},
+		{Result("j2-abd", 422, []byte(`{"error":"x"}`), true, 5), false},
 	} {
 		if err := j.Append(step.rec, step.sync); err != nil {
 			t.Fatalf("Append(%d): %v", step.rec.Kind, err)
@@ -61,18 +62,19 @@ func TestRoundTrip(t *testing.T) {
 	for boot := 0; boot < 2; boot++ {
 		j = reopen(t, j)
 		states := j.TakeStates()
-		if len(states) != 1 {
-			t.Fatalf("boot %d: %d states, want 1", boot, len(states))
+		if len(states) != 2 {
+			t.Fatalf("boot %d: %d states, want 2", boot, len(states))
 		}
 		st := states[0]
 		if st.ID != "j1-abc" || !bytes.Equal(st.Request, req) || st.Options != "abc|mode=salsa" {
 			t.Errorf("boot %d: accepted fields corrupted: %+v", boot, st)
 		}
-		if !st.Terminal || st.Status != 200 || !bytes.Equal(st.Body, body) || st.ElapsedMS != 1234 {
+		if !st.Terminal || st.Status != 200 || !bytes.Equal(st.Body, body) || st.Merged || st.ElapsedMS != 1234 {
 			t.Errorf("boot %d: terminal fields corrupted: %+v", boot, st)
 		}
-		if !bytes.Equal(st.Progress, []byte(`{"improvements":2}`)) {
-			t.Errorf("boot %d: progress = %s, want last checkpoint", boot, st.Progress)
+		st = states[1]
+		if st.ID != "j2-abd" || st.Options != "abd" || !st.Terminal || st.Status != 422 || !st.Merged || st.ElapsedMS != 5 {
+			t.Errorf("boot %d: unsynced job's fields corrupted: %+v", boot, st)
 		}
 	}
 }
@@ -112,6 +114,9 @@ func corruptionCases() []corruptCase {
 
 	dup := Result("j1-ff", 500, []byte(`{"error":"late duplicate"}`), true, 999)
 
+	// Earlier versions journaled progress checkpoints as kind 2.
+	legacy := appendFrame(nil, Record{Kind: 2, ID: "j1-ff", Payload: []byte(`{"portfolio_jobs_started":2}`)})
+
 	return []corruptCase{
 		{"empty file", nil, 0, false, 0},
 		{"truncated tail record", append(append([]byte(nil), acc...), res[:len(res)-5]...), 1, false, 0},
@@ -122,6 +127,7 @@ func corruptionCases() []corruptCase {
 		{"bad id length", append(badIDFrame, acc...), 0, false, 0},
 		{"duplicate terminal record", append(append(append([]byte(nil), acc...), res...), appendFrame(nil, dup)...), 1, true, 200},
 		{"intact", append(append([]byte(nil), acc...), res...), 1, true, 200},
+		{"legacy progress record", append(append(append([]byte(nil), acc...), legacy...), res...), 1, true, 200},
 	}
 }
 
@@ -210,13 +216,14 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
-// TestReduceOrphans: progress and results whose acceptance did not
-// survive are dropped — an unacknowledged job must not resurrect.
+// TestReduceOrphans: results whose acceptance did not survive are
+// dropped, before or after other jobs' records — an unacknowledged job
+// must not resurrect.
 func TestReduceOrphans(t *testing.T) {
 	states := Reduce([]Record{
-		Progress("ghost", []byte(`{}`)),
 		Result("ghost", 200, []byte(`{}`), false, 1),
 		Accepted("real", []byte(`{"seed":2}`), "k2"),
+		Result("ghost2", 200, []byte(`{}`), false, 1),
 	})
 	if len(states) != 1 || states[0].ID != "real" {
 		t.Fatalf("Reduce kept orphans: %+v", states)
@@ -224,18 +231,22 @@ func TestReduceOrphans(t *testing.T) {
 }
 
 // TestKillTearsUnsyncedTail: Kill must preserve everything fsynced and
-// may tear anything after it; replay never sees a partial frame.
+// may tear anything after it; replay never sees a partial frame. The
+// unsynced tail is one Result frame, so the job replays terminal
+// exactly when the tear keeps that whole frame.
 func TestKillTearsUnsyncedTail(t *testing.T) {
-	for _, tear := range []uint64{0, 1, 7, 1 << 60} {
+	res := Result("j1-aa", 200, []byte(`{}`), false, 1)
+	whole := uint64(frameLen(res))
+	for _, tear := range []uint64{0, 1, 7, whole, 1 << 60} {
 		j := openTemp(t)
 		if err := j.Append(Accepted("j1-aa", []byte(`{"seed":1}`), "k"), true); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(Progress("j1-aa", []byte(`{"improvements":9}`)), false); err != nil {
+		if err := j.Append(res, false); err != nil {
 			t.Fatal(err)
 		}
 		j.Kill(tear)
-		if err := j.Append(Result("j1-aa", 200, []byte(`{}`), false, 1), true); err != ErrKilled {
+		if err := j.Append(res, true); err != ErrKilled {
 			t.Fatalf("Append after Kill = %v, want ErrKilled", err)
 		}
 		j.Kill(tear + 1) // idempotent
@@ -244,8 +255,10 @@ func TestKillTearsUnsyncedTail(t *testing.T) {
 			t.Fatalf("tear=%d: reopen: %v", tear, err)
 		}
 		states := nj.TakeStates()
-		if len(states) != 1 || states[0].ID != "j1-aa" || states[0].Terminal {
-			t.Fatalf("tear=%d: synced acceptance lost or terminal invented: %+v", tear, states)
+		kept := tear%(whole+1) == whole
+		if len(states) != 1 || states[0].ID != "j1-aa" || states[0].Terminal != kept {
+			t.Fatalf("tear=%d: synced acceptance lost, or terminal %t with the whole result frame kept %t: %+v",
+				tear, len(states) == 1 && states[0].Terminal, kept, states)
 		}
 		nj.Close()
 		j.Close()
@@ -362,7 +375,7 @@ func TestCrashHookMidWrite(t *testing.T) {
 	if err := j.Append(Result("j1-bb", 200, []byte(`{}`), false, 5), true); err != ErrKilled {
 		t.Fatalf("crashed append = %v, want ErrKilled", err)
 	}
-	if err := j.Append(Progress("j1-bb", []byte(`{}`)), false); err != ErrKilled {
+	if err := j.Append(Accepted("j2-bb", []byte(`{"seed":5}`), "k5"), false); err != ErrKilled {
 		t.Fatalf("append after crash = %v, want ErrKilled", err)
 	}
 	j.Close()

@@ -160,22 +160,3 @@ func safeDiv(a, b int) int {
 	}
 	return a / b
 }
-
-// Compare renders two reports side by side with the relative delta.
-func Compare(nameA string, a *Report, nameB string, b *Report) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %10s %10s\n", "", nameA, nameB)
-	row := func(label string, x, y int) {
-		fmt.Fprintf(&sb, "%-12s %10d %10d\n", label, x, y)
-	}
-	row("ALU area", a.ALUArea, b.ALUArea)
-	row("mul area", a.MulArea, b.MulArea)
-	row("reg area", a.RegArea, b.RegArea)
-	row("mux area", a.MuxArea, b.MuxArea)
-	row("controller", a.CtrlArea, b.CtrlArea)
-	row("total", a.Total, b.Total)
-	if a.Total > 0 {
-		fmt.Fprintf(&sb, "%-12s %21.1f%%\n", "delta", 100*float64(b.Total-a.Total)/float64(a.Total))
-	}
-	return sb.String()
-}

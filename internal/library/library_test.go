@@ -89,11 +89,7 @@ func TestCompareModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Compare("traditional", rt, "extended", re)
-	if !strings.Contains(out, "delta") {
-		t.Errorf("compare output missing delta:\n%s", out)
-	}
-	t.Logf("\n%s", out)
+	t.Logf("arf total area: traditional %d, extended %d", rt.Total, re.Total)
 }
 
 func TestAnalyzeCountsIdleUnits(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/core"
 	"salsa/internal/datapath"
@@ -35,7 +34,6 @@ func icOf(t *testing.T, name string) *datapath.Interconnect {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = binding.Config{}
 	ic, _, err := res.Binding.Eval()
 	if err != nil {
 		t.Fatal(err)

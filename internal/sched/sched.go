@@ -54,15 +54,6 @@ func ClassOf(op cdfg.Op) Class {
 // Limits holds a per-class FU budget.
 type Limits [NumClasses]int
 
-// Total returns the sum across classes.
-func (l Limits) Total() int {
-	t := 0
-	for _, n := range l {
-		t += n
-	}
-	return t
-}
-
 // Schedule assigns each arithmetic node a start step. Source nodes
 // conceptually start at step 0; Output nodes carry the step at which
 // their operand becomes available (used by lifetime analysis).
@@ -74,9 +65,6 @@ type Schedule struct {
 	// Output nodes it is the first step the sunk value is available.
 	Start []int
 }
-
-// StartOf returns the start step of node id.
-func (s *Schedule) StartOf(id cdfg.NodeID) int { return s.Start[id] }
 
 // FinishOf returns the exclusive finish step of node id (start for
 // zero-delay kinds).

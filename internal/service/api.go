@@ -53,15 +53,20 @@ type allocSpec struct {
 	key string
 }
 
-// Request-size caps. A request above any of them is rejected with 400
-// before any work is scheduled, so a small request cannot demand
-// unbounded engine jobs (restarts), hardware registers
-// (extra_registers) or schedule length (steps) — nor, once journaled,
-// replay that demand on every boot. Each cap is far above what the
-// testdata corpus, the CLI defaults and the experiments use. Negative
-// extra_registers and steps are rejected with 400 too; a negative
-// restarts selects the default, like zero.
+// Request-size caps. A request above any of them is rejected before
+// any work is scheduled, so a small request cannot demand unbounded
+// engine jobs (restarts), hardware registers (extra_registers) or
+// schedule length (steps) — nor, once journaled, replay that demand on
+// every boot. Each cap is far above what the testdata corpus, the CLI
+// defaults and the experiments use. Negative extra_registers and steps
+// are rejected with 400 too; a negative restarts selects the default,
+// like zero.
 const (
+	// MaxBodyBytes bounds a request body at salsad and at the router
+	// alike: a longer one is answered 413 before it is decoded.
+	MaxBodyBytes = 4 << 20
+
+	// The caps on the decoded request; one over is answered 400.
 	MaxRestarts       = 64
 	MaxExtraRegisters = 64
 	MaxSteps          = 1024

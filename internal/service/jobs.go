@@ -146,38 +146,6 @@ func (j *job) restoreTerminal(status int, body []byte, merged bool, elapsedMS in
 	}
 }
 
-// restoreProgress replays the last journaled checkpoint so a poll
-// during the recovery re-run shows the pre-crash progress instead of
-// zeros. Best effort: an undecodable snapshot is ignored.
-func (j *job) restoreProgress(snapshot []byte) {
-	var p JobProgress
-	if json.Unmarshal(snapshot, &p) != nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == jobQueued || j.state == jobRunning {
-		j.progress = p
-	}
-}
-
-// progressSnapshot marshals the live progress for a journal
-// checkpoint; ok is false once the job is terminal (its progress is
-// then part of the terminal outcome, checkpointed by the Result
-// record).
-func (j *job) progressSnapshot() (snap []byte, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == jobDone || j.state == jobFailed {
-		return nil, false
-	}
-	snap, err := json.Marshal(j.progress)
-	if err != nil {
-		return nil, false
-	}
-	return snap, true
-}
-
 // statusJSON snapshots the job as its wire form.
 func (j *job) statusJSON() JobStatus {
 	j.mu.Lock()

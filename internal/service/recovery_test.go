@@ -182,6 +182,69 @@ func TestJobRecoveryInFlight(t *testing.T) {
 	}
 }
 
+// TestJobRecoveryIgnoresLegacyProgress: a journal written by an earlier
+// version may hold a kind-2 progress checkpoint after a job's
+// acceptance. The job's re-run on reboot reports the portfolio progress
+// of one uncrashed run of its request, not that run's counts on top of
+// the checkpoint's.
+func TestJobRecoveryIgnoresLegacyProgress(t *testing.T) {
+	body := allocBody(t, workloads.FIR8(), nil)
+	e := newTestServer(t, Config{})
+	status, _, out := e.post(t, "/jobs", body)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", status, out)
+	}
+	id := submitResponseID(t, out)
+	var want JobStatus
+	waitFor(t, "uncrashed job terminal", func() bool {
+		want, _ = pollStatus(t, e, id)
+		return want.State == jobDone || want.State == jobFailed
+	})
+	if want.State != jobDone || want.Progress.PortfolioJobsStarted == 0 {
+		t.Fatalf("uncrashed run: state %s, progress %+v; want done with portfolio progress", want.State, want.Progress)
+	}
+
+	var ar AllocateRequest
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	_, key, err := ar.ContentKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint, err := json.Marshal(want.Progress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jrn := openJournal(t, dir)
+	if err := jrn.AppendAll([]journal.Record{
+		journal.Accepted(id, body, key),
+		{Kind: 2, ID: id, Payload: checkpoint},
+	}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newTestServer(t, Config{Journal: openJournal(t, dir)})
+	var got JobStatus
+	waitFor(t, "recovered job terminal", func() bool {
+		got, _ = pollStatus(t, e2, id)
+		return got.State == jobDone || got.State == jobFailed
+	})
+	if got.State != jobDone || !got.Recovered {
+		t.Fatalf("recovered job: state %s, recovered %t; want done/true", got.State, got.Recovered)
+	}
+	if got.Progress.PortfolioJobsStarted != want.Progress.PortfolioJobsStarted ||
+		got.Progress.PortfolioJobsFinished != want.Progress.PortfolioJobsFinished {
+		t.Errorf("recovered job reports %d portfolio jobs started / %d finished; the uncrashed run reported %d / %d",
+			got.Progress.PortfolioJobsStarted, got.Progress.PortfolioJobsFinished,
+			want.Progress.PortfolioJobsStarted, want.Progress.PortfolioJobsFinished)
+	}
+}
+
 // TestJobRecoverySurvivesUnjournaledServer: a server without a journal
 // keeps the pre-durability behavior — no recovered jobs, no journal
 // errors, submissions fine.

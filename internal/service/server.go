@@ -71,8 +71,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request deadlines; 0 selects 2m.
 	MaxTimeout time.Duration
-	// MaxBodyBytes bounds request bodies; 0 selects 4 MiB.
-	MaxBodyBytes int64
 	// EngineWorkers, when positive, is every engine run's worker count.
 	// 0 (or negative) gives a run its share of the cores once it holds
 	// an engine slot: GOMAXPROCS divided by the runs holding a slot,
@@ -110,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
@@ -224,9 +219,6 @@ func (s *Server) recoverJobs() {
 			s.jobs.remove(st.ID)
 			s.metrics.JournalErrors.Add(1)
 			continue
-		}
-		if len(st.Progress) > 0 {
-			j.restoreProgress(st.Progress)
 		}
 		s.metrics.JobsRecovered.Add(1)
 		s.startJob(j, spec)
@@ -343,10 +335,11 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// readBody reads the request body under the MaxBodyBytes bound; on
-// failure it writes the error response and returns false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// ReadBody reads a request body under the MaxBodyBytes bound; on
+// failure it writes the error response, 413 or 400, and returns false.
+// salsad and the cluster router both read bodies through it.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -431,7 +424,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.work.Add(1)
 	defer s.work.Done()
-	body, ok := s.readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -494,7 +487,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.work.Add(1)
 	defer s.work.Done()
-	body, ok := s.readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -572,7 +565,7 @@ func (s *Server) startJob(j *job, spec *allocSpec) {
 	// Progress events only flow when this job leads its own engine
 	// run; a shared run completes the job without per-trial
 	// progress (Merged marks that).
-	spec.req.Engine.Events = s.jobEvents(j)
+	spec.req.Engine.Events = j.engineEvent
 	s.work.Add(1)
 	go func() {
 		defer s.work.Done()
@@ -626,28 +619,6 @@ func (s *Server) completeJob(j *job, now time.Time, out *outcome, merged bool) {
 	j.finishAt(now, out.status, out.body, merged)
 	s.jobs.finished(j)
 	s.metrics.JobsFinished.Add(1)
-}
-
-// jobEvents wraps a job's engine-event callback with journal progress
-// checkpoints: each improvement appends an unsynced Progress record
-// (advisory — losing the tail costs a checkpoint, never a job).
-func (s *Server) jobEvents(j *job) func(engine.Event) {
-	if s.journal == nil {
-		return j.engineEvent
-	}
-	return func(ev engine.Event) {
-		j.engineEvent(ev)
-		if ev.Kind != engine.EventImproved {
-			return
-		}
-		snap, ok := j.progressSnapshot()
-		if !ok {
-			return
-		}
-		if jerr := s.journal.Append(journal.Progress(j.id, snap), false); jerr != nil && !errors.Is(jerr, journal.ErrKilled) {
-			s.metrics.JournalErrors.Add(1)
-		}
-	}
 }
 
 // handleJobStatus reports an async job's state, progress and result.

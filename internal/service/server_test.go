@@ -579,9 +579,12 @@ func TestAsyncJobs(t *testing.T) {
 	}
 }
 
-// TestRequestValidation covers the 4xx surface.
+// TestRequestValidation covers the 4xx surface. The oversized body is
+// a valid request padded with whitespace to one byte over the bound.
 func TestRequestValidation(t *testing.T) {
-	e := newTestServer(t, Config{MaxBodyBytes: 2048})
+	e := newTestServer(t, Config{})
+	oversized := allocBody(t, workloads.EWF(), nil)
+	oversized = append(oversized, bytes.Repeat([]byte(" "), MaxBodyBytes+1-len(oversized))...)
 	cases := []struct {
 		name string
 		body []byte
@@ -592,7 +595,7 @@ func TestRequestValidation(t *testing.T) {
 		{"invalid graph", []byte(`{"graph": {"name": "x", "nodes": [{"name": "a", "op": "add", "args": ["missing", "missing"]}]}}`), http.StatusBadRequest},
 		{"unknown mode", allocBody(t, workloads.Figure1(), func(ar *AllocateRequest) { ar.Mode = "quantum" }), http.StatusBadRequest},
 		{"negative timeout", allocBody(t, workloads.Figure1(), func(ar *AllocateRequest) { ar.TimeoutMS = -1 }), http.StatusBadRequest},
-		{"oversized body", allocBody(t, workloads.EWF(), nil), http.StatusRequestEntityTooLarge},
+		{"oversized body", oversized, http.StatusRequestEntityTooLarge},
 		{"infeasible schedule", allocBody(t, workloads.Figure1(), func(ar *AllocateRequest) { ar.Steps = 1 }), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {

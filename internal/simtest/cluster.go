@@ -28,12 +28,14 @@ type ClusterOptions struct {
 	Clients      int
 	OpsPerClient int
 	// Journal gives every backend a durable job journal on disk and
-	// restarts the killed victim WITH its data dir. The kill tears the
-	// journal's unsynced tail at a seeded byte offset, and on a seeded
-	// coin the death lands mid-journal-write (a Crash hook dies partway
-	// into a frame). The invariants tighten accordingly: the router
-	// must never declare a job lost (`jobs_lost_total == 0`), because
-	// the data dir always survives the crash.
+	// restarts the killed victim WITH its data dir. On a seeded coin
+	// the death lands mid-journal-write (a Crash hook dies partway into
+	// a frame, tearing the segment); otherwise it lands at a seeded
+	// instant, and since the service syncs every append, that kill
+	// leaves no unsynced tail to tear. The invariants tighten
+	// accordingly: the router must never declare a job lost
+	// (`jobs_lost_total == 0`), because the data dir always survives
+	// the crash.
 	Journal bool
 }
 
