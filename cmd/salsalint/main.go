@@ -1,9 +1,9 @@
 // Command salsalint runs the project's static-analysis suite
 // (internal/lint) over module packages and reports contract
 // violations: nondeterministic randomness (detrand), order-sensitive
-// map iteration (maporder), writes to a binding, graph or cost table
-// outside its mutation boundary (mutguard), discarded legality-check
-// errors (checkerr), mutex-guarded fields touched without their guard
+// map iteration (maporder), writes to a binding or graph outside its
+// mutation boundary (mutguard), discarded legality-check errors
+// (checkerr), mutex-guarded fields touched without their guard
 // (lockguard), and context-flow violations in the serving layers
 // (ctxflow).
 //

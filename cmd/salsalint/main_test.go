@@ -35,7 +35,6 @@ func TestFixtureExitCodes(t *testing.T) {
 		{"detrand-clock", "detrand", "internal/core", 1},
 		{"maporder", "maporder", "maporder", 1},
 		{"mutguard", "mutguard", "badmut", 1},
-		{"costmut", "mutguard", "badcostmut", 1},
 		{"graphmut", "mutguard", "badgraphmut", 1},
 		{"checkerr", "checkerr", "checkerr", 1},
 		{"lockguard", "lockguard", "lockguard", 1},

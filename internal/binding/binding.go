@@ -145,6 +145,12 @@ func New(a *lifetime.Analysis, hw *datapath.Hardware) *Binding {
 	return b
 }
 
+// sinks returns the dense numbering of the binding's interconnect
+// sinks.
+func (b *Binding) sinks() datapath.SinkSpace {
+	return datapath.SinkSpace{FUs: len(b.HW.FUs), Regs: len(b.HW.Regs), Outs: b.numOutputs}
+}
+
 // Clone deep-copies the binding. The analysis, hardware and index
 // tables are shared (they are immutable).
 func (b *Binding) Clone() *Binding {

@@ -29,7 +29,7 @@ type Cost struct {
 // paper's rationale for value copies ("a connection … can be eliminated
 // at the expense of an added connection" wherever that wins globally).
 func (b *Binding) Eval() (*datapath.Interconnect, Cost, error) {
-	ic := datapath.NewInterconnectSized(len(b.HW.FUs), len(b.HW.Regs), b.numOutputs, b.A.StorageSteps)
+	ic := datapath.NewInterconnect(b.sinks(), b.A.StorageSteps)
 	g := b.A.Sched.G
 	s := b.A.Sched
 

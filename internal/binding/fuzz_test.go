@@ -126,44 +126,66 @@ func TestPropertyEvalDeterministic(t *testing.T) {
 	}
 }
 
+// TestPropertyPrunePassIdempotent binds every transfer it can as a
+// pass on each of seeds 1–300, then breaks one bound pass: its
+// destination segment moves into the register that holds the previous
+// position, so the value stays put and the transfer is gone. PrunePass
+// must remove at least that pass and leave only passes that name a
+// live transfer on a free unit, and a second PrunePass must remove
+// nothing. Enough seeds must bind a pass for the check to mean
+// something.
 func TestPropertyPrunePassIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
+	exercised := 0
+	for seed := int64(1); seed <= 300; seed++ {
 		b, ok := buildRandomBound(seed)
 		if !ok {
-			return true
+			continue
 		}
-		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
 		tx, err := NewTx(b)
 		if err != nil {
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		// Bind a few random transfers as passes, then corrupt a random
-		// segment to invalidate some of them. The transaction keeps occ
-		// current, so each pass goes to an FU still free at its step.
+		// The transaction keeps the occupancy current, so each pass goes
+		// to an FU still free at its step.
 		occ, err := tx.FUOcc()
 		if err != nil {
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, tk := range b.Transfers() {
-			ts := b.A.Values[tk.V].StepAt(tk.K-1, b.A.StorageSteps)
 			for f := range b.HW.FUs {
-				if b.FUPassFree(occ, f, ts, tk) {
+				if b.FUPassFree(occ, f, b.transferStep(tk), tk) {
 					tx.SetPass(tk, f)
 					break
 				}
 			}
 		}
-		if len(b.SegReg) > 0 {
-			v := rng.Intn(len(b.SegReg))
-			if n := len(b.SegReg[v]); n > 1 {
-				tx.SetSegReg(lifetime.ValueID(v), n-1, b.SegReg[v][0])
+		if b.NumPass() == 0 {
+			continue
+		}
+		exercised++
+		broken, _ := tx.NthPass(int(seed) % b.NumPass())
+		tx.SetSegReg(broken.V, broken.K, b.SegReg[broken.V][broken.K-1])
+		if n := tx.PrunePass(); n == 0 {
+			t.Errorf("seed %d: PrunePass kept the pass of %+v, whose transfer is gone", seed, broken)
+		}
+		if occ, err = tx.FUOcc(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i := 0; ; i++ {
+			tk, ok := tx.NthPass(i)
+			if !ok {
+				break
+			}
+			if f, _ := b.PassOf(tk); !b.isTransfer(tk) || !b.FUPassFree(occ, f, b.transferStep(tk), tk) {
+				t.Errorf("seed %d: the pass of %+v on unit %d survived PrunePass", seed, tk, f)
 			}
 		}
-		tx.PrunePass()
-		return tx.PrunePass() == 0
+		if n := tx.PrunePass(); n != 0 {
+			t.Errorf("seed %d: a second PrunePass removed %d passes", seed, n)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	if exercised < 60 {
+		t.Errorf("%d of seeds 1–300 bound a pass, want at least 60", exercised)
 	}
 }
 

@@ -33,9 +33,15 @@ var ErrOccupancyConflict = errors.New("binding: occupancy conflict")
 // every sink whose event sequence its change can alter; unmarked sinks
 // keep their event sequences and therefore their exact fanins.
 type Tx struct {
-	b  *Binding
-	ct *datapath.CostTable
-	ns datapath.NetScratch
+	b *Binding
+	// cost holds each sink's mux contribution, max(fanin − 1, 0),
+	// indexed by sinks, and muxCost their sum: the binding's
+	// pre-merging equivalent 2-to-1 multiplexer count. Only setCost
+	// writes them, so every overwrite can be journaled.
+	sinks   datapath.SinkSpace
+	cost    []int32
+	muxCost int
+	ns      datapath.NetScratch
 
 	// fuArith and fuPass count, per FU, the bound operators and
 	// pass-throughs making it "used"; regCnt counts segments (primary
@@ -231,7 +237,8 @@ func (t *Tx) Reset(b *Binding) error {
 		}
 	}
 
-	t.ct.Zero()
+	clear(t.cost)
+	t.muxCost = 0
 	if t.regBad > 0 || t.fuBad > 0 {
 		// Sink replay never visits an unassigned segment or an unbound
 		// operator, so only the full evaluation reports those.
@@ -239,19 +246,19 @@ func (t *Tx) Reset(b *Binding) error {
 		if err != nil {
 			return err
 		}
-		for idx := 0; idx < t.ct.Len(); idx++ {
-			if fan := ic.FaninOf(t.ct.SinkOf(idx)); fan > 1 {
-				t.ct.Set(idx, fan-1)
+		for idx := range t.cost {
+			if fan := ic.FaninOf(t.sinks.Sink(idx)); fan > 1 {
+				t.setCost(idx, fan-1)
 			}
 		}
 		return nil
 	}
-	for idx := 0; idx < t.ct.Len(); idx++ {
+	for idx := range t.cost {
 		c, err := t.replaySink(idx)
 		if err != nil {
 			return err
 		}
-		t.ct.Set(idx, c)
+		t.setCost(idx, c)
 	}
 	return nil
 }
@@ -260,10 +267,11 @@ func (t *Tx) Reset(b *Binding) error {
 // schedule dimensions, reallocating only when they changed.
 func (t *Tx) ensureShape() {
 	b := t.b
-	nF, nR, nO := len(b.HW.FUs), len(b.HW.Regs), b.numOutputs
-	if t.ct == nil || t.ct.NumFUs != nF || t.ct.NumRegs != nR || t.ct.NumOuts != nO {
-		t.ct = datapath.NewCostTable(nF, nR, nO)
-		t.dirty = make([]bool, t.ct.Len())
+	nF, nR := len(b.HW.FUs), len(b.HW.Regs)
+	if sp := b.sinks(); t.cost == nil || t.sinks != sp {
+		t.sinks = sp
+		t.cost = make([]int32, sp.Len())
+		t.dirty = make([]bool, sp.Len())
 		t.dirtyList = t.dirtyList[:0]
 		t.fuArith = make([]int, nF)
 		t.fuPass = make([]int, nF)
@@ -556,7 +564,7 @@ func (t *Tx) Rollback() {
 	t.inMove = false
 	for i := len(t.costUndo) - 1; i >= 0; i-- {
 		cu := t.costUndo[i]
-		t.ct.Set(cu.idx, cu.old)
+		t.setCost(cu.idx, cu.old)
 	}
 	t.costUndo = t.costUndo[:0]
 	for i := len(t.undo) - 1; i >= 0; i-- {
@@ -673,6 +681,7 @@ func (t *Tx) decReg(r int) {
 
 // --- affected-set marking ---
 
+// markIdx marks the sink of index idx; -1 names no sink.
 func (t *Tx) markIdx(idx int) {
 	if idx < 0 || t.dirty[idx] {
 		return
@@ -681,16 +690,19 @@ func (t *Tx) markIdx(idx int) {
 	t.dirtyList = append(t.dirtyList, idx)
 }
 
+// mark marks sink s, unless it lies outside the hardware.
+func (t *Tx) mark(s datapath.Sink) { t.markIdx(t.sinks.Index(s)) }
+
 func (t *Tx) markReg(r int) {
-	if r >= 0 && r < t.ct.NumRegs {
-		t.markIdx(2*t.ct.NumFUs + r)
+	if r >= 0 {
+		t.mark(datapath.Sink{Kind: datapath.SinkReg, Index: r})
 	}
 }
 
 func (t *Tx) markFUPorts(f int) {
-	if f >= 0 && f < t.ct.NumFUs {
-		t.markIdx(2 * f)
-		t.markIdx(2*f + 1)
+	if f >= 0 {
+		t.mark(datapath.Sink{Kind: datapath.SinkFUPort, Index: f})
+		t.mark(datapath.Sink{Kind: datapath.SinkFUPort, Index: f, Port: 1})
 	}
 }
 
@@ -723,7 +735,7 @@ func (t *Tx) markSeg(v lifetime.ValueID, k int) {
 	s := b.Seg(v, k)
 	for _, rd := range t.segReads[t.readAt[s]:t.readAt[s+1]] {
 		if rd.op == cdfg.NoNode {
-			t.markIdx(2*t.ct.NumFUs + t.ct.NumRegs + rd.arg)
+			t.mark(datapath.Sink{Kind: datapath.SinkOutput, Index: rd.arg})
 			continue
 		}
 		if f := b.OpFU[rd.op]; f >= 0 {
@@ -731,11 +743,11 @@ func (t *Tx) markSeg(v lifetime.ValueID, k int) {
 			if b.OpSwap[rd.op] {
 				port = 1 - port
 			}
-			t.markIdx(2*f + port)
+			t.mark(datapath.Sink{Kind: datapath.SinkFUPort, Index: f, Port: port})
 		}
 	}
 	for _, p := range b.Pass[s] {
-		t.markIdx(2 * p.FU)
+		t.mark(datapath.Sink{Kind: datapath.SinkFUPort, Index: p.FU})
 	}
 	if k+1 < b.A.Values[v].Len {
 		t.markReg(b.SegReg[v][k+1])
@@ -816,15 +828,16 @@ func (t *Tx) SwapUnits(f1, f2 int) {
 	}
 	t.record(undoRec{op: undoSwapUnits, a: f1, b: f2})
 	for p := 0; p < 2; p++ {
-		i1, i2 := 2*f1+p, 2*f2+p
+		i1 := t.sinks.Index(datapath.Sink{Kind: datapath.SinkFUPort, Index: f1, Port: p})
+		i2 := t.sinks.Index(datapath.Sink{Kind: datapath.SinkFUPort, Index: f2, Port: p})
 		if t.dirty[i1] != t.dirty[i2] {
 			t.markIdx(i1)
 			t.markIdx(i2)
 		}
-		if c1, c2 := t.ct.Get(i1), t.ct.Get(i2); c1 != c2 {
+		if c1, c2 := int(t.cost[i1]), int(t.cost[i2]); c1 != c2 {
 			t.costUndo = append(t.costUndo, costRec{idx: i1, old: c1}, costRec{idx: i2, old: c2})
-			t.ct.Set(i1, c2)
-			t.ct.Set(i2, c1)
+			t.setCost(i1, c2)
+			t.setCost(i2, c1)
 		}
 	}
 	t.swapUnits(f1, f2)
@@ -1117,9 +1130,9 @@ func (t *Tx) checkSegIndexes() error {
 // awaits replay: after DeltaCost, a Commit following it, a Rollback or
 // a Reset.
 func (t *Tx) CheckSinks(ic *datapath.Interconnect) error {
-	for idx := 0; idx < t.ct.Len(); idx++ {
-		sink := t.ct.SinkOf(idx)
-		if got, want := t.ct.Get(idx), max(ic.FaninOf(sink)-1, 0); got != want {
+	for idx, got := range t.cost {
+		sink := t.sinks.Sink(idx)
+		if want := max(ic.FaninOf(sink)-1, 0); int(got) != want {
 			return fmt.Errorf("binding: cost entry of %v is %d, full evaluation gives %d", sink, got, want)
 		}
 	}
@@ -1136,7 +1149,7 @@ func (t *Tx) Cost() Cost {
 		FUsUsed:  t.fusUsed,
 		FUArea:   t.fuArea,
 		RegsUsed: t.regsUsed,
-		MuxCost:  t.ct.Total(),
+		MuxCost:  t.muxCost,
 	}
 	c.Total = c.FUArea + Wreg*c.RegsUsed + Wmux*c.MuxCost
 	return c
@@ -1153,16 +1166,24 @@ func (t *Tx) DeltaCost() (Cost, error) {
 		if err != nil {
 			return Cost{}, err
 		}
-		old := t.ct.Set(idx, c)
-		t.costUndo = append(t.costUndo, costRec{idx: idx, old: old})
+		t.costUndo = append(t.costUndo, costRec{idx: idx, old: t.setCost(idx, c)})
 	}
 	return t.Cost(), nil
+}
+
+// setCost sets sink idx's cost entry to c, adjusts the total and
+// returns the old entry for the cost journal.
+func (t *Tx) setCost(idx, c int) int {
+	old := int(t.cost[idx])
+	t.cost[idx] = int32(c)
+	t.muxCost += c - old
+	return old
 }
 
 // replaySink rebuilds one sink's fanin from scratch by replaying its
 // use-events in Eval's global order and returns its mux contribution.
 func (t *Tx) replaySink(idx int) (int, error) {
-	sink := t.ct.SinkOf(idx)
+	sink := t.sinks.Sink(idx)
 	ns := &t.ns
 	ns.Reset()
 	var err error

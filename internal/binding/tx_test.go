@@ -619,17 +619,17 @@ func TestCheckSinksCatchesTradedEntries(t *testing.T) {
 		t.Fatalf("clean table: %v", err)
 	}
 	i, j := -1, -1
-	for idx := 1; idx < 2*tx.ct.NumFUs && j < 0; idx++ {
-		if tx.ct.Get(idx) != tx.ct.Get(0) {
+	for idx := 1; idx < 2*tx.sinks.FUs && j < 0; idx++ {
+		if tx.cost[idx] != tx.cost[0] {
 			i, j = 0, idx
 		}
 	}
 	if j < 0 {
 		t.Fatal("fixture drift: every FU port has the same entry")
 	}
-	ci, cj := tx.ct.Get(i), tx.ct.Get(j)
-	tx.ct.Set(i, cj)
-	tx.ct.Set(j, ci)
+	ci, cj := int(tx.cost[i]), int(tx.cost[j])
+	tx.setCost(i, cj)
+	tx.setCost(j, ci)
 	if got := tx.Cost(); got != want {
 		t.Fatalf("traded entries changed Cost to %+v, want %+v", got, want)
 	}
@@ -637,7 +637,7 @@ func TestCheckSinksCatchesTradedEntries(t *testing.T) {
 	if err == nil {
 		t.Fatal("CheckSinks passed a table with two traded entries")
 	}
-	if name := tx.ct.SinkOf(i).String(); !strings.Contains(err.Error(), name) {
+	if name := tx.sinks.Sink(i).String(); !strings.Contains(err.Error(), name) {
 		t.Fatalf("CheckSinks error %q does not name %s", err, name)
 	}
 }
@@ -864,7 +864,7 @@ func TestTxSegmentMoveMarksOnlyItsSegment(t *testing.T) {
 		slices.Sort(dirty)
 		var got []datapath.Sink
 		for _, idx := range dirty {
-			got = append(got, tx.ct.SinkOf(idx))
+			got = append(got, tx.sinks.Sink(idx))
 		}
 		if !slices.Equal(got, step.want) {
 			t.Errorf("%s dirtied %v, want %v", step.name, got, step.want)
@@ -957,7 +957,7 @@ func TestTxReplayShortcutsMatchFullEval(t *testing.T) {
 			tx.Begin()
 			tc.move(tx)
 			for _, e := range tc.entries {
-				if !tx.dirty[tx.ct.Index(e.sink)] {
+				if !tx.dirty[tx.sinks.Index(e.sink)] {
 					t.Fatalf("the move left %v clean; the case replays nothing there", e.sink)
 				}
 			}
@@ -969,7 +969,7 @@ func TestTxReplayShortcutsMatchFullEval(t *testing.T) {
 			}
 			assertSinks(t, "after the move", tx)
 			for _, e := range tc.entries {
-				if got := tx.ct.Get(tx.ct.Index(e.sink)); got != e.want {
+				if got := int(tx.cost[tx.sinks.Index(e.sink)]); got != e.want {
 					t.Errorf("entry of %v is %d, want %d", e.sink, got, e.want)
 				}
 			}

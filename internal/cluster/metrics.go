@@ -16,8 +16,8 @@ type routerMetrics struct {
 	CacheMisses    metrics.Counter `metric:"salsa_router_cache_misses_total" help:"Router response-cache misses."`
 	BodyDigestHits metrics.Counter `metric:"salsa_router_body_digest_hits_total" help:"Requests whose body the body table knew, addressed without decoding it."`
 	NoBackend      metrics.Counter `metric:"salsa_router_no_backend_total" help:"Requests rejected because no backend was healthy."`
-	// JobsLost counts genuine loss: every member reachable, none knows
-	// the job — no replica of the owning journal survives. A merely
+	// JobsLost counts loss: the pinned shard is up and does not know
+	// the job, so it restarted without its journal. A merely
 	// unreachable shard counts JobUnavailable instead (its journal may
 	// recover the job when it rejoins).
 	JobsLost       metrics.Counter            `metric:"salsa_router_jobs_lost_total" help:"Job polls for which no reachable shard knows the job (genuine loss; resubmit)."`

@@ -543,28 +543,22 @@ func (r *Router) handleSubmitJob(w http.ResponseWriter, req *http.Request) {
 	_, _ = w.Write(append(out, '\n'))
 }
 
-// handleJobStatus proxies a poll to the job's pinned shard. An ID whose
-// backend part is not one a service issues (service.ValidJobID) is an
-// unknown job: 404, with nothing proxied and no loss counted. The pinned
-// shard is authoritative while it answers; when it is unreachable,
-// sick, or has forgotten the job (a restart without its journal), the
-// poll retries the ring Sequence — a shard restarted with its data
-// dir, or a survivor holding a replica of it, serves the journaled job
-// byte-identically. Another member's answer is trusted only for a
-// content-keyed job ID (service.ContentKeyedJobID), which proves its
-// job is the same request; for an older-form ID it counts as a 404.
-// A 410 Gone (the shard retired the finished job) is the pinned
-// shard's answer like any other and is passed through, so a poll for
-// a retired job starts no sweep. From another member it counts as a
-// 404: that member numbers its own jobs, so its 410 says nothing about
-// this one. The terminal answers are deliberately split:
+// handleJobStatus proxies a poll to the job's pinned shard, the one
+// authority on it: a job ID is the accepting process's sequence number
+// plus a hash of the content key, and a salsad replays only its own
+// journal, so no other member can hold the job. An ID whose backend
+// part is not one a service issues (service.ValidJobID) is an unknown
+// job: 404, with nothing proxied and no loss counted. The pinned
+// shard's answer decides the rest:
 //
-//   - 503 + Retry-After ("keep polling") while any member that might
-//     hold the journal is unreachable — a restart may yet recover the
-//     job, so declaring it lost would be premature;
-//   - 404 + jobs_lost_total only when every configured member is up
-//     and none knows the job: no replica of the data dir survives, and
-//     resubmitting (idempotent by content address) is the only cure.
+//   - a transport error or a 5xx: 503 + Retry-After ("keep polling")
+//     and job_unavailable_total, because a shard restarted with its
+//     journal serves the job again;
+//   - a 404: the shard is up without the job (it restarted without its
+//     journal), so the job is lost: 404 + jobs_lost_total, and
+//     resubmitting (idempotent by content address) is the only cure;
+//   - anything else passes through, a 410 Gone for a retired job
+//     included.
 func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 	r.metrics.Requests.Add(1)
 	r.work.Add(1)
@@ -581,67 +575,21 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 	}
 	pinned := r.byIndex[idx]
 	r.metrics.Routed.Add(1)
-	res, rerr := r.clients[pinned].Roundtrip(req.Context(), http.MethodGet, "/jobs/"+m[2], nil)
-	if rerr == nil && res.Status < http.StatusInternalServerError && res.Status != http.StatusNotFound {
-		r.metrics.Served.Inc(pinned)
-		passthrough(w, res, pinned)
-		return
-	}
-	// Proving genuine loss requires every configured member — healthy
-	// or not — to be reachable and answer 404; an unprobed or
-	// unreachable member might still rejoin with the journal. Walk the
-	// healthy ring in the key's Sequence order first (the preference
-	// order for serving), then any demoted members, so the sweep covers
-	// the whole fleet.
-	allAnswered := rerr == nil && res.Status == http.StatusNotFound
-	seq, _ := r.sequence(m[2])
-	walked := map[string]bool{pinned: true}
-	candidates := make([]string, 0, len(r.byIndex))
-	for _, b := range seq {
-		if !walked[b] {
-			walked[b] = true
-			candidates = append(candidates, b)
-		}
-	}
-	for _, b := range r.byIndex {
-		if !walked[b] {
-			walked[b] = true
-			candidates = append(candidates, b)
-		}
-	}
-	for _, b := range candidates {
-		r.metrics.Routed.Add(1)
-		sres, serr := r.clients[b].Roundtrip(req.Context(), http.MethodGet, "/jobs/"+m[2], nil)
-		if serr != nil || sres.Status >= http.StatusInternalServerError {
-			allAnswered = false
-			continue
-		}
-		if sres.Status != http.StatusNotFound && sres.Status != http.StatusGone {
-			if !service.ContentKeyedJobID(m[2]) {
-				// An older-form ID is unique only within one process:
-				// this member's job may be another request's, so its
-				// answer proves nothing either way.
-				continue
-			}
-			// A survivor adopted the journal (or the owner's data dir
-			// moved), or holds the same request under the same ID:
-			// content-keyed IDs make its result byte-identical.
-			r.metrics.Failovers.Add(1)
-			r.metrics.Served.Inc(b)
-			passthrough(w, sres, b)
-			return
-		}
-	}
-	if allAnswered {
+	res, err := r.clients[pinned].Roundtrip(req.Context(), http.MethodGet, "/jobs/"+m[2], nil)
+	switch {
+	case err != nil || res.Status >= http.StatusInternalServerError:
+		r.metrics.JobUnavailable.Add(1)
+		writeUnavailable(w, fmt.Sprintf(
+			"shard %s temporarily unreachable; a journaled job recovers when its shard rejoins — keep polling", pinned))
+	case res.Status == http.StatusNotFound:
 		r.metrics.JobsLost.Add(1)
 		writeError(w, http.StatusNotFound, fmt.Sprintf(
-			"job %s is lost: shard %s is up without it and no other shard holds it — resubmit (idempotent by content address)",
+			"job %s is lost: shard %s is up without it — resubmit (idempotent by content address)",
 			req.PathValue("id"), pinned))
-		return
+	default:
+		r.metrics.Served.Inc(pinned)
+		passthrough(w, res, pinned)
 	}
-	r.metrics.JobUnavailable.Add(1)
-	writeUnavailable(w, fmt.Sprintf(
-		"shard %s temporarily unreachable; a journaled job recovers when its shard rejoins — keep polling", pinned))
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -341,8 +341,8 @@ func TestRouterAsyncPinning(t *testing.T) {
 // TestRouterJobStatusErrors walks the poll decision tree: malformed
 // IDs — an unknown shard, or a backend part that is not a job ID a
 // service issues, such as an encoded path to another backend endpoint —
-// are immediate 404s, proxied nowhere and not counted as lost; a job no
-// reachable shard knows is genuine loss (404 + jobs_lost_total —
+// are immediate 404s, proxied nowhere and not counted as lost; a job
+// the live pinned shard does not know is lost (404 + jobs_lost_total —
 // resubmission is the only cure); a job pinned to an unreachable shard
 // is NOT declared lost — the shard's journal may recover it on rejoin,
 // so the poll answers 503 + Retry-After and counts
@@ -368,7 +368,7 @@ func TestRouterJobStatusErrors(t *testing.T) {
 		t.Errorf("malformed IDs: routed=%d jobs_lost=%d, want 0/0 (nothing proxied)", m["routed_total"], m["jobs_lost_total"])
 	}
 
-	// Genuine loss: the whole fleet is up and nobody knows the job.
+	// Loss: the pinned shard is up and does not know the job.
 	resp, err := http.Get(tc.front.URL + "/jobs/s1-j1-deadbeef")
 	if err != nil {
 		t.Fatal(err)
@@ -403,10 +403,9 @@ func TestRouterJobStatusErrors(t *testing.T) {
 
 // TestRouterRetiredJob: a backend answers 410 Gone for a finished job
 // it has retired, and the router passes the pinned shard's 410
-// through: one routed request, no proof-of-loss sweep, no job counted
-// lost. From a member other than the pin, a 410 disclaims the job as a
-// 404 does (that member's counter numbers its own jobs), so a job no
-// member holds is still proven lost.
+// through: one routed request, no job counted lost. The same backend
+// ID pinned to a member that never held it is lost: that member
+// answers 404, and the shard that retired the job is not asked.
 func TestRouterRetiredJob(t *testing.T) {
 	// One more job than a service keeps finished, so the first retires.
 	const submissions = 1024 + 1
@@ -454,7 +453,7 @@ func TestRouterRetiredJob(t *testing.T) {
 	}
 
 	// The same backend ID pinned to the other shard, which never held
-	// it: the pin answers 404 and the sweep's 410 disclaims.
+	// it: the pin answers 404.
 	pin, backendID, _ := strings.Cut(first, "-")
 	other := "s0"
 	if pin == "s0" {
@@ -472,57 +471,50 @@ func TestRouterRetiredJob(t *testing.T) {
 // keyedJobID is a content-keyed job ID of the form the service issues.
 var keyedJobID = "j1-" + strings.Repeat("de", 32)
 
-// TestRouterJobPollFailsOver: when the pinned shard has forgotten a
-// job but another member holds it (its data dir — and with it the
-// journal — moved), the poll walks the ring and serves the survivor's
-// answer instead of declaring loss.
-func TestRouterJobPollFailsOver(t *testing.T) {
-	// Backend 0 is a real (empty) service: it answers 404 for the job.
-	// Backend 1 stands in for a shard that adopted the journal.
-	svc := service.New(service.Config{})
-	ts0 := httptest.NewServer(svc.Handler())
-	t.Cleanup(ts0.Close)
-	adopted := []byte(`{"id":"` + keyedJobID + `","state":"done","http_status":200,"result":{"ok":true},"recovered":true,"elapsed_ms":42}` + "\n")
-	ts1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/jobs/") {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(adopted)
-			return
-		}
-		w.Write([]byte("{}\n"))
-	}))
-	t.Cleanup(ts1.Close)
-	router, err := New(Config{Backends: []string{ts0.URL, ts1.URL}, ProxyAttempts: 1, ProxyBackoff: time.Millisecond})
+// TestRouterJobPollAsksOnlyThePin: the pinned shard is the only
+// authority on a job, so a poll it answers 404 is lost at once, even
+// while another member is down. The router keeps its default proxy
+// retry budget, which a poll of the dead member would spend.
+func TestRouterJobPollAsksOnlyThePin(t *testing.T) {
+	var urls []string
+	var servers []*httptest.Server
+	for i := 0; i < 3; i++ {
+		ts := httptest.NewServer(service.New(service.Config{}).Handler())
+		t.Cleanup(ts.Close)
+		servers = append(servers, ts)
+		urls = append(urls, ts.URL)
+	}
+	router, err := New(Config{Backends: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
 	front := httptest.NewServer(router.Handler())
 	t.Cleanup(front.Close)
+	servers[2].Close()
 
-	resp, err := http.Get(front.URL + "/jobs/s0-" + keyedJobID)
+	resp, err := http.Get(front.URL + "/jobs/s0-j1-deadbeef")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, adopted) {
-		t.Fatalf("poll past a forgetful owner: status %d body %s, want the adopter's bytes", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Salsa-Shard"); got != ts1.URL {
-		t.Errorf("X-Salsa-Shard = %q, want the adopting shard %q", got, ts1.URL)
-	}
 	m := router.MetricsSnapshot()
-	if m["jobs_lost_total"] != 0 || m["failover_total"] == 0 {
-		t.Errorf("adopted job: jobs_lost=%d failover=%d, want 0/>0", m["jobs_lost_total"], m["failover_total"])
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("job the live pin does not know, another member down: status %d after %d routed exchanges, want 404",
+			resp.StatusCode, m["routed_total"])
+	}
+	if m["routed_total"] != 1 || m["jobs_lost_total"] != 1 || m["job_unavailable_total"] != 0 {
+		t.Errorf("routed=%d jobs_lost=%d unavailable=%d, want 1/1/0",
+			m["routed_total"], m["jobs_lost_total"], m["job_unavailable_total"])
 	}
 }
 
-// TestRouterJobPollSharedID: two members each hold a job under one
-// older-form ID ("jN-<fingerprint prefix>", unique only within one
-// process). With the pinned member down, the other member's job may be
-// a different request, so the router must not serve it: the poll stays
-// 503 (keep polling) until the pinned member answers. A content-keyed
-// ID proves the other member's job is the same request, and is served.
+// TestRouterJobPollSharedID: two members each hold a job under one ID,
+// an older-form one ("jN-<fingerprint prefix>") and a content-keyed
+// one. The other member's job may be another request's, and the
+// pinned member is the only authority on its jobs, so while it is down
+// both polls stay 503 (keep polling); once it is up it serves its own
+// job.
 func TestRouterJobPollSharedID(t *testing.T) {
 	const legacyID = "j2-0123456789ab"
 	var pinnedUp atomic.Bool
@@ -560,16 +552,16 @@ func TestRouterJobPollSharedID(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	if status, body := poll(legacyID); status != http.StatusServiceUnavailable {
-		t.Fatalf("pinned member down, other member holds a job under the same older-form ID: status %d body %s, want 503", status, body)
+	for _, id := range []string{legacyID, keyedJobID} {
+		if status, body := poll(id); status != http.StatusServiceUnavailable {
+			t.Errorf("pinned member down, other member holds a job under %s: status %d body %s, want 503", id, status, body)
+		}
 	}
 	pinnedUp.Store(true)
-	if status, body := poll(legacyID); status != http.StatusOK || !strings.Contains(body, `"seed":2`) {
-		t.Fatalf("pinned member back: status %d body %s, want its own job", status, body)
-	}
-	pinnedUp.Store(false)
-	if status, body := poll(keyedJobID); status != http.StatusOK || !strings.Contains(body, `"seed":1`) {
-		t.Fatalf("content-keyed ID: status %d body %s, want the other member's answer", status, body)
+	for _, id := range []string{legacyID, keyedJobID} {
+		if status, body := poll(id); status != http.StatusOK || !strings.Contains(body, `"seed":2`) {
+			t.Errorf("pinned member back, job %s: status %d body %s, want its own job", id, status, body)
+		}
 	}
 }
 

@@ -163,8 +163,9 @@ func TestClusterSmoke(t *testing.T) {
 	for i, o := range ops {
 		if i == killAt && kill != nil {
 			// Pull the plug with ~16 ops in flight: exchanges die
-			// mid-body, pinned jobs are lost, and all of it must heal
-			// through retries, failover and resubmission.
+			// mid-body, jobs pinned to the dead shard become
+			// unreachable, and all of it must heal through retries,
+			// failover and resubmission.
 			once.Do(kill)
 		}
 		wg.Add(1)

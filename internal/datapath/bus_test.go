@@ -8,7 +8,7 @@ import (
 func TestBusAllocationSharesQuietSources(t *testing.T) {
 	// Two sources transmitting in disjoint steps share one bus; a third
 	// overlapping both needs its own.
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	adds := []Use{
 		{Src: reg(0), Sink: fuIn(0, 0), Step: 0},
 		{Src: reg(1), Sink: fuIn(0, 0), Step: 1},
@@ -43,7 +43,7 @@ func TestBusAllocationSharesQuietSources(t *testing.T) {
 }
 
 func TestBusAllocationConstFree(t *testing.T) {
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	if err := ic.AddUse(Use{Src: Source{Kind: SrcConst, Index: 1}, Sink: fuIn(0, 1), Step: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -137,19 +137,57 @@ type Use struct {
 	Step int
 }
 
+// SinkSpace numbers the sinks of one hardware set densely: the two
+// input ports of each FU in unit order, then the register inputs, then
+// the output ports. Interconnect's net table, and binding.Tx's cost
+// entries and dirty marks, all index sinks by it.
+type SinkSpace struct{ FUs, Regs, Outs int }
+
+// Len returns the number of sinks.
+func (sp SinkSpace) Len() int { return 2*sp.FUs + sp.Regs + sp.Outs }
+
+// Index returns the sink's index; -1 when it lies outside the
+// hardware.
+func (sp SinkSpace) Index(s Sink) int {
+	switch s.Kind {
+	case SinkFUPort:
+		if s.Index < sp.FUs && s.Port < 2 {
+			return 2*s.Index + s.Port
+		}
+	case SinkReg:
+		if s.Index < sp.Regs {
+			return 2*sp.FUs + s.Index
+		}
+	case SinkOutput:
+		if s.Index < sp.Outs {
+			return 2*sp.FUs + sp.Regs + s.Index
+		}
+	}
+	return -1
+}
+
+// Sink is the inverse of Index.
+func (sp SinkSpace) Sink(idx int) Sink {
+	switch {
+	case idx < 2*sp.FUs:
+		return Sink{Kind: SinkFUPort, Index: idx / 2, Port: idx % 2}
+	case idx < 2*sp.FUs+sp.Regs:
+		return Sink{Kind: SinkReg, Index: idx - 2*sp.FUs}
+	default:
+		return Sink{Kind: SinkOutput, Index: idx - 2*sp.FUs - sp.Regs}
+	}
+}
+
 // Interconnect aggregates uses into per-sink multiplexer requirements.
-// The sized constructor backs the per-sink tables with dense arrays
-// (the allocator evaluates tens of thousands of candidate bindings, so
-// the accumulator is the hot path); the unsized constructor falls back
-// to a map index for ad-hoc use.
+// The per-sink tables are dense arrays over the hardware's SinkSpace:
+// the allocator evaluates tens of thousands of candidate bindings, so
+// the accumulator is the hot path.
 type Interconnect struct {
-	sized           bool
-	nFU, nReg, nOut int
-	steps           int
-	dense           []int32 // sinkIndex -> nets index + 1 (0 = absent)
-	index           map[Sink]int32
-	nets            []net
-	order           []Sink
+	space SinkSpace
+	steps int
+	dense []int32 // sink index -> nets index + 1 (0 = absent)
+	nets  []net
+	order []Sink
 }
 
 type net struct {
@@ -162,72 +200,29 @@ type net struct {
 	needSet []bool
 }
 
-// NewInterconnect returns an empty map-indexed accumulator for ad-hoc
-// use; the allocator uses NewInterconnectSized.
-func NewInterconnect() *Interconnect {
-	return &Interconnect{index: make(map[Sink]int32)}
-}
-
-// NewInterconnectSized returns an accumulator with dense sink indexing
-// for the given hardware dimensions and step count.
-func NewInterconnectSized(numFUs, numRegs, numOuts, steps int) *Interconnect {
-	total := 2*numFUs + numRegs + numOuts
-	return &Interconnect{
-		sized: true,
-		nFU:   numFUs, nReg: numRegs, nOut: numOuts, steps: steps,
-		dense: make([]int32, total),
-	}
-}
-
-// sinkIndex maps a sink into the dense table; -1 when out of range.
-func (ic *Interconnect) sinkIndex(s Sink) int {
-	switch s.Kind {
-	case SinkFUPort:
-		if s.Index < ic.nFU && s.Port < 2 {
-			return 2*s.Index + s.Port
-		}
-	case SinkReg:
-		if s.Index < ic.nReg {
-			return 2*ic.nFU + s.Index
-		}
-	case SinkOutput:
-		if s.Index < ic.nOut {
-			return 2*ic.nFU + ic.nReg + s.Index
-		}
-	}
-	return -1
+// NewInterconnect returns an empty accumulator over the sinks of
+// space, sizing each sink's need table for the given step count.
+func NewInterconnect(space SinkSpace, steps int) *Interconnect {
+	return &Interconnect{space: space, steps: steps, dense: make([]int32, space.Len())}
 }
 
 // netFor returns the sink's net, creating it if asked. Callers must
 // not hold the returned pointer across later AddUse calls (the backing
 // slice may grow).
 func (ic *Interconnect) netFor(s Sink, create bool) *net {
-	if ic.sized {
-		di := ic.sinkIndex(s)
-		if di < 0 {
-			return nil
-		}
-		if ic.dense[di] == 0 {
-			if !create {
-				return nil
-			}
-			ic.nets = append(ic.nets, net{sink: s})
-			ic.order = append(ic.order, s)
-			ic.dense[di] = int32(len(ic.nets))
-		}
-		return &ic.nets[ic.dense[di]-1]
+	di := ic.space.Index(s)
+	if di < 0 {
+		return nil
 	}
-	idx, ok := ic.index[s]
-	if !ok {
+	if ic.dense[di] == 0 {
 		if !create {
 			return nil
 		}
 		ic.nets = append(ic.nets, net{sink: s})
 		ic.order = append(ic.order, s)
-		idx = int32(len(ic.nets))
-		ic.index[s] = idx
+		ic.dense[di] = int32(len(ic.nets))
 	}
-	return &ic.nets[idx-1]
+	return &ic.nets[ic.dense[di]-1]
 }
 
 func (n *net) hasSource(src Source) bool {
@@ -267,7 +262,7 @@ func (n *net) setNeed(step int, src Source, hint int) {
 func (ic *Interconnect) AddUse(u Use) error {
 	n := ic.netFor(u.Sink, true)
 	if n == nil {
-		return fmt.Errorf("datapath: sink %v outside the sized hardware", u.Sink)
+		return fmt.Errorf("datapath: sink %v outside the hardware", u.Sink)
 	}
 	// Constant sources are cost-free but still recorded in the need map:
 	// a functional implementation must route the constant in its step,

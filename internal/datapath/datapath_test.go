@@ -43,8 +43,14 @@ func fu(i int) Source    { return Source{Kind: SrcFU, Index: i} }
 func fuIn(i, p int) Sink { return Sink{Kind: SinkFUPort, Index: i, Port: p} }
 func regIn(i int) Sink   { return Sink{Kind: SinkReg, Index: i} }
 
+// newTestInterconnect returns an empty interconnect over the sinks the
+// tests use: three FUs, six registers and one output, over eight steps.
+func newTestInterconnect() *Interconnect {
+	return NewInterconnect(SinkSpace{FUs: 3, Regs: 6, Outs: 1}, 8)
+}
+
 func TestMuxCostCounting(t *testing.T) {
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	mustAdd := func(u Use) {
 		t.Helper()
 		if err := ic.AddUse(u); err != nil {
@@ -72,7 +78,7 @@ func TestMuxCostCounting(t *testing.T) {
 }
 
 func TestConstSourcesAreFree(t *testing.T) {
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	k := Source{Kind: SrcConst, Index: 42}
 	if err := ic.AddUse(Use{Src: k, Sink: fuIn(0, 1), Step: 0}); err != nil {
 		t.Fatal(err)
@@ -89,7 +95,7 @@ func TestConstSourcesAreFree(t *testing.T) {
 }
 
 func TestConflictDetected(t *testing.T) {
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	if err := ic.AddUse(Use{Src: reg(0), Sink: regIn(1), Step: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,7 @@ func TestConflictDetected(t *testing.T) {
 func TestMergeMuxesSharesSources(t *testing.T) {
 	// Figure-3 flavor: two sinks with identical {R0,R1} sources, used in
 	// disjoint steps -> one merged mux of cost 1 instead of 2.
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	adds := []Use{
 		{Src: reg(0), Sink: fuIn(0, 0), Step: 0},
 		{Src: reg(1), Sink: fuIn(0, 0), Step: 1},
@@ -132,7 +138,7 @@ func TestMergeMuxesSharesSources(t *testing.T) {
 func TestMergeRespectsStepConflicts(t *testing.T) {
 	// Same source sets but both needed in step 0 with different sources:
 	// cannot merge.
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	adds := []Use{
 		{Src: reg(0), Sink: fuIn(0, 0), Step: 0},
 		{Src: reg(1), Sink: fuIn(0, 0), Step: 1},
@@ -152,7 +158,7 @@ func TestMergeRespectsStepConflicts(t *testing.T) {
 func TestMergeSkipsDisjointSources(t *testing.T) {
 	// Disjoint source sets must not merge even when steps are
 	// compatible: the union would cost more.
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	adds := []Use{
 		{Src: reg(0), Sink: fuIn(0, 0), Step: 0},
 		{Src: reg(1), Sink: fuIn(0, 0), Step: 1},
@@ -192,7 +198,7 @@ func TestSourceSinkStrings(t *testing.T) {
 // randomInterconnect builds a conflict-free random use set.
 func randomInterconnect(seed int64) *Interconnect {
 	rng := rand.New(rand.NewSource(seed))
-	ic := NewInterconnect()
+	ic := newTestInterconnect()
 	taken := make(map[Sink]map[int]Source)
 	nSinks := 2 + rng.Intn(8)
 	for s := 0; s < nSinks; s++ {
@@ -280,7 +286,7 @@ func TestNetScratchMatchesInterconnect(t *testing.T) {
 	}
 	for seq := 0; seq < 500; seq++ {
 		ns.Reset()
-		ic := NewInterconnectSized(2, 3, 1, 12)
+		ic := NewInterconnect(SinkSpace{FUs: 2, Regs: 3, Outs: 1}, 12)
 		for use := 0; use < 1+rng.Intn(8); use++ {
 			src := Source{Kind: SourceKind(rng.Intn(4)), Index: rng.Intn(3)}
 			step := rng.Intn(12)

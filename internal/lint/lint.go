@@ -12,13 +12,14 @@
 //   - maporder: no order-sensitive iteration over Go maps (Go
 //     randomizes map order per run) unless the keys are sorted first or
 //     the site carries a //lint:maporder justification.
-//   - mutguard: the guarded fields of binding.Binding (bound state),
-//     cdfg.Graph (structure) and datapath.CostTable (incremental
-//     costs) are only written inside each type's mutation boundary:
-//     its own package, plus core's initial.go for Binding, the
-//     random-graph generator for Graph, and the binding package's
-//     transaction layer for CostTable. Everything else routes
-//     mutations through the owning package.
+//   - mutguard: the guarded fields of binding.Binding (bound state)
+//     and cdfg.Graph (structure) are only written inside each type's
+//     mutation boundary: its own package, plus core's initial.go for
+//     Binding and the random-graph generator for Graph. Everything
+//     else routes mutations through the owning package. binding.Tx's
+//     incremental cost entries need no guard: they are unexported
+//     fields, so Go's visibility confines their writes to package
+//     binding.
 //   - checkerr: error results of Check/Validate/Verify* calls must not
 //     be discarded.
 //   - lockguard: fields annotated "// guarded by <mu>" are only read

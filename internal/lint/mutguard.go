@@ -47,16 +47,6 @@ var guardedTypes = []guardedType{
 		fields:      []string{"Nodes", "Cyclic"},
 		allowedPkgs: []string{"internal/randgraph"},
 	},
-	// datapath.CostTable, the incremental per-sink cost table. binding.Tx
-	// journals its entries so a rejected move can restore them exactly;
-	// a write from any other package would corrupt the
-	// delta==full-evaluation invariant.
-	{
-		pkg:         "internal/datapath",
-		name:        "CostTable",
-		fields:      []string{"PerSink", "TotalMux"},
-		allowedPkgs: []string{"internal/binding"},
-	},
 }
 
 // Mutguard restricts direct writes to each guarded type's guarded
@@ -64,9 +54,8 @@ var guardedTypes = []guardedType{
 // on its maps) to that type's mutation boundary.
 var Mutguard = &Analyzer{
 	Name: "mutguard",
-	Doc: "restricts writes to the guarded fields of binding.Binding, cdfg.Graph and " +
-		"datapath.CostTable to each type's mutation boundary",
-	Run: runMutguard,
+	Doc:  "restricts writes to the guarded fields of binding.Binding and cdfg.Graph to each type's mutation boundary",
+	Run:  runMutguard,
 }
 
 // boundary lists the entry's boundary in finding messages.

@@ -2,8 +2,6 @@
 // fixture packages can exercise the mutguard boundary.
 package binding
 
-import "fix/internal/datapath"
-
 // Binding is the fixture stand-in for the guarded struct.
 type Binding struct {
 	OpFU   []int
@@ -25,10 +23,3 @@ func (b *Binding) Reset() {
 
 // Check stands in for the real legality validator.
 func (b *Binding) Check() error { return nil }
-
-// Journal writes CostTable guarded state from the transaction layer's
-// package — legal, binding is inside the CostTable boundary.
-func Journal(ct *datapath.CostTable, idx, c int) {
-	ct.TotalMux += c - int(ct.PerSink[idx])
-	ct.PerSink[idx] = int32(c)
-}

@@ -77,7 +77,7 @@ func TestLinearDeterministic(t *testing.T) {
 }
 
 func TestLinearEmpty(t *testing.T) {
-	p := Linear(datapath.NewInterconnect())
+	p := Linear(datapath.NewInterconnect(datapath.SinkSpace{}, 0))
 	if len(p.Order) != 0 || p.WireLength != 0 {
 		t.Errorf("empty placement: %+v", p)
 	}
@@ -150,7 +150,7 @@ func TestPropertySwapDescentIsLocalOptimum(t *testing.T) {
 	f := func(seed int64) bool {
 		// Random small interconnects via random uses.
 		rng := rand.New(rand.NewSource(seed))
-		ic := datapath.NewInterconnect()
+		ic := datapath.NewInterconnect(datapath.SinkSpace{FUs: 3, Regs: 4}, 30)
 		for k := 0; k < 10+rng.Intn(20); k++ {
 			src := datapath.Source{Kind: datapath.SrcReg, Index: rng.Intn(4)}
 			if rng.Intn(2) == 0 {

@@ -16,27 +16,28 @@ import (
 )
 
 // jobIDForm is the job-ID grammar: "j", decimal digits, "-", then one
-// or more lowercase hex digits.
-var jobIDForm = regexp.MustCompile(`^j([0-9]+)-([0-9a-f]+)$`)
+// or more lowercase hex digits. issuedJobID is the form create issues:
+// the hex part is a SHA-256.
+var (
+	jobIDForm   = regexp.MustCompile(`^j([0-9]+)-[0-9a-f]+$`)
+	issuedJobID = regexp.MustCompile(`^j[0-9]+-[0-9a-f]{64}$`)
+)
 
-// wantJobID is the reference for ValidJobID and ContentKeyedJobID: id
-// is valid when it matches jobIDForm and its number fits an int, and
-// content-keyed when its hex part is as long as a SHA-256 in hex.
-func wantJobID(id string) (valid, keyed bool) {
+// wantJobID is the reference for ValidJobID: id is valid when it
+// matches jobIDForm and its number fits an int.
+func wantJobID(id string) bool {
 	m := jobIDForm.FindStringSubmatch(id)
 	if m == nil {
-		return false, false
+		return false
 	}
-	if n, _ := new(big.Int).SetString(m[1], 10); n.Cmp(big.NewInt(math.MaxInt)) > 0 {
-		return false, false
-	}
-	return true, len(m[2]) == 2*sha256.Size
+	n, _ := new(big.Int).SetString(m[1], 10)
+	return n.Cmp(big.NewInt(math.MaxInt)) <= 0
 }
 
-// FuzzJobID checks the job-ID predicates against the grammar on any
-// string, and that every ID the registry issues is valid and
-// content-keyed, also after a restore has moved its sequence to the
-// fuzzed ID's number.
+// FuzzJobID checks ValidJobID against the grammar on any string, and
+// that every ID the registry issues is valid, of the issued form and
+// suffixed with its content key's SHA-256, also after a restore has
+// moved its sequence to the fuzzed ID's number.
 func FuzzJobID(f *testing.F) {
 	for _, id := range []string{
 		// Issued and older-form IDs from the service and router tests.
@@ -55,12 +56,8 @@ func FuzzJobID(f *testing.F) {
 		f.Add(id)
 	}
 	f.Fuzz(func(t *testing.T, id string) {
-		valid, keyed := wantJobID(id)
-		if got := ValidJobID(id); got != valid {
-			t.Errorf("ValidJobID(%q) = %t, want %t", id, got, valid)
-		}
-		if got := ContentKeyedJobID(id); got != keyed {
-			t.Errorf("ContentKeyedJobID(%q) = %t, want %t", id, got, keyed)
+		if got, want := ValidJobID(id), wantJobID(id); got != want {
+			t.Errorf("ValidJobID(%q) = %t, want %t", id, got, want)
 		}
 
 		r := newJobRegistry(2, retainFinished, clock.NewVirtual())
@@ -71,8 +68,8 @@ func FuzzJobID(f *testing.F) {
 		if err != nil {
 			return // a full registry or an exhausted sequence issues nothing
 		}
-		if !ValidJobID(j.id) || !ContentKeyedJobID(j.id) {
-			t.Fatalf("create issued %q, not a valid content-keyed ID", j.id)
+		if !ValidJobID(j.id) || !issuedJobID.MatchString(j.id) {
+			t.Fatalf("create issued %q, not a valid jN-<64 hex> ID", j.id)
 		}
 		if want := fmt.Sprintf("%x", sha256.Sum256([]byte(id))); !strings.HasSuffix(j.id, "-"+want) {
 			t.Fatalf("create issued %q, want the suffix -%s", j.id, want)

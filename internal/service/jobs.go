@@ -204,9 +204,10 @@ func newJobRegistry(maxJobs, retain int, clk clock.Clock) *jobRegistry {
 
 // create registers a fresh queued job for the request with the given
 // content key (allocSpec.key). The ID is a per-process sequence number
-// plus the SHA-256 of the key, so two jobs sharing an ID — even on
-// different servers — are the same normalized request and finish with
-// byte-identical results.
+// plus the SHA-256 of the key. A restart without a journal numbers its
+// jobs from 1 again, and the hash keeps such a reused number from
+// naming a different request: a poll for an earlier process's job
+// cannot be served another request's result.
 func (r *jobRegistry) create(key string) (*job, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -242,7 +243,7 @@ func (r *jobRegistry) restore(id string) (*job, bool) {
 	if _, exists := r.jobs[id]; exists {
 		return nil, false
 	}
-	if seq, _, ok := splitJobID(id); ok && seq > r.seq {
+	if seq, ok := jobSeq(id); ok && seq > r.seq {
 		r.seq = seq
 	}
 	r.live++
@@ -278,38 +279,30 @@ func (r *jobRegistry) remove(id string) {
 }
 
 // ValidJobID reports whether id has the form of a job ID a service
-// issues, "jN-" plus lowercase hex digits: a content-keyed ID, or an
-// older-form one a journal written by an earlier version may still
-// hold. No other string can name a job.
+// issues, "jN-" plus lowercase hex digits: the "jN-<SHA-256 of the
+// content key>" form create issues, or an older-form one a journal
+// written by an earlier version may still hold. No other string can
+// name a job.
 func ValidJobID(id string) bool {
-	_, _, ok := splitJobID(id)
+	_, ok := jobSeq(id)
 	return ok
 }
 
-// ContentKeyedJobID reports whether id has the form create issues,
-// "jN-" plus the 64 hex digits of the content key's SHA-256. Journals
-// written by earlier versions may still hold "jN-<fingerprint prefix>"
-// IDs, which are unique only within one process and name no request.
-func ContentKeyedJobID(id string) bool {
-	_, sum, ok := splitJobID(id)
-	return ok && len(sum) == 2*sha256.Size
-}
-
-// splitJobID splits a "jN-<hex>" job ID into N and the hex suffix.
-func splitJobID(id string) (seq int, sum string, ok bool) {
+// jobSeq parses a "jN-<hex>" job ID and returns N.
+func jobSeq(id string) (seq int, ok bool) {
 	rest, ok := strings.CutPrefix(id, "j")
 	if !ok {
-		return 0, "", false
+		return 0, false
 	}
 	num, sum, ok := strings.Cut(rest, "-")
 	if !ok || sum == "" || strings.Trim(sum, "0123456789abcdef") != "" {
-		return 0, "", false
+		return 0, false
 	}
 	n, err := strconv.ParseUint(num, 10, strconv.IntSize-1)
 	if err != nil {
-		return 0, "", false
+		return 0, false
 	}
-	return int(n), sum, true
+	return int(n), true
 }
 
 // get returns the job registered under id. When there is none, gone
@@ -325,6 +318,6 @@ func (r *jobRegistry) get(id string) (j *job, gone bool) {
 	if j := r.jobs[id]; j != nil {
 		return j, false
 	}
-	seq, _, ok := splitJobID(id)
+	seq, ok := jobSeq(id)
 	return nil, ok && seq > 0 && seq <= r.seq
 }

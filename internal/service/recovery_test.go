@@ -260,20 +260,17 @@ func TestJobRecoverySurvivesUnjournaledServer(t *testing.T) {
 	}
 }
 
-// TestJobIDs: a fresh job's ID carries the SHA-256 of its content key,
-// so equal keys give equal ID suffixes and different keys different
-// ones; an ID of the older "jN-<fingerprint prefix>" form, as journals
-// written by earlier versions hold, still restores and advances the
-// sequence, but is not content-keyed. Both forms are valid job IDs;
-// nothing else is.
+// TestJobIDs: a fresh job's ID is "jN-" plus the SHA-256 of its
+// content key, so equal keys give equal ID suffixes and different keys
+// different ones; an ID of the older "jN-<fingerprint prefix>" form, as
+// journals written by earlier versions hold, still restores and
+// advances the sequence. Both forms are valid job IDs; nothing else
+// is.
 func TestJobIDs(t *testing.T) {
 	r := newJobRegistry(8, retainFinished, clock.NewVirtual())
 	const legacy = "j7-3c62da355d7c"
 	if _, ok := r.restore(legacy); !ok {
 		t.Fatalf("restore(%q) refused", legacy)
-	}
-	if ContentKeyedJobID(legacy) {
-		t.Errorf("%q reported content-keyed", legacy)
 	}
 	a, err := r.create("fp|mode=salsa seed=1")
 	if err != nil {
@@ -283,8 +280,8 @@ func TestJobIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(a.id, "j8-") || !ContentKeyedJobID(a.id) || !ContentKeyedJobID(b.id) {
-		t.Fatalf("fresh IDs %q, %q: want j8-… and content-keyed", a.id, b.id)
+	if !strings.HasPrefix(a.id, "j8-") || !issuedJobID.MatchString(a.id) || !issuedJobID.MatchString(b.id) {
+		t.Fatalf("fresh IDs %q, %q: want j8-… and jN-<64 hex>", a.id, b.id)
 	}
 	if strings.TrimPrefix(a.id, "j8-") == strings.TrimPrefix(b.id, "j9-") {
 		t.Errorf("different content keys share an ID suffix: %q, %q", a.id, b.id)

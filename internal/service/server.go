@@ -623,8 +623,7 @@ func (s *Server) completeJob(j *job, now time.Time, out *outcome, merged bool) {
 
 // handleJobStatus reports an async job's state, progress and result.
 // A job the registry has retired answers 410 Gone, which a cluster
-// router passes through, where a 404 would start its proof-of-loss
-// sweep.
+// router passes through; a 404 makes the router declare the job lost.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, gone := s.jobs.get(id)

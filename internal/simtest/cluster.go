@@ -3,6 +3,7 @@ package simtest
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -28,14 +29,16 @@ type ClusterOptions struct {
 	Clients      int
 	OpsPerClient int
 	// Journal gives every backend a durable job journal on disk and
-	// restarts the killed victim WITH its data dir. On a seeded coin
-	// the death lands mid-journal-write (a Crash hook dies partway into
-	// a frame, tearing the segment); otherwise it lands at a seeded
-	// instant, and since the service syncs every append, that kill
-	// leaves no unsynced tail to tear. The invariants tighten
-	// accordingly: the router must never declare a job lost
-	// (`jobs_lost_total == 0`), because the data dir always survives
-	// the crash.
+	// restarts the killed victim WITH its data dir. The death lands at
+	// a seeded instant; on a seeded coin (an armed seed) that instant
+	// is mid-journal-write: a Crash hook dies partway into the victim's
+	// next frame, tearing the segment, and a job submitted straight to
+	// the victim guarantees that a frame is written. Otherwise, since
+	// the service syncs every append, the kill leaves no unsynced tail
+	// to tear. The invariants tighten accordingly: the router must
+	// never declare a job lost (`jobs_lost_total == 0`), because the
+	// data dir always survives the crash, and an armed seed must tear
+	// a frame.
 	Journal bool
 }
 
@@ -84,7 +87,8 @@ func (s *backendSlot) set(h http.Handler, dead bool) {
 //     never reaches zero — only one backend dies);
 //   - with Journal: the victim's data dir survives every kill — torn
 //     journal tails included — so the router must never declare a job
-//     genuinely lost (jobs_lost_total == 0);
+//     genuinely lost (jobs_lost_total == 0), and an armed seed's kill
+//     tears a frame (counted as Injected["journal_tear"]);
 //   - the router and every service instance drain cleanly.
 func RunCluster(seed int64, opts ClusterOptions) *RunResult {
 	if opts.Backends <= 0 {
@@ -111,40 +115,29 @@ func RunCluster(seed int64, opts ClusterOptions) *RunResult {
 	}
 	killAfter := time.Duration(20+next(60)) * time.Millisecond
 	deadFor := time.Duration(80+next(120)) * time.Millisecond
-	// tearBytes seeds where in the unsynced journal tail the kill
-	// lands; crashAt, when non-negative, dies mid-write on the victim's
-	// Nth journal append instead of at the timer (both kill paths race,
-	// first one wins).
+	// tearBytes seeds where in a frame, or in the unsynced journal
+	// tail, the kill lands; armed makes the kill a mid-write crash.
 	tearBytes := next(1 << 20)
-	crashAt := -1
-	if opts.Journal && next(2) == 0 {
-		crashAt = int(next(10))
-	}
+	armed := opts.Journal && next(2) == 0
 
 	clk := clock.NewVirtual()
-	// victimSlot arms the Crash hook: journals are built before the
+	// victimSlot aims the Crash hook: journals are built before the
 	// ring placement (and hence the victim) is known, so every
-	// backend's hook consults this and only the victim's ever fires.
+	// backend's hook consults this and only the victim's ever fires,
+	// once tearing is set at the kill. tears counts the torn frames.
 	var victimSlot atomic.Int32
 	victimSlot.Store(-1)
-	// killCh wakes the watcher that turns a mid-write journal crash
-	// into the process-level death (the slot must die in the same
-	// instant the journal does).
-	killCh := make(chan struct{}, 1)
-	scenarioDone := make(chan struct{})
-	defer close(scenarioDone)
+	var tearing atomic.Bool
+	var tears atomic.Int64
 	hooksFor := func(slot int) *journal.Hooks {
-		if crashAt < 0 {
+		if !armed {
 			return nil
 		}
-		return &journal.Hooks{Crash: func(idx int, _ journal.Record, frameLen int) int {
-			if int32(slot) != victimSlot.Load() || idx != crashAt {
+		return &journal.Hooks{Crash: func(_ int, _ journal.Record, frameLen int) int {
+			if int32(slot) != victimSlot.Load() || !tearing.Load() {
 				return -1
 			}
-			select {
-			case killCh <- struct{}{}:
-			default:
-			}
+			tears.Add(1)
 			return int(tearBytes % uint64(frameLen+1))
 		}}
 	}
@@ -236,44 +229,39 @@ func RunCluster(seed int64, opts ClusterOptions) *RunResult {
 	}
 	victimSlot.Store(int32(victim))
 
-	// Kill/restart choreography, timed in virtual milliseconds off the
-	// seed: die mid-traffic (at the timer, or mid-journal-write when
-	// the crash hook fires first), stay dead long enough for probes to
-	// demote (2 × 20ms), come back — empty by default, with the data
-	// dir under opts.Journal.
-	var killOnce sync.Once
-	killVictim := func() {
-		killOnce.Do(func() {
-			slots[victim].set(nil, true)
-			if opts.Journal {
-				// SIGKILL semantics for the disk: no further writes, and
-				// the unsynced tail survives only up to a seeded byte
-				// offset (idempotent if the crash hook already tore it).
-				journals[victim].Kill(tearBytes)
-			}
-		})
-	}
-	if crashAt >= 0 {
-		go func() {
-			select {
-			case <-killCh:
-				killVictim()
-			case <-scenarioDone:
-			}
-		}()
-	}
 	// chaosErr carries restart failures out of the goroutine; read
 	// after chaos.Wait.
 	var chaosErr string
 	var replacement *service.Server
 	var chaos sync.WaitGroup
 	chaos.Add(1)
+	// Kill/restart choreography, timed in virtual milliseconds off the
+	// seed: die mid-traffic (mid-journal-write on an armed seed), stay
+	// dead long enough for probes to demote (2 × 20ms), come back —
+	// empty by default, with the data dir under opts.Journal.
 	go func() {
 		defer chaos.Done()
 		// Background is deliberate: the choreography always completes —
 		// a scenario must never end with the victim still dead.
 		_ = clk.Sleep(context.Background(), killAfter)
-		killVictim()
+		if armed {
+			// The crash tears the victim's next frame, whichever append
+			// writes it; this job's acceptance is certain to be one.
+			tearing.Store(true)
+			body, err := json.Marshal(request(Op{Kind: OpAsync, Workload: "figure1"}))
+			if err != nil {
+				panic("simtest: encoding the crash's job: " + err.Error())
+			}
+			req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
+			slots[victim].ServeHTTP(httptest.NewRecorder(), req)
+		}
+		slots[victim].set(nil, true)
+		if opts.Journal {
+			// SIGKILL semantics for the disk: no further writes, and
+			// the unsynced tail survives only up to a seeded byte
+			// offset (idempotent if the crash hook already tore it).
+			journals[victim].Kill(tearBytes)
+		}
 		_ = clk.Sleep(context.Background(), deadFor)
 		var jrn *journal.Journal
 		if opts.Journal {
@@ -329,6 +317,12 @@ func RunCluster(seed int64, opts ClusterOptions) *RunResult {
 	chaos.Wait()
 	if chaosErr != "" {
 		rr.Violations = append(rr.Violations, chaosErr)
+	}
+	if armed {
+		rr.Injected = map[string]int64{"journal_tear": tears.Load()}
+		if tears.Load() == 0 {
+			rr.Violations = append(rr.Violations, "the armed journal crash tore no frame")
+		}
 	}
 	used := map[string]bool{}
 	for i := range outs {
