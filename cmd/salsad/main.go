@@ -28,8 +28,8 @@
 //
 // With -route, the same binary boots as a stateless cluster router
 // instead: it serves the identical API surface, but proxies every
-// request to one of the listed backends using a consistent-hash ring
-// keyed by the graph fingerprint (see internal/cluster):
+// request to one of the listed backends by rendezvous hashing of the
+// graph fingerprint (see internal/cluster):
 //
 //	salsad -route http://127.0.0.1:8081,http://127.0.0.1:8082
 package main

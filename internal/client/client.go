@@ -337,7 +337,8 @@ type HTTPResult struct {
 // service answered, badly" from "no answer at all" (non-nil error).
 // It is the proxying primitive the cluster router builds per-backend
 // failover on: the router keeps each backend conversation retrying
-// briefly, then moves to the next ring member.
+// briefly, then moves to the next healthy backend in the key's
+// placement order.
 func (c *Client) Roundtrip(ctx context.Context, method, path string, body []byte) (*HTTPResult, error) {
 	res := &HTTPResult{}
 	var last *httpOutcome

@@ -8,9 +8,9 @@ import "salsa/internal/metrics"
 type routerMetrics struct {
 	Requests  metrics.Counter `metric:"salsa_router_requests_total" help:"Requests that reached the router."`
 	Routed    metrics.Counter `metric:"salsa_router_routed_total" help:"Exchanges proxied to a backend."`
-	Failovers metrics.Counter `metric:"salsa_router_failover_total" help:"Exchanges failed over to the next ring member."`
-	// Rehomed counts requests whose healthy-ring owner differs from
-	// the full-ring owner.
+	Failovers metrics.Counter `metric:"salsa_router_failover_total" help:"Exchanges failed over to the next healthy backend in the key's placement order."`
+	// Rehomed counts requests whose first healthy backend differs from
+	// the owner over the full membership.
 	Rehomed        metrics.Counter `metric:"salsa_router_rehomed_total" help:"Requests whose owner moved because a backend was unhealthy."`
 	CacheHits      metrics.Counter `metric:"salsa_router_cache_hits_total" help:"Router response-cache hits."`
 	CacheMisses    metrics.Counter `metric:"salsa_router_cache_misses_total" help:"Router response-cache misses."`
@@ -20,7 +20,7 @@ type routerMetrics struct {
 	// the job, so it restarted without its journal. A merely
 	// unreachable shard counts JobUnavailable instead (its journal may
 	// recover the job when it rejoins).
-	JobsLost       metrics.Counter            `metric:"salsa_router_jobs_lost_total" help:"Job polls for which no reachable shard knows the job (genuine loss; resubmit)."`
+	JobsLost       metrics.Counter            `metric:"salsa_router_jobs_lost_total" help:"Job polls the live pinned shard answered 404 (the job is lost; resubmit)."`
 	JobUnavailable metrics.Counter            `metric:"salsa_router_job_unavailable_total" help:"Job polls answered 503 while the pinned shard is unreachable (journal may recover it)."`
 	Served         metrics.CounterVec[string] `metric:"salsa_router_served_total" label:"backend" help:"Requests served per backend."`
 	BackendHealthy metrics.GaugeVecFunc       `metric:"salsa_router_backend_healthy" label:"backend" key:"healthy_backends" help:"Backend health by probe (1 healthy, 0 not)."`

@@ -2,7 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"salsa/internal/cdfg"
 )
 
 // TestRingEmpty covers the degenerate ring: no members, no owners,
@@ -107,23 +113,79 @@ func TestRingSequence(t *testing.T) {
 	}
 }
 
-// TestRingDistribution is a coarse balance check: with 64 virtual
-// nodes per member, 3 members each own a non-trivial share of 9000
-// keys. The bound is loose (10%) — the assertion is about gross
-// misconfiguration (a member owning almost nothing), not about
-// perfect balance.
-func TestRingDistribution(t *testing.T) {
-	r := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
-	counts := map[string]int{}
-	const total = 9000
-	for i := 0; i < total; i++ {
-		m, _ := r.Owner(fmt.Sprintf("sha256:%064d", i))
-		counts[m]++
+// TestRingBalance: every member's share of random keys lies within one
+// percentage point of 1/N, for sets of near-identical names, which a
+// hash that spreads similar inputs poorly splits unevenly. The sets
+// are 2–8 hosts of one subnet, the README quickstart's backends (which
+// salsabench's routed-zipf uses) and five short names.
+func TestRingBalance(t *testing.T) {
+	var sets [][]string
+	for n := 2; n <= 8; n++ {
+		var set []string
+		for i := 1; i <= n; i++ {
+			set = append(set, fmt.Sprintf("http://10.0.0.%d:8080", i))
+		}
+		sets = append(sets, set)
 	}
-	for _, m := range r.Members() {
-		if counts[m] < total/10 {
-			t.Errorf("member %s owns %d/%d keys — ring badly unbalanced", m, counts[m], total)
+	sets = append(sets,
+		[]string{"http://127.0.0.1:8081", "http://127.0.0.1:8082", "http://127.0.0.1:8083"},
+		[]string{"b1", "b2", "b3", "b4", "b5"})
+
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, 100000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%016x%016x%016x%016x", rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64())
+	}
+	for _, set := range sets {
+		r := NewRing(set, 0)
+		counts := map[string]int{}
+		for _, k := range keys {
+			m, _ := r.Owner(k)
+			counts[m]++
+		}
+		want := 100 / float64(len(set))
+		for _, m := range set {
+			if share := 100 * float64(counts[m]) / float64(len(keys)); math.Abs(share-want) > 1 {
+				t.Errorf("%d members: %s owns %.1f%% of %d keys, want %.1f±1%%", len(set), m, share, len(keys), want)
+			}
 		}
 	}
-	t.Logf("distribution: %v", counts)
+}
+
+// TestCorpusFitsBackendCaches places the testdata corpus over the
+// README quickstart's three backends, which salsabench's routed-zipf
+// runs behind the router, and requires at most 5 graphs per backend.
+// routed-zipf requests 48 seeds of every graph, and each backend keeps
+// 256 results, so 6 graphs on one backend (288 keys) make its cache
+// evict: full searches return to the timed phase, and throughput falls
+// (cmd/salsabench/README.md). A change to the placement score or to
+// the corpus must keep this fit.
+func TestCorpusFitsBackendCaches(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no corpus graphs in testdata")
+	}
+	r := NewRing([]string{"http://127.0.0.1:8081", "http://127.0.0.1:8082", "http://127.0.0.1:8083"}, 0)
+	placed := map[string][]string{}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := cdfg.ParseJSON(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		owner, _ := r.Owner(g.Fingerprint())
+		placed[owner] = append(placed[owner], g.Name)
+	}
+	for owner, graphs := range placed {
+		if len(graphs) > 5 {
+			t.Errorf("%s owns %d of %d corpus graphs %v, want at most 5", owner, len(graphs), len(files), graphs)
+		}
+	}
+	t.Logf("placement: %v", placed)
 }

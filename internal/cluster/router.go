@@ -25,8 +25,8 @@ import (
 type Config struct {
 	// Backends are the salsad base URLs the router shards over, e.g.
 	// "http://127.0.0.1:18081". Required, at least one; trailing
-	// slashes are trimmed; duplicates are an error (they would distort
-	// the ring's key distribution silently).
+	// slashes are trimmed; duplicates are an error (one backend would
+	// hold two shard indexes).
 	Backends []string
 	// Clock is the router's time source: probe scheduling, probe
 	// timeouts and proxy backoff all read it. Nil selects the system
@@ -50,7 +50,8 @@ type Config struct {
 	// router and its backends one cache size.
 	CacheEntries int
 	// ProxyAttempts is the per-backend retry budget of one proxied
-	// exchange before failing over to the next ring member; 0 selects 2.
+	// exchange before failing over to the next healthy backend in the
+	// key's placement order; 0 selects 2.
 	ProxyAttempts int
 	// ProxyBackoff is the base backoff between per-backend retries;
 	// 0 selects 50ms.
@@ -87,8 +88,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Router proxies the salsad API over a consistent-hash ring of
-// backends. Construct with New, call Start to begin health probing,
+// Router proxies the salsad API to backends placed by rendezvous
+// hashing. Construct with New, call Start to begin health probing,
 // mount Handler on an http.Server, and call Drain on shutdown. The
 // router holds no allocation state of its own beyond a response cache
 // and a body table, so any number of router instances can front the
@@ -100,9 +101,10 @@ type Router struct {
 	registry *metrics.Registry
 	cache    *service.ResultCache
 	bodies   *service.BodyTable
-	// full is the ring over every configured backend, healthy or not —
-	// the reference a request's "natural" owner is computed against so
-	// re-homing is observable. Immutable after construction.
+	// full is the placement over every configured backend, healthy or
+	// not: sequence filters its order by health, and its owner is the
+	// reference re-homing is counted against. Immutable after
+	// construction.
 	full *Ring
 	// clients maps each backend to its retrying proxy client.
 	// Immutable after construction.
@@ -110,14 +112,13 @@ type Router struct {
 	// index maps each backend to its stable position in cfg.Backends —
 	// the shard number async job IDs are pinned with. Immutable after
 	// construction (job pins must survive membership churn, so the pin
-	// is the configured position, never the ring position).
+	// is the configured position, never a placement).
 	index   map[string]int
 	byIndex []string
 
 	mu      sync.Mutex
 	healthy map[string]bool // guarded by mu
 	fails   map[string]int  // guarded by mu; consecutive probe failures
-	ring    *Ring           // guarded by mu; ring over the healthy subset
 
 	draining atomic.Bool
 	// work tracks in-flight proxied requests for Drain.
@@ -172,7 +173,6 @@ func New(cfg Config) (*Router, error) {
 			Seed:        cfg.Seed + int64(i),
 		})
 	}
-	r.ring = r.full
 	r.metrics.BackendHealthy = r.backendHealth
 	r.metrics.CacheEntries = func() int64 { return int64(r.cache.Len()) }
 	r.registry = metrics.New(r.metrics, "salsa_router_")
@@ -220,42 +220,27 @@ func (r *Router) probe(ctx context.Context, backend string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// setHealth folds one probe outcome into the membership view,
-// rebuilding the healthy ring on any transition. Rebuilding from the
-// member set (never incrementally) is what keeps the key→shard map a
-// pure function of membership, independent of the order transitions
-// happened in.
+// setHealth folds one probe outcome into the membership view. A
+// member's placement score does not depend on the other members, so
+// the view is the health map alone: sequence filters the full
+// placement order by it.
 func (r *Router) setHealth(backend string, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	changed := false
 	if ok {
 		r.fails[backend] = 0
-		if !r.healthy[backend] {
-			r.healthy[backend] = true
-			changed = true
-		}
-	} else {
-		r.fails[backend]++
-		if r.healthy[backend] && r.fails[backend] >= r.cfg.FailAfter {
-			r.healthy[backend] = false
-			changed = true
-		}
+		r.healthy[backend] = true
+		return
 	}
-	if changed {
-		live := make([]string, 0, len(r.byIndex))
-		for _, b := range r.byIndex {
-			if r.healthy[b] {
-				live = append(live, b)
-			}
-		}
-		r.ring = NewRing(live, 0)
+	r.fails[backend]++
+	if r.fails[backend] >= r.cfg.FailAfter {
+		r.healthy[backend] = false
 	}
 }
 
-// Owner reports which configured backend owns key on the full ring,
-// health ignored — for harnesses that need to aim chaos at the shard a
-// particular workload lives on.
+// Owner reports which configured backend owns key over the full
+// membership, health ignored — for harnesses that need to aim chaos at
+// the shard a particular workload lives on.
 func (r *Router) Owner(key string) (string, bool) { return r.full.Owner(key) }
 
 // Healthy snapshots the current healthy backends in configured order.
@@ -325,24 +310,30 @@ func (r *Router) Drain(ctx context.Context) error {
 	}
 }
 
-// errNoBackend is proxy's answer when the healthy ring is empty.
+// errNoBackend is proxy's answer when no backend is healthy.
 var errNoBackend = errors.New("no healthy backend")
 
-// sequence snapshots the key's failover order on the healthy ring and
-// reports whether its first choice differs from the full-membership
-// owner (the key has been re-homed).
+// sequence returns the key's failover order over the healthy backends
+// and reports whether its first choice differs from the
+// full-membership owner (the key has been re-homed). Filtering the
+// full order equals the order over the healthy set alone, because
+// dropping members leaves the others' relative order unchanged.
 func (r *Router) sequence(ringKey string) (seq []string, rehomed bool) {
+	order := r.full.Sequence(ringKey)
 	r.mu.Lock()
-	ring := r.ring
+	for _, b := range order {
+		if r.healthy[b] {
+			seq = append(seq, b)
+		}
+	}
 	r.mu.Unlock()
-	seq = ring.Sequence(ringKey)
-	fullOwner, _ := r.full.Owner(ringKey)
-	return seq, len(seq) > 0 && seq[0] != fullOwner
+	return seq, len(seq) > 0 && seq[0] != order[0]
 }
 
 // proxy performs one exchange against the key's shard, failing over
-// along the ring on transport errors and 5xx answers. It returns the
-// first conclusive response plus the backend that served it.
+// along its healthy order on transport errors and 5xx answers. It
+// returns the first conclusive response plus the backend that served
+// it.
 func (r *Router) proxy(ctx context.Context, method, path string, body []byte, ringKey string) (*client.HTTPResult, string, error) {
 	seq, rehomed := r.sequence(ringKey)
 	if len(seq) == 0 {
@@ -365,7 +356,8 @@ func (r *Router) proxy(ctx context.Context, method, path string, body []byte, ri
 		}
 		if res.Status >= 500 {
 			// The backend answered but is in trouble (or an intermediary
-			// is); the next ring member computes the identical result.
+			// is); the next backend in the order computes the identical
+			// result.
 			lastErr = &client.HTTPError{Status: res.Status, Body: res.Body}
 			continue
 		}
@@ -397,9 +389,9 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	_, _ = w.Write(service.ErrorBody(msg))
 }
 
-// writeUnavailable is the shared 503 path: drain, empty ring, or an
-// exhausted failover sequence. Always carries Retry-After so clients
-// back off instead of hammering.
+// writeUnavailable is the shared 503 path: drain, no healthy backend,
+// or an exhausted failover sequence. Always carries Retry-After so
+// clients back off instead of hammering.
 func writeUnavailable(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusServiceUnavailable, msg)
@@ -599,8 +591,8 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReadyz reports routability: ready while not draining and at
-// least one backend is healthy (a router with an empty ring can only
-// shed load, so a balancer should stop sending it traffic).
+// least one backend is healthy (a router with no healthy backend can
+// only shed load, so a balancer should stop sending it traffic).
 func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	switch {

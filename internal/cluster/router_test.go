@@ -142,7 +142,8 @@ func TestRouterSyncRouting(t *testing.T) {
 }
 
 // TestRouterFailover: killing the shard that owns a key must cost
-// latency, not an answer — the exchange moves to the next ring member.
+// latency, not an answer — the exchange moves to the next backend in
+// the key's placement order.
 func TestRouterFailover(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{ProxyAttempts: 1})
 	body := allocBody(t, workloads.Diffeq(), 1)
@@ -261,7 +262,7 @@ func TestRouterProbeRehoming(t *testing.T) {
 	if m["rehomed_total"] == 0 {
 		t.Error("rehomed_total = 0 after demotion moved the owner")
 	}
-	// The healthy-ring routing decision must agree with a fresh ring
+	// The health-filtered routing decision must agree with a fresh ring
 	// built from the same member set — determinism across instances.
 	want, _ := NewRing(tc.router.Healthy(), 0).Owner(fingerprintOf(t, body))
 	if got := resp.Header.Get("X-Salsa-Shard"); got != want {

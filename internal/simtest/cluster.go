@@ -122,7 +122,7 @@ func RunCluster(seed int64, opts ClusterOptions) *RunResult {
 
 	clk := clock.NewVirtual()
 	// victimSlot aims the Crash hook: journals are built before the
-	// ring placement (and hence the victim) is known, so every
+	// placement (and hence the victim) is known, so every
 	// backend's hook consults this and only the victim's ever fires,
 	// once tearing is set at the kill. tears counts the torn frames.
 	var victimSlot atomic.Int32
@@ -214,7 +214,7 @@ func RunCluster(seed int64, opts ClusterOptions) *RunResult {
 	defer stopPump()
 
 	// The victim owns figure1's fingerprint, so its death re-homes keys
-	// the scripts actually use. Derived at runtime because ring
+	// the scripts actually use. Derived at runtime because the
 	// placement depends on the listeners' ephemeral ports.
 	victim := -1
 	owner, _ := router.Owner(workloadFingerprint("figure1"))
@@ -377,7 +377,7 @@ func RunCluster(seed int64, opts ClusterOptions) *RunResult {
 	rr.Metrics = router.MetricsSnapshot()
 	if rr.Metrics["no_backend_total"] != 0 {
 		rr.Violations = append(rr.Violations,
-			fmt.Sprintf("router saw an empty healthy ring %d times with only one backend dead",
+			fmt.Sprintf("router found no healthy backend %d times with only one backend dead",
 				rr.Metrics["no_backend_total"]))
 	}
 	if rr.Metrics["requests_total"] == 0 {
