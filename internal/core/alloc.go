@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"salsa/internal/binding"
 	"salsa/internal/datapath"
@@ -147,43 +146,6 @@ func AllocateControlled(a *lifetime.Analysis, hw *datapath.Hardware, opts Option
 	}
 	res.InitialCost = initCost
 	return res, nil
-}
-
-// AllocateBest runs Allocate with restart seeds Seed..Seed+restarts-1
-// and keeps the cheapest result, mirroring the paper's "multiple trials
-// are sometimes necessary to find the best result". Restarts run
-// concurrently (they are independent searches over shared read-only
-// inputs); the winner is chosen deterministically by cost, merged mux
-// count, then lowest seed, so results are identical to a serial run.
-func AllocateBest(a *lifetime.Analysis, hw *datapath.Hardware, opts Options, restarts int) (*Result, error) {
-	if restarts < 1 {
-		restarts = 1
-	}
-	results := make([]*Result, restarts)
-	errs := make([]error, restarts)
-	var wg sync.WaitGroup
-	for i := 0; i < restarts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o := opts
-			o.Seed = opts.Seed + int64(i)
-			results[i], errs[i] = Allocate(a, hw, o)
-		}(i)
-	}
-	wg.Wait()
-	var best *Result
-	for i := 0; i < restarts; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		r := results[i]
-		if best == nil || r.Cost.Total < best.Cost.Total ||
-			(r.Cost.Total == best.Cost.Total && r.MergedMux < best.MergedMux) {
-			best = r
-		}
-	}
-	return best, nil
 }
 
 // newRNG isolates the randomness source used across the allocator.

@@ -21,8 +21,9 @@ type Job struct {
 
 // Restarts builds the classic multi-start portfolio: n copies of opts
 // whose seeds are the derived sequence opts.Seed .. opts.Seed+n-1, in
-// that order. With n < 1 a single job is returned. Running this
-// portfolio through Run reproduces core.AllocateBest's winner.
+// that order. With n < 1 a single job is returned. Run with pruning
+// disabled returns the best of these restarts run one after another:
+// the cheapest by cost, then merged muxes, then lowest seed.
 func Restarts(opts core.Options, n int) []Job {
 	if n < 1 {
 		n = 1
