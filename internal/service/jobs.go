@@ -71,11 +71,9 @@ type job struct {
 	progress  JobProgress // guarded by mu
 	status    int         // guarded by mu
 	body      []byte      // guarded by mu
-	finished  time.Time   // guarded by mu; zero until terminal
-	// frozenMS pins elapsed_ms for journal-recovered terminal jobs (the
-	// original completion's elapsed time, not this process's uptime).
-	frozenMS int64 // guarded by mu
-	frozen   bool  // guarded by mu
+	// elapsedMS is a terminal job's creation-to-finish time, the number
+	// its journaled Result holds; set once, with the terminal state.
+	elapsedMS int64 // guarded by mu
 }
 
 // engineEvent folds one engine telemetry event into the job's progress.
@@ -108,37 +106,17 @@ func (j *job) setState(state string) {
 	j.mu.Unlock()
 }
 
-// finishAt records the terminal outcome at now. merged marks
-// completion via a cache hit or a shared singleflight run rather than
-// an own engine run. The caller supplies now, so the journaled elapsed
-// time and the served elapsed time come from one clock reading and can
-// never disagree.
-func (j *job) finishAt(now time.Time, status int, body []byte, merged bool) {
+// finish records the terminal outcome. merged marks completion via a
+// cache hit or a shared singleflight run rather than an own engine
+// run. elapsedMS is the value the job's Result record journals, so a
+// poll answers the same number before a restart and after recovery.
+func (j *job) finish(status int, body []byte, merged bool, elapsedMS int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.status = status
 	j.body = body
 	j.progress.Merged = merged
-	j.finished = now
-	if status == 200 {
-		j.state = jobDone
-	} else {
-		j.state = jobFailed
-	}
-}
-
-// restoreTerminal replays a journaled terminal outcome: the exact
-// status and body the pre-crash process acknowledged, with elapsed_ms
-// frozen at the original completion.
-func (j *job) restoreTerminal(status int, body []byte, merged bool, elapsedMS int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.status = status
-	j.body = body
-	j.progress.Merged = merged
-	j.finished = j.created
-	j.frozenMS = elapsedMS
-	j.frozen = true
+	j.elapsedMS = elapsedMS
 	if status == 200 {
 		j.state = jobDone
 	} else {
@@ -150,14 +128,9 @@ func (j *job) restoreTerminal(status int, body []byte, merged bool, elapsedMS in
 func (j *job) statusJSON() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{ID: j.id, State: j.state, Progress: j.progress, Recovered: j.recovered}
-	end := j.finished
-	if end.IsZero() {
-		end = j.clk.Now()
-	}
-	st.ElapsedMS = end.Sub(j.created).Milliseconds()
-	if j.frozen {
-		st.ElapsedMS = j.frozenMS
+	st := JobStatus{ID: j.id, State: j.state, Progress: j.progress, ElapsedMS: j.elapsedMS, Recovered: j.recovered}
+	if j.state != jobDone && j.state != jobFailed {
+		st.ElapsedMS = j.clk.Now().Sub(j.created).Milliseconds()
 	}
 	if j.state == jobDone {
 		st.HTTPStatus = j.status

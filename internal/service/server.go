@@ -203,7 +203,7 @@ func (s *Server) recoverJobs() {
 			continue
 		}
 		if st.Terminal {
-			j.restoreTerminal(st.Status, st.Body, st.Merged, st.ElapsedMS)
+			j.finish(st.Status, st.Body, st.Merged, st.ElapsedMS)
 			s.jobs.finished(j)
 			s.metrics.JobsRecovered.Add(1)
 			continue
@@ -616,7 +616,7 @@ func (s *Server) finishJob(j *job, out *outcome, merged bool) {
 // completeJob makes a journaled terminal outcome visible to polls and
 // hands the job to the registry's retention.
 func (s *Server) completeJob(j *job, now time.Time, out *outcome, merged bool) {
-	j.finishAt(now, out.status, out.body, merged)
+	j.finish(out.status, out.body, merged, now.Sub(j.created).Milliseconds())
 	s.jobs.finished(j)
 	s.metrics.JobsFinished.Add(1)
 }
