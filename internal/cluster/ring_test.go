@@ -113,6 +113,10 @@ func TestRingSequence(t *testing.T) {
 	}
 }
 
+// quickstartBackends are the backend names of the README's 3-backend
+// quickstart, which salsabench's routed-zipf also places its keys over.
+var quickstartBackends = []string{"http://127.0.0.1:8081", "http://127.0.0.1:8082", "http://127.0.0.1:8083"}
+
 // TestRingBalance: every member's share of random keys lies within one
 // percentage point of 1/N, for sets of near-identical names, which a
 // hash that spreads similar inputs poorly splits unevenly. The sets
@@ -127,9 +131,7 @@ func TestRingBalance(t *testing.T) {
 		}
 		sets = append(sets, set)
 	}
-	sets = append(sets,
-		[]string{"http://127.0.0.1:8081", "http://127.0.0.1:8082", "http://127.0.0.1:8083"},
-		[]string{"b1", "b2", "b3", "b4", "b5"})
+	sets = append(sets, quickstartBackends, []string{"b1", "b2", "b3", "b4", "b5"})
 
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]string, 100000)
@@ -168,7 +170,7 @@ func TestCorpusFitsBackendCaches(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no corpus graphs in testdata")
 	}
-	r := NewRing([]string{"http://127.0.0.1:8081", "http://127.0.0.1:8082", "http://127.0.0.1:8083"}, 0)
+	r := NewRing(quickstartBackends, 0)
 	placed := map[string][]string{}
 	for _, f := range files {
 		data, err := os.ReadFile(f)

@@ -129,13 +129,11 @@ func (j *job) statusJSON() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{ID: j.id, State: j.state, Progress: j.progress, ElapsedMS: j.elapsedMS, Recovered: j.recovered}
-	if j.state != jobDone && j.state != jobFailed {
-		st.ElapsedMS = j.clk.Now().Sub(j.created).Milliseconds()
-	}
-	if j.state == jobDone {
+	switch j.state {
+	case jobDone:
 		st.HTTPStatus = j.status
 		st.Result = json.RawMessage(j.body)
-	} else if j.state == jobFailed {
+	case jobFailed:
 		st.HTTPStatus = j.status
 		var e struct {
 			Error string `json:"error"`
@@ -143,6 +141,8 @@ func (j *job) statusJSON() JobStatus {
 		if json.Unmarshal(j.body, &e) == nil {
 			st.Error = e.Error
 		}
+	default:
+		st.ElapsedMS = j.clk.Now().Sub(j.created).Milliseconds()
 	}
 	return st
 }
