@@ -25,6 +25,11 @@
 // so torn or truncated tails — the signature of dying mid-write — cost
 // at most the unacknowledged record they belong to. Replay never fails
 // on corrupt data: a bad frame simply ends that segment's prefix.
+//
+// Frames overwrite zeros: a segment grows by whole chunks of zeros,
+// fsynced once, ahead of its frames, so a record's fsync commits no
+// block allocation or size change. A zero header ends a segment's
+// prefix like any bad frame, and Close trims the unfilled zeros off.
 package journal
 
 import (
@@ -125,6 +130,8 @@ const (
 	// bounded at 4 MiB by the service; 16 MiB leaves generous headroom
 	// for result bodies.
 	maxFrame = 16 << 20
+	// chunk is the step by which a segment's zeroed space grows.
+	chunk = 1 << 20
 )
 
 // frameLen is the length of rec's wire frame.
@@ -255,7 +262,8 @@ type Journal struct {
 	mu      sync.Mutex
 	states  []*JobState // guarded by mu; nil once taken
 	f       *os.File    // guarded by mu; nil after Close
-	size    int64       // guarded by mu; bytes written to the new segment
+	size    int64       // guarded by mu; bytes of frames written to the new segment
+	zeroed  int64       // guarded by mu; end of the fsynced zeros the frames overwrite
 	synced  int64       // guarded by mu; bytes known fsynced
 	appends int         // guarded by mu; records appended this process
 	killed  bool        // guarded by mu
@@ -281,7 +289,7 @@ func OpenWithHooks(dir string, hooks *Hooks) (*Journal, error) {
 	for _, e := range entries {
 		name := e.Name()
 		var seq int
-		if _, err := fmt.Sscanf(name, "seg-%d.wal", &seq); err != nil {
+		if _, err := fmt.Sscanf(name, "seg-%d.wal", &seq); err != nil || name != segName(seq) {
 			continue
 		}
 		segs = append(segs, name)
@@ -298,13 +306,17 @@ func OpenWithHooks(dir string, hooks *Hooks) (*Journal, error) {
 		}
 		recs = append(recs, decodePrefix(data)...)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("seg-%08d.wal", maxSeq+1)),
+	f, err := os.OpenFile(filepath.Join(dir, segName(maxSeq+1)),
 		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	return &Journal{dir: dir, states: Reduce(recs), hooks: hooks, f: f}, nil
 }
+
+// segName names segment seq. Open replays no other name, so a copy
+// beside the segments ("seg-00000001.wal.bak") is never replayed.
+func segName(seq int) string { return fmt.Sprintf("seg-%08d.wal", seq) }
 
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
@@ -325,12 +337,16 @@ func (j *Journal) TakeStates() []*JobState {
 // record alone.
 func (j *Journal) Append(rec Record, sync bool) error { return j.AppendAll([]Record{rec}, sync) }
 
-// AppendAll writes recs to the current segment in one write. With sync
+// AppendAll writes recs to the current segment in one write, after
+// the frames already written and over zeros that an earlier fsync made
+// durable, growing the zeroed space first when they pass it. With sync
 // set, the write is fsynced before AppendAll returns — the discipline
 // for Accepted and Result records, whose acknowledgement promises
 // durability, and the only one the service uses. A crash partway
 // through the write leaves a prefix of its frames, the last possibly
-// torn, which replay cuts back to the whole ones.
+// torn, which replay cuts back to the whole ones. A write that fails
+// leaves the end of the frames where it was, so the next append
+// overwrites whatever part of it reached the file.
 func (j *Journal) AppendAll(recs []Record, sync bool) error {
 	n := 0
 	for _, rec := range recs {
@@ -350,13 +366,20 @@ func (j *Journal) AppendAll(recs []Record, sync bool) error {
 	}
 	idx := j.appends
 	j.appends += len(recs)
+	if end := j.size + int64(len(buf)); end > j.zeroed {
+		end = (end + chunk - 1) / chunk * chunk
+		if err := fillZeros(j.f, j.zeroed, end); err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		j.zeroed = end
+	}
 	if j.hooks != nil && j.hooks.Crash != nil {
 		off := 0
 		for i, rec := range recs {
 			fl := frameLen(rec)
 			if cut := j.hooks.Crash(idx+i, rec, fl); cut >= 0 {
 				written := off + min(cut, fl)
-				_, _ = j.f.Write(buf[:written])
+				_, _ = j.f.WriteAt(buf[:written], j.size)
 				j.size += int64(written)
 				j.killed = true
 				return ErrKilled
@@ -364,7 +387,7 @@ func (j *Journal) AppendAll(recs []Record, sync bool) error {
 			off += fl
 		}
 	}
-	if _, err := j.f.Write(buf); err != nil {
+	if _, err := j.f.WriteAt(buf, j.size); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	j.size += int64(len(buf))
@@ -375,6 +398,24 @@ func (j *Journal) AppendAll(recs []Record, sync bool) error {
 		j.synced = j.size
 	}
 	return nil
+}
+
+// zeros is what fillZeros writes, a sixteenth of a chunk at a time.
+// Nothing writes to it, so unlike a buffer allocated per growth it
+// costs no resident memory.
+var zeros [chunk / 16]byte
+
+// fillZeros writes zeros over bytes [from, to) of f and fsyncs them.
+// The fsync allocates the blocks and commits the file's new size, so
+// the fsyncs of the records later written over the zeros commit data
+// alone.
+func fillZeros(f *os.File, from, to int64) error {
+	for off := from; off < to; off += int64(len(zeros)) {
+		if _, err := f.WriteAt(zeros[:min(to-off, int64(len(zeros)))], off); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
 }
 
 // Kill simulates abrupt process death for tests and the simulation
@@ -398,8 +439,10 @@ func (j *Journal) Kill(tear uint64) {
 	}
 }
 
-// Close fsyncs and closes the current segment. Appending afterwards is
-// an error. Idempotent.
+// Close trims the current segment to its frames, dropping the zeroed
+// space no record filled, then fsyncs and closes it. A killed journal
+// is closed as a dead process leaves it: neither trimmed nor synced.
+// Appending afterwards is an error. Idempotent.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -409,7 +452,11 @@ func (j *Journal) Close() error {
 	f := j.f
 	j.f = nil
 	if !j.killed {
-		if err := f.Sync(); err != nil {
+		err := f.Truncate(j.size)
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
 			_ = f.Close()
 			return fmt.Errorf("journal: %w", err)
 		}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -117,6 +118,10 @@ func corruptionCases() []corruptCase {
 	// Earlier versions journaled progress checkpoints as kind 2.
 	legacy := appendFrame(nil, Record{Kind: 2, ID: "j1-ff", Payload: []byte(`{"portfolio_jobs_started":2}`)})
 
+	// A crashed process leaves its segment's unfilled zeroed space
+	// behind its last frame.
+	zeros := make([]byte, 4<<10)
+
 	return []corruptCase{
 		{"empty file", nil, 0, false, 0},
 		{"truncated tail record", append(append([]byte(nil), acc...), res[:len(res)-5]...), 1, false, 0},
@@ -128,6 +133,8 @@ func corruptionCases() []corruptCase {
 		{"duplicate terminal record", append(append(append([]byte(nil), acc...), res...), appendFrame(nil, dup)...), 1, true, 200},
 		{"intact", append(append([]byte(nil), acc...), res...), 1, true, 200},
 		{"legacy progress record", append(append(append([]byte(nil), acc...), legacy...), res...), 1, true, 200},
+		{"zeroed tail", append(append(append([]byte(nil), acc...), res...), zeros...), 1, true, 200},
+		{"torn frame in zeroed space", append(append(append([]byte(nil), acc...), res[:len(res)-5]...), zeros...), 1, false, 0},
 	}
 }
 
@@ -414,6 +421,165 @@ func TestOpenSegmentsAccumulate(t *testing.T) {
 	}
 	if states[1].ID != "j2-s2" || states[1].Terminal {
 		t.Errorf("second boot's acceptance lost: %+v", states[1])
+	}
+}
+
+// TestOpenStrictSegmentNames: Open replays a file only under the exact
+// name it gives a segment, so copies beside the segments (a backup, an
+// editor's file, a name the segment format never writes) are neither
+// replayed nor counted towards the next segment's number.
+func TestOpenStrictSegmentNames(t *testing.T) {
+	dir := t.TempDir()
+	for name, id := range map[string]string{
+		"seg-00000001.wal":     "j1-seg",
+		"seg-00000003.wal.bak": "j3-bak",
+		"seg-00000009.wal~":    "j9-tilde",
+		"seg-7.walrus":         "j7-walrus",
+		"seg--3.wal":           "j3-negative",
+	} {
+		frame := appendFrame(nil, Accepted(id, []byte(`{"seed":1}`), "k"))
+		if err := os.WriteFile(filepath.Join(dir, name), frame, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var ids []string
+	for _, st := range j.TakeStates() {
+		ids = append(ids, st.ID)
+	}
+	if fmt.Sprint(ids) != "[j1-seg]" {
+		t.Errorf("replayed jobs %v, want seg-00000001.wal's j1-seg alone", ids)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seg-00000002.wal")); err != nil {
+		t.Errorf("the boot's segment is not seg-00000002.wal: %v", err)
+	}
+}
+
+// TestZeroedSpace pins the write discipline: Open writes nothing, and
+// appends overwrite zeros written ahead of them in whole chunks, so the
+// segment is one chunk long while its frames fit in one chunk and grows
+// by whole chunks when a frame crosses the chunk end. A record larger
+// than a chunk replays intact, and Close leaves exactly the frames.
+func TestZeroedSpace(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	seg := filepath.Join(dir, "seg-00000001.wal")
+	sizeIs := func(when string, want int64) {
+		t.Helper()
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != want {
+			t.Fatalf("%s: segment is %d bytes, want %d", when, fi.Size(), want)
+		}
+	}
+	sizeIs("after Open", 0)
+
+	var frames []byte
+	for _, rec := range []Record{
+		Accepted("j1-zz", []byte(`{"seed":1}`), "k1"),
+		Result("j1-zz", 200, []byte(`{"ok":true}`), false, 3),
+	} {
+		if err := j.Append(rec, true); err != nil {
+			t.Fatal(err)
+		}
+		frames = appendFrame(frames, rec)
+	}
+	sizeIs("after two small appends", chunk)
+
+	// 2 MiB of request bytes, base64 in the payload: the frame runs from
+	// the first chunk into the third.
+	big := bytes.Repeat([]byte("x"), 2*chunk)
+	huge := Accepted("j2-zz", big, "k2")
+	if err := j.Append(huge, true); err != nil {
+		t.Fatal(err)
+	}
+	frames = appendFrame(frames, huge)
+	if len(frames) <= 2*chunk || len(frames) > 3*chunk {
+		t.Fatalf("the frames end at byte %d, outside the third chunk", len(frames))
+	}
+	sizeIs("after a record larger than a chunk", 3*chunk)
+
+	j = reopen(t, j)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, frames) {
+		t.Fatalf("closed segment holds %d bytes, want its %d bytes of frames", len(data), len(frames))
+	}
+	states := j.TakeStates()
+	if len(states) != 2 || !states[0].Terminal || states[1].ID != "j2-zz" || !bytes.Equal(states[1].Request, big) {
+		t.Fatalf("replay lost or corrupted a record: %d states", len(states))
+	}
+}
+
+// TestConcurrentAppendsAcrossChunks: writers appending synced jobs at
+// once, across several growths of the zeroed space, each land in the
+// segment exactly once and whole.
+func TestConcurrentAppendsAcrossChunks(t *testing.T) {
+	const writers, jobs = 4, 16
+	dir := t.TempDir()
+	j, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// About 85 KiB of frames per job, so the writers' 64 jobs cross
+	// five chunk ends.
+	req := bytes.Repeat([]byte("r"), chunk/16)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < jobs; i++ {
+				id := fmt.Sprintf("j%d-w%d", i, w)
+				if err := j.AppendAll([]Record{Accepted(id, req, id), Result(id, 200, []byte(id), false, int64(i))}, true); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "seg-00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) <= 5*chunk {
+		t.Fatalf("the writers' %d bytes cross fewer than five chunk ends", len(data))
+	}
+	recs := decodePrefix(data)
+	decoded := 0
+	for _, rec := range recs {
+		decoded += frameLen(rec)
+	}
+	if decoded != len(data) {
+		t.Fatalf("replay decoded %d of the segment's %d bytes", decoded, len(data))
+	}
+	if len(recs) != 2*writers*jobs {
+		t.Fatalf("replayed %d records, want %d", len(recs), 2*writers*jobs)
+	}
+	states := Reduce(recs)
+	if len(states) != writers*jobs {
+		t.Fatalf("replayed %d jobs, want %d", len(states), writers*jobs)
+	}
+	for _, st := range states {
+		if !st.Terminal || string(st.Body) != st.ID || st.Options != st.ID || !bytes.Equal(st.Request, req) {
+			t.Errorf("job %s replayed torn or mixed with another: terminal %t, body %q", st.ID, st.Terminal, st.Body)
+		}
 	}
 }
 
